@@ -16,22 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+from .exactnum import divisors
 from .graphs import GerbyGraph, ModularGraph, classify_edges, split_at_edge
-
-
-def divisors(n: int) -> tuple[int, ...]:
-    """Positive divisors of n in increasing order."""
-    if n < 1:
-        raise ValueError(f"expected a positive integer, got {n}")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return tuple(small + large[::-1])
 
 
 @dataclass(frozen=True, order=False)

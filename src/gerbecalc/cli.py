@@ -2,9 +2,9 @@
 
 Every subcommand emits a single JSON document of the shape
 {"format": 1, "command": ..., "inputs": ..., "result": ...} with keys
-sorted, so output is byte-identical across runs and worker counts.  Exit
-status is 0 on success or a passing verification, 1 when a verification
-fails, and 2 on any input problem; nothing is written to stdout on exit 2.
+sorted, so output is byte-identical across runs.  Exit status is 0 on
+success or a passing verification, 1 when a verification fails, and 2 on
+any input problem; nothing is written to stdout on exit 2.
 """
 
 from __future__ import annotations
@@ -44,6 +44,8 @@ def _load_json(path: str) -> dict:
 
 
 def _expect(config: Mapping, key: str, kind: type, where: str) -> object:
+    if not isinstance(config, Mapping):
+        raise InputError(f"{where} must be an object, got {config!r}")
     if key not in config:
         raise InputError(f"{where} is missing the field {key!r}")
     value = config[key]
@@ -87,6 +89,8 @@ def _degree_data_from(config: Mapping) -> DegreeData:
 
 
 def _gw_common(args) -> tuple[gw.GerbeSpec, gw.BaseTheoryTable, int, gw.Truncation, dict]:
+    if args.parallel < 1:
+        raise InputError(f"--parallel must be at least 1, got {args.parallel}")
     config = _load_json(args.input)
     r = _expect(config, "r", int, "configuration")
     pairing = _int_list(config, "pairing", "configuration")
@@ -99,6 +103,11 @@ def _gw_common(args) -> tuple[gw.GerbeSpec, gw.BaseTheoryTable, int, gw.Truncati
     genus = _expect(config, "genus", int, "configuration")
     section = _expect(config, "truncation", dict, "configuration")
     betas = _expect(section, "betas", list, "the 'truncation' section")
+    for beta in betas:
+        if not isinstance(beta, list) or any(
+            not isinstance(x, int) or isinstance(x, bool) for x in beta
+        ):
+            raise InputError(f"curve classes must be lists of integers, got {beta!r}")
     truncation = gw.Truncation(
         _expect(section, "n_max", int, "the 'truncation' section"),
         _expect(section, "j_max", int, "the 'truncation' section"),
@@ -217,10 +226,8 @@ def _run_degree(args) -> tuple[dict, dict, int]:
 
 def _run_decompose(args) -> tuple[dict, dict, int]:
     spec, table, genus, truncation, config = _gw_common(args)
-    lhs = gw.build_potential(spec, table, genus, truncation, "gerbe", workers=args.parallel)
-    base_series = gw.build_potential(
-        spec, table, genus, truncation, "base", workers=args.parallel
-    )
+    lhs = gw.build_potential(spec, table, genus, truncation, "gerbe")
+    base_series = gw.build_potential(spec, table, genus, truncation, "base")
     sectors = [
         {
             "character": rho,
@@ -240,7 +247,7 @@ def _run_decompose(args) -> tuple[dict, dict, int]:
 
 def _run_verify(args) -> tuple[dict, dict, int]:
     spec, table, genus, truncation, config = _gw_common(args)
-    report = gw.verify_decomposition(spec, table, genus, truncation, workers=args.parallel)
+    report = gw.verify_decomposition(spec, table, genus, truncation)
     inputs = {"input": args.input, "config": config, "seed": args.seed}
     return inputs, report.to_dict(), 0 if report.passed else 1
 
@@ -321,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=1,
             metavar="N",
-            help="worker threads; never changes the output",
+            help="accepted for compatibility (N >= 1); all work runs on one thread",
         )
 
     return parser

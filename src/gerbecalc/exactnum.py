@@ -71,7 +71,10 @@ def _poly_div_exact(num: Sequence[int], den: Sequence[int]) -> list[int]:
     return out
 
 
-def _divisors(n: int) -> list[int]:
+def divisors(n: int) -> tuple[int, ...]:
+    """Positive divisors of n in increasing order."""
+    if n < 1:
+        raise ValueError(f"expected a positive integer, got {n}")
     small, large = [], []
     d = 1
     while d * d <= n:
@@ -80,7 +83,7 @@ def _divisors(n: int) -> list[int]:
             if d != n // d:
                 large.append(n // d)
         d += 1
-    return small + large[::-1]
+    return tuple(small + large[::-1])
 
 
 @lru_cache(maxsize=None)
@@ -101,7 +104,7 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     if order == 1:
         return (-1, 1)
     poly = [-1] + [0] * (order - 1) + [1]
-    for d in _divisors(order):
+    for d in divisors(order):
         if d != order:
             poly = _poly_div_exact(poly, cyclotomic_polynomial(d))
     return tuple(poly)

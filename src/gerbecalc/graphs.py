@@ -42,7 +42,11 @@ class ModularGraph:
                 raise ValueError(f"involution is not self-inverse at flag {f}")
             if not 0 <= self.attachment[f] < n_vertices:
                 raise ValueError(f"flag {f} attached to missing vertex {self.attachment[f]}")
-        if not _is_connected(n_vertices, self.edges(), self.attachment):
+        # Derived once: not a dataclass field, so hash and equality ignore it.
+        object.__setattr__(
+            self, "_edges", tuple((f, j) for f, j in enumerate(self.involution) if j > f)
+        )
+        if not _is_connected(n_vertices, self._edges, self.attachment):
             raise ValueError("graph is not connected")
 
     @property
@@ -59,16 +63,14 @@ class ModularGraph:
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Flag pairs (f, j(f)) with f < j(f) (nodes), ordered by first flag."""
-        return tuple(
-            (f, j) for f, j in enumerate(self.involution) if j > f
-        )
+        return self._edges
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges())
+        return len(self._edges)
 
     def vertices_of_edge(self, edge_index: int) -> tuple[int, int]:
-        f1, f2 = self.edges()[edge_index]
+        f1, f2 = self._edges[edge_index]
         return self.attachment[f1], self.attachment[f2]
 
     def tails_at(self, vertex: int) -> tuple[int, ...]:
@@ -89,7 +91,7 @@ class ModularGraph:
             if not isinstance(entry, Mapping) or "genus" not in entry:
                 raise ValueError(f"graph config field 'vertices[{i}]' must be an object with 'genus'")
             g = entry["genus"]
-            if not isinstance(g, int) or g < 0:
+            if not _is_int(g) or g < 0:
                 raise ValueError(f"graph config field 'vertices[{i}].genus' must be a nonnegative integer")
             genera.append(g)
         edges = _expect_list(config, "edges")
@@ -98,14 +100,14 @@ class ModularGraph:
         involution = list(range(n_tails))
         attachment = []
         for i, v in enumerate(tails):
-            if not isinstance(v, int) or not 0 <= v < len(genera):
+            if not _is_int(v) or not 0 <= v < len(genera):
                 raise ValueError(f"graph config field 'tails[{i}]' must name a vertex")
             attachment.append(v)
         for k, pair in enumerate(edges):
             if (
                 not isinstance(pair, (list, tuple))
                 or len(pair) != 2
-                or not all(isinstance(v, int) and 0 <= v < len(genera) for v in pair)
+                or not all(_is_int(v) and 0 <= v < len(genera) for v in pair)
             ):
                 raise ValueError(f"graph config field 'edges[{k}]' must be a pair of vertices")
             f = n_tails + 2 * k
@@ -119,6 +121,11 @@ class ModularGraph:
             "edges": [[self.attachment[f1], self.attachment[f2]] for f1, f2 in self.edges()],
             "tails": [self.attachment[f] for f in self.tails()],
         }
+
+
+def _is_int(value) -> bool:
+    # JSON true/false arrive as bool, which Python treats as an int subclass.
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _expect_list(config: Mapping, key: str) -> list:

@@ -10,6 +10,12 @@ equals the character-summed, Novikov-twisted base potentials.
 Curve classes live in the free monoid Z^m >= 0 and enter only through the
 Novikov exponent and a mod-r pairing residue.  Cohomology of the base is an
 abstract indexed basis with no grading or products.
+
+A character-basis invariant vanishes by definition unless all of its
+insertions carry one character, so the gerbe potential never enumerates a
+monomial that mixes characters: per curve class it evaluates the empty
+monomial and r single-character copies of each base monomial, instead of
+every multiset of the b*r*(j+1) gerbe variables.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -356,7 +361,6 @@ def build_potential(
     genus: int,
     truncation: Truncation,
     basis: str = "gerbe",
-    workers: int = 1,
 ) -> PotentialSeries:
     """Assemble the truncated genus-g potential in the requested basis.
 
@@ -366,28 +370,32 @@ def build_potential(
     monomial keys.  Basis "gerbe" uses (class_index, character, psi_power)
     variables and the character-basis gerbe invariants; basis "base" uses
     (class_index, psi_power) variables and the raw base table.
+
+    The gerbe basis enumerates, per curve class, the empty monomial and the
+    r single-character copies of each nonempty base monomial.  A monomial
+    mixing two characters is never enumerated: its invariant is zero by
+    definition, so it could never contribute a coefficient, and the copies
+    already look up every base key such a monomial would.  Each enumerated
+    key still goes through gerbe_invariant_rho on its own.
     """
     if basis not in ("gerbe", "base"):
         raise ValueError(f"unknown basis {basis!r}")
     r = spec.band_order
-    if basis == "gerbe":
-        variables = [
-            (i, rho, j)
-            for i in range(base.basis_size)
-            for rho in range(r)
-            for j in range(truncation.j_max + 1)
-        ]
-    else:
-        variables = [
-            (i, j) for i in range(base.basis_size) for j in range(truncation.j_max + 1)
-        ]
-
-    keys = [
-        (beta, combo)
-        for beta in truncation.betas
-        for n in range(truncation.n_max + 1)
+    variables = [
+        (i, j) for i in range(base.basis_size) for j in range(truncation.j_max + 1)
+    ]
+    monomials = [
+        combo
+        for n in range(1, truncation.n_max + 1)
         for combo in itertools.combinations_with_replacement(variables, n)
     ]
+    if basis == "gerbe":
+        monomials = [
+            tuple((i, rho, j) for (i, j) in monomial)
+            for rho in range(r)
+            for monomial in monomials
+        ]
+    keys = [(beta, monomial) for beta in truncation.betas for monomial in [()] + monomials]
 
     def coefficient(key):
         beta, monomial = key
@@ -404,12 +412,7 @@ def build_potential(
             value = CyclotomicNumber.from_rational(raw)
         return value * _monomial_weight(monomial)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(coefficient, keys, chunksize=64))
-    else:
-        values = [coefficient(key) for key in keys]
-
+    values = [coefficient(key) for key in keys]
     coefficients = {
         key: value for key, value in zip(keys, values) if not value.is_zero()
     }
@@ -476,7 +479,6 @@ def verify_decomposition(
     base: BaseTheoryTable,
     genus: int,
     truncation: Truncation,
-    workers: int = 1,
 ) -> DecompositionReport:
     """Exact check that the gerbe potential decomposes over the characters.
 
@@ -488,8 +490,8 @@ def verify_decomposition(
     total key order; the first difference, if any, is reported.
     """
     r = spec.band_order
-    lhs = build_potential(spec, base, genus, truncation, "gerbe", workers=workers)
-    base_series = build_potential(spec, base, genus, truncation, "base", workers=workers)
+    lhs = build_potential(spec, base, genus, truncation, "gerbe")
+    base_series = build_potential(spec, base, genus, truncation, "base")
     scalar = Fraction(r) ** (2 * genus - 2)
     rhs: dict = {}
     for rho in range(r):

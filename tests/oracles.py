@@ -2,8 +2,10 @@
 
 Everything here is deliberately written with different algorithms than the
 package: brute force where the library has a closed form, DFS lowlinks
-where it deletes edges, leaf peeling where it splits at a single edge, and
-a literal character double sum where it uses the vanishing shortcut.
+where it deletes edges, leaf peeling where it splits at a single edge, a
+literal character double sum where it uses the vanishing shortcut, and
+every multiset of gerbe variables where the gerbe potential enumerates
+single-character monomials only.
 """
 
 import itertools
@@ -11,6 +13,7 @@ import math
 from fractions import Fraction
 
 from gerbecalc.exactnum import CyclotomicNumber, root_of_unity
+from gerbecalc.gw import CharacterInsertion, gerbe_invariant_rho
 
 
 def totient_brute(n: int) -> int:
@@ -131,6 +134,36 @@ def character_double_sum(r: int, rhos, genus: int, k: int, base_value) -> Cyclot
             term = term * root_of_unity((-rho * g) % r, r)
         total = total + term
     return total * Fraction(1, r**n)
+
+
+def exhaustive_gerbe_potential(spec, base, genus: int, truncation) -> dict:
+    """Gerbe-basis potential over every multiset of gerbe variables.
+
+    Walks all monomials in the b*r*(j+1) variables (class, character, psi),
+    mixed characters included, evaluates each through gerbe_invariant_rho,
+    divides by the multiplicities' factorials and keeps the nonzero
+    coefficients, keyed by (curve class, sorted monomial).
+    """
+    variables = [
+        (i, rho, j)
+        for i in range(base.basis_size)
+        for rho in range(spec.band_order)
+        for j in range(truncation.j_max + 1)
+    ]
+    coefficients = {}
+    for beta in truncation.betas:
+        for n in range(truncation.n_max + 1):
+            for monomial in itertools.combinations_with_replacement(variables, n):
+                value = gerbe_invariant_rho(
+                    spec, base, genus, beta,
+                    [CharacterInsertion(rho, i, j) for (i, rho, j) in monomial],
+                )
+                multiplicities = [len(list(g)) for _, g in itertools.groupby(monomial)]
+                weight = math.prod(math.factorial(m) for m in multiplicities)
+                value = value * Fraction(1, weight)
+                if not value.is_zero():
+                    coefficients[(beta, monomial)] = value
+    return coefficients
 
 
 def _is_connected(n_vertices: int, edges) -> bool:

@@ -237,6 +237,39 @@ def test_parallel_flag_never_changes_output(capsys, tmp_path):
     assert all(len(variants) == 1 for variants in by_command.values())
 
 
+@pytest.mark.parametrize("command", ["verify", "decompose"])
+def test_parallel_below_one_is_an_input_error(capsys, tmp_path, command):
+    path = gw_config(tmp_path)
+    code, out, err = run(capsys, command, "--input", path, "--seed", "11", "--parallel", "0")
+    assert code == 2 and out == ""
+    assert "--parallel" in err
+
+
+@pytest.mark.parametrize("betas", [[3], [["a"]], [[True, 0]]], ids=["int", "str", "bool"])
+def test_malformed_curve_classes_are_input_errors(capsys, tmp_path, betas):
+    path = gw_config(tmp_path, truncation={"n_max": 1, "j_max": 0, "betas": betas})
+    code, out, err = run(capsys, "verify", "--input", path, "--seed", "1")
+    assert code == 2 and out == ""
+    assert "curve classes" in err
+
+
+def test_non_object_insertion_is_an_input_error(capsys, tmp_path):
+    path = gw_config(tmp_path, extra={"base_invariants": [
+        {"genus": 0, "beta": [0], "insertions": [3], "value": "1"},
+    ]})
+    code, out, err = run(capsys, "verify", "--input", path)
+    assert code == 2 and out == ""
+    assert "an insertion must be an object" in err
+
+
+def test_boolean_genus_is_an_input_error(capsys, tmp_path):
+    path = write_json(tmp_path, "bool.json", {"r": 2, "graph": {
+        "vertices": [{"genus": True}], "edges": [], "tails": []}})
+    code, out, err = run(capsys, "picard-torsion", "--input", path)
+    assert code == 2 and out == ""
+    assert "genus" in err
+
+
 def test_output_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, out, _ = run(

@@ -78,9 +78,34 @@ def test_from_config_validation_messages():
         )
 
 
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        ({"vertices": [{"genus": True}], "edges": [], "tails": []}, "genus"),
+        ({"vertices": [{"genus": 0}, {"genus": 0}], "edges": [[0, 1]], "tails": [True]},
+         "tails\\[0\\]"),
+        ({"vertices": [{"genus": 0}, {"genus": 0}], "edges": [[False, True]], "tails": []},
+         "edges\\[0\\]"),
+    ],
+    ids=["genus", "tails", "edge-endpoints"],
+)
+def test_from_config_rejects_booleans(config, field):
+    with pytest.raises(ValueError, match=field):
+        ModularGraph.from_config(config)
+
+
 def test_config_round_trip():
     g = graph_of([1, 0], [(0, 1), (1, 1)], tails=[0])
-    assert ModularGraph.from_config(g.to_config()) == g
+    again = ModularGraph.from_config(g.to_config())
+    assert again == g and hash(again) == hash(g)
+    assert again.to_config() == g.to_config()
+
+
+def test_edges_are_computed_once_per_graph():
+    g = graph_of([0, 0, 0], [(0, 1), (1, 2), (2, 2)], tails=[1])
+    assert g.edges() is g.edges()
+    assert g.edges() == ((1, 2), (3, 4), (5, 6))
+    assert [g.vertices_of_edge(e) for e in range(g.num_edges)] == [(0, 1), (1, 2), (2, 2)]
 
 
 def test_betti_and_genus():

@@ -237,13 +237,37 @@ def test_potential_drops_zero_coefficients():
         build_potential(GerbeSpec(1, (0,)), table, 0, truncation, basis="mixed")
 
 
-def test_potential_worker_count_is_invisible():
-    spec = GerbeSpec(2, (1,))
-    table, truncation = small_table()
-    for basis in ("gerbe", "base"):
-        lone = build_potential(spec, table, 0, truncation, basis, workers=1)
-        pooled = build_potential(spec, table, 0, truncation, basis, workers=3)
-        assert lone.coefficients == pooled.coefficients
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize("genus", [0, 1, 2])
+@pytest.mark.parametrize("basis_size", [1, 2])
+def test_gerbe_potential_matches_exhaustive_enumeration(r, genus, basis_size):
+    spec = GerbeSpec(r, (1 % r, (r - 1) % r))
+    truncation = Truncation(2, 1, [(0, 0), (1, 0), (1, 1), (0, 2)])
+    seed = 100 * r + 10 * genus + basis_size
+    table = BaseTheoryTable.seeded(basis_size, genus, truncation, seed)
+    series = build_potential(spec, table, genus, truncation, "gerbe")
+    expected = oracles.exhaustive_gerbe_potential(spec, table, genus, truncation)
+    assert expected
+    assert series.coefficients == expected
+
+
+def test_gerbe_potential_matches_exhaustive_enumeration_on_half_empty_table(caplog):
+    spec = GerbeSpec(3, (1,))
+    table, truncation = small_table([
+        ((0,), (), Fraction(4)),
+        ((1,), (), Fraction(-2)),
+        ((0,), (Insertion(1, 1),), Fraction(1, 3)),
+        ((1,), (Insertion(0, 0), Insertion(0, 0)), Fraction(5)),
+        ((1,), (Insertion(0, 1), Insertion(1, 0)), Fraction(-7, 2)),
+    ], genus=1)
+    with caplog.at_level(logging.WARNING, logger="gerbecalc.gw"):
+        series = build_potential(spec, table, 1, truncation, "gerbe")
+    warned = {record.getMessage() for record in caplog.records}
+    expected = oracles.exhaustive_gerbe_potential(spec, table, 1, truncation)
+    assert len(expected) == 1 + 3 * 3
+    assert series.coefficients == expected
+    # every missing base key is still looked up, and warned about once
+    assert len(warned) == len(caplog.records) == 2 * 15 - 5
 
 
 def test_potential_requires_table_coverage():
