@@ -72,7 +72,11 @@ class ContactType:
     @classmethod
     def parse(cls, text: str) -> "ContactType":
         """Parse "m/b" or "m" (the latter meaning the untwisted type when m = 0)."""
-        return cls.from_fraction(Fraction(text.strip()))
+        try:
+            value = Fraction(text.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"contact type {text!r} has a zero denominator") from None
+        return cls.from_fraction(value)
 
     def __str__(self) -> str:
         return f"{self.numerator}/{self.order}"

@@ -3,8 +3,9 @@
 Every subcommand emits a single JSON document of the shape
 {"format": 1, "command": ..., "inputs": ..., "result": ...} with keys
 sorted, so output is byte-identical across runs.  Exit status is 0 on
-success or a passing verification, 1 when a verification fails, and 2 on
-any input problem; nothing is written to stdout on exit 2.
+success or a passing verification, 1 when a verification fails, 2 on any
+input problem, and 3 when an internal consistency check fails (a bug in
+gerbecalc); nothing is written to stdout on exit 2 or 3.
 """
 
 from __future__ import annotations
@@ -268,6 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gerbecalc",
         description="Exact computations for root-gerbe Gromov-Witten decompositions.",
+        epilog=(
+            "exit status: 0 success, 1 verification failure (verify only), "
+            "2 input error, 3 internal consistency check failed (a bug); "
+            "nothing is written to stdout on 2 or 3"
+        ),
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
@@ -341,6 +347,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (InputError, ValueError, gw.CoverageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        detail = " ".join(str(exc).split()) or "a consistency check failed"
+        print(f"internal error: {detail}", file=sys.stderr)
+        return 3
     document = {
         "format": 1,
         "command": args.command,

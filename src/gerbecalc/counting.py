@@ -19,6 +19,7 @@ from .admissibility import (
     is_admissible,
     separating_node_order,
 )
+from .exactnum import divisors
 from .graphs import (
     GerbyGraph,
     ModularGraph,
@@ -125,9 +126,72 @@ def count_lifts(gerby: GerbyGraph, r: int, mode: str = "loop-only") -> LiftCount
 
 
 @lru_cache(maxsize=None)
-def _residues_of_additive_order(r: int, d: int) -> tuple[int, ...]:
-    # elements of Z/r of additive order exactly d (requires d | r); phi(d) of them
-    return tuple(x for x in range(r) if math.gcd(x, r) == r // d)
+def _cycle_order_counts(
+    endpoints: tuple[tuple[int, int], ...],
+    residuals: tuple[int, ...],
+    r: int,
+) -> dict[tuple[int, ...], int]:
+    """Balanced assignments on the cycle edges, counted by their edge orders.
+
+    Each edge carries x in Z/r, contributing +x at its first endpoint and -x
+    at its second; an assignment is balanced when the sum at every vertex
+    equals its residual mod r.  The values on the edges outside a spanning
+    forest range over (Z/r)^free, and each forest edge is then solved by
+    peeling leaves towards its root; the assignment is balanced exactly when
+    every root is left with a zero residual.  Returns, per tuple of additive
+    orders r / gcd(x_e, r), the number of balanced assignments with those
+    orders.
+    """
+    # A depth-first search picks a spanning forest and lists its edges as
+    # (edge, child, parent) in discovery order; reversed, every edge comes
+    # after all edges further from its root.  The other edges are free.
+    adjacent: list[list[int]] = [[] for _ in residuals]
+    for e, (a, b) in enumerate(endpoints):
+        adjacent[a].append(e)
+        adjacent[b].append(e)
+    roots: list[int] = []
+    steps: list[tuple[int, int, int]] = []
+    seen = [False] * len(residuals)
+    for root in range(len(residuals)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        roots.append(root)
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for e in adjacent[v]:
+                a, b = endpoints[e]
+                w = b if a == v else a
+                if not seen[w]:
+                    seen[w] = True
+                    steps.append((e, w, v))
+                    stack.append(w)
+    steps.reverse()
+    tree = {e for e, _, _ in steps}
+    free = [e for e in range(len(endpoints)) if e not in tree]
+
+    order_of = [r // math.gcd(x, r) for x in range(r)]
+    counts: dict[tuple[int, ...], int] = {}
+    orders = [1] * len(endpoints)
+    for values in itertools.product(range(r), repeat=len(free)):
+        need = list(residuals)
+        for e, x in zip(free, values):
+            a, b = endpoints[e]
+            need[a] -= x
+            need[b] += x
+            orders[e] = order_of[x]
+        for e, child, up in steps:
+            # x_e is need[child] at a first endpoint and -need[child] at a
+            # second; either way the parent's need grows by need[child]
+            x = need[child] % r
+            need[up] += x
+            orders[e] = order_of[x]
+        if any(need[root] % r for root in roots):
+            continue
+        key = tuple(orders)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
 @lru_cache(maxsize=None)
@@ -142,20 +206,13 @@ def _cycle_assignment_count(
     Each edge carries an unknown x in Z/r of additive order equal to its
     assigned isotropy order, contributing +x at its first endpoint and -x at
     its second; an assignment counts when the sum at every vertex matches the
-    prescribed residual mod r.
+    prescribed residual mod r.  The count is read from _cycle_order_counts,
+    which enumerates the balanced assignments once per (endpoints,
+    residuals, r) and buckets them by their tuple of edge orders.
     """
     if not endpoints:
         return 1
-    count = 0
-    pools = [_residues_of_additive_order(r, d) for d in orders]
-    for choice in itertools.product(*pools):
-        sums = [0] * len(residuals)
-        for (va, vb), x in zip(endpoints, choice):
-            sums[va] += x
-            sums[vb] -= x
-        if all((s - t) % r == 0 for s, t in zip(sums, residuals)):
-            count += 1
-    return count
+    return _cycle_order_counts(endpoints, residuals, r).get(orders, 0)
 
 
 def fiber_point_count(graph: ModularGraph, data: DegreeData, r: int) -> int:
@@ -168,9 +225,13 @@ def fiber_point_count(graph: ModularGraph, data: DegreeData, r: int) -> int:
     balance at each vertex.  On a graph whose non-separating edges are all
     self-loops the balance is automatic and each summand equals
     count_lifts(loop-only); in general the constraints couple parallel
-    non-separating edges.  The result always equals r^(2g), independent of
-    the graph; that closed form and the totient divisor-sum identity are
-    asserted before returning.
+    non-separating edges.  The balanced assignments on the edges between
+    distinct vertices are enumerated once per call, over the values of the
+    non-spanning-tree edges, and bucketed by their edge orders, so each
+    decoration looks its count up (see _cycle_order_counts).  The result
+    always equals r^(2g), independent of the graph; that closed form and the
+    totient divisor-sum identity are checked before returning, and a failure
+    raises AssertionError.
     """
     data = data.validated_for(graph, r)
     if not is_admissible(data.tail_types, r, data.total_residue(r)):
@@ -218,16 +279,17 @@ def fiber_point_count(graph: ModularGraph, data: DegreeData, r: int) -> int:
     local_residuals = tuple(residual[v] for v in sorted(cycle_vertices))
 
     base = r ** (2 * g - b1)
+    phi = {d: euler_totient(d) for d in divisors(r)}
     total = 0
     totient_sum = 0
     for gerby in enumerate_compatible_gerby(graph, data, r):
         orders = gerby.edge_orders()
-        loop_factor = math.prod(euler_totient(orders[e]) for e in self_loops)
+        loop_factor = math.prod(phi[orders[e]] for e in self_loops)
         matched = _cycle_assignment_count(
             endpoints, tuple(orders[e] for e in cycle_edges), local_residuals, r
         )
         total += base * loop_factor * matched
-        totient_sum += math.prod(euler_totient(orders[e]) for e in nonseparating)
+        totient_sum += math.prod(phi[orders[e]] for e in nonseparating)
 
     if totient_sum != r ** len(nonseparating):
         raise AssertionError("totient divisor-sum identity failed; this indicates a bug")

@@ -42,9 +42,12 @@ class ModularGraph:
                 raise ValueError(f"involution is not self-inverse at flag {f}")
             if not 0 <= self.attachment[f] < n_vertices:
                 raise ValueError(f"flag {f} attached to missing vertex {self.attachment[f]}")
-        # Derived once: not a dataclass field, so hash and equality ignore it.
+        # Derived once: not dataclass fields, so hash and equality ignore them.
         object.__setattr__(
             self, "_edges", tuple((f, j) for f, j in enumerate(self.involution) if j > f)
+        )
+        object.__setattr__(
+            self, "_tails", tuple(f for f, j in enumerate(self.involution) if j == f)
         )
         if not _is_connected(n_vertices, self._edges, self.attachment):
             raise ValueError("graph is not connected")
@@ -59,7 +62,7 @@ class ModularGraph:
 
     def tails(self) -> tuple[int, ...]:
         """Flags fixed by the involution (marked points), in flag order."""
-        return tuple(f for f, j in enumerate(self.involution) if j == f)
+        return self._tails
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Flag pairs (f, j(f)) with f < j(f) (nodes), ordered by first flag."""

@@ -5,7 +5,8 @@ package: brute force where the library has a closed form, DFS lowlinks
 where it deletes edges, leaf peeling where it splits at a single edge, a
 literal character double sum where it uses the vanishing shortcut, and
 every multiset of gerbe variables where the gerbe potential enumerates
-single-character monomials only.
+single-character monomials only, and every assignment of each prescribed
+edge order where the fiber count solves spanning-tree edges.
 """
 
 import itertools
@@ -18,6 +19,26 @@ from gerbecalc.gw import CharacterInsertion, gerbe_invariant_rho
 
 def totient_brute(n: int) -> int:
     return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+
+def cycle_assignment_count_brute(endpoints, orders, residuals, r: int) -> int:
+    """Assignments x_e in Z/r of additive order orders[e] balancing every vertex.
+
+    Edge (a, b) adds x_e at a and subtracts it at b; the sum at vertex v
+    must equal residuals[v] mod r.  Tries every element of each order.
+    """
+    if not endpoints:
+        return 1
+    pools = [[x for x in range(r) if r // math.gcd(x, r) == d] for d in orders]
+    count = 0
+    for choice in itertools.product(*pools):
+        sums = [0] * len(residuals)
+        for (a, b), x in zip(endpoints, choice):
+            sums[a] += x
+            sums[b] -= x
+        if all((s - t) % r == 0 for s, t in zip(sums, residuals)):
+            count += 1
+    return count
 
 
 def admissible_residue_tuples(n: int, r: int, k: int) -> set:

@@ -49,6 +49,8 @@ def test_contact_type_fraction_and_parse():
     assert ContactType.parse("-1/4") == ContactType(3, 4)
     with pytest.raises(ValueError):
         ContactType.parse("junk")
+    with pytest.raises(ValueError, match="zero denominator"):
+        ContactType.parse("1/0")
 
 
 def test_from_fraction_takes_fractional_part():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gerbecalc import cli, gw
+from gerbecalc import cli, counting, gw
 from gerbecalc.exactnum import CyclotomicNumber
 
 
@@ -147,6 +147,37 @@ def test_fiber_count_rejects_unbalanced_residues(capsys, tmp_path):
     code, out, err = run(capsys, "fiber-count", "--input", path)
     assert code == 2 and out == ""
     assert "inconsistent" in err
+
+
+@pytest.mark.parametrize("command", ["fiber-count", "compatible-graphs"])
+def test_zero_denominator_tail_type_is_an_input_error(capsys, tmp_path, command):
+    path = graph_config(
+        tmp_path, r=2, vertices=[0], edges=[], tails=[0],
+        degree_data={"vertex_residues": [0], "tail_types": ["1/0"]},
+    )
+    code, out, err = run(capsys, command, "--input", path)
+    assert code == 2 and out == ""
+    assert "zero denominator" in err
+
+
+def test_internal_check_failure_exits_three(capsys, tmp_path, monkeypatch):
+    exact = counting._cycle_assignment_count
+    monkeypatch.setattr(counting, "_cycle_assignment_count", lambda *a: exact(*a) + 1)
+    path = graph_config(
+        tmp_path, r=2, vertices=[0, 0], edges=[(0, 1), (0, 1), (0, 1)],
+        degree_data={"vertex_residues": [0, 0], "tail_types": []},
+    )
+    code, out, err = run(capsys, "fiber-count", "--input", path)
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: ") and err.count("\n") == 1
+    assert "closed form" in err
+
+
+def test_help_lists_exit_codes(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "3 internal consistency check failed" in " ".join(capsys.readouterr().out.split())
 
 
 def test_degree_modes(capsys):

@@ -1,5 +1,6 @@
 """Tests for torsion, lift, fiber, and degree counts."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import balanced_data, graph_of
+from gerbecalc import counting
 from gerbecalc.admissibility import ContactType, DegreeData, enumerate_compatible_gerby
 from gerbecalc.counting import (
     LiftCount,
+    _cycle_assignment_count,
     count_lifts,
     euler_totient,
     fiber_point_count,
@@ -21,6 +24,7 @@ from gerbecalc.counting import (
     twisted_pic_quotient_order,
     twisted_picard_torsion,
 )
+from gerbecalc.exactnum import divisors
 from gerbecalc.graphs import GerbyGraph, total_genus
 
 
@@ -166,6 +170,81 @@ def test_fiber_count_sums_lifts_over_decorations():
         )
         assert fiber_point_count(graph, data, r) == total
         assert total == r ** (2 * total_genus(graph))
+
+
+def assert_counts_match_brute_force(endpoints, residuals, r):
+    """Compare with the oracle for every order tuple; return the counts."""
+    counts = {}
+    for orders in itertools.product(divisors(r), repeat=len(endpoints)):
+        got = _cycle_assignment_count(endpoints, orders, residuals, r)
+        assert got == oracles.cycle_assignment_count_brute(
+            endpoints, orders, residuals, r
+        ), (endpoints, orders, residuals, r)
+        counts[orders] = got
+    return counts
+
+
+def test_cycle_assignment_count_matches_brute_force_on_random_graphs():
+    rng = random.Random(59)
+    for r in range(1, 9):
+        for _ in range(6):
+            nv = rng.randint(2, 4)
+            endpoints = tuple(
+                tuple(rng.sample(range(nv), 2)) for _ in range(rng.randint(1, 4))
+            )
+            if rng.random() < 0.5:
+                # residuals of a random assignment, so balanced ones exist
+                residuals = [0] * nv
+                for a, b in endpoints:
+                    x = rng.randrange(r)
+                    residuals[a] = (residuals[a] + x) % r
+                    residuals[b] = (residuals[b] - x) % r
+            else:
+                residuals = [rng.randrange(r) for _ in range(nv)]
+            assert_counts_match_brute_force(endpoints, tuple(residuals), r)
+
+
+def test_cycle_assignment_count_on_parallel_edges_in_both_orientations():
+    endpoints = ((0, 1), (1, 0), (0, 1))
+    for r in range(1, 9):
+        for k in range(r):
+            counts = assert_counts_match_brute_force(endpoints, (k, -k % r), r)
+            # two of the three values are free, the third is forced
+            assert sum(counts.values()) == r**2
+
+
+def test_cycle_assignment_count_on_cycles_joined_by_a_bridge():
+    bridged = ((0, 1), (1, 0), (1, 2), (2, 3), (3, 2))
+    apart = ((0, 1), (1, 0), (2, 3), (3, 2))
+    for r in range(1, 9):
+        for residuals in ((0, 0, 0, 0), (1 % r, -1 % r, 2 % r, -2 % r), (1 % r, 0, 0, -1 % r)):
+            counts = assert_counts_match_brute_force(bridged, residuals, r)
+            assert sum(counts.values()) == r**2
+        counts = assert_counts_match_brute_force(apart, (1 % r, -1 % r, 3 % r, -3 % r), r)
+        assert sum(counts.values()) == r**2
+
+
+def test_cycle_assignment_count_is_zero_on_unbalanced_residuals():
+    cases = [
+        (((0, 1), (1, 0), (0, 1)), (1, 0)),
+        (((0, 1), (1, 0), (1, 2), (2, 3), (3, 2)), (0, 1, 0, 0)),
+        # each component of the second graph must balance on its own
+        (((0, 1), (1, 0), (2, 3), (3, 2)), (1, -1, 1, 0)),
+    ]
+    for r in range(2, 9):
+        for endpoints, residuals in cases:
+            residuals = tuple(k % r for k in residuals)
+            counts = assert_counts_match_brute_force(endpoints, residuals, r)
+            assert set(counts.values()) == {0}
+
+
+def test_fiber_count_detects_a_wrong_cycle_count(monkeypatch):
+    # one extra assignment per decoration must break the r^(2g) closed form
+    theta = graph_of([0, 0], [(0, 1), (0, 1), (0, 1)])
+    exact = counting._cycle_assignment_count
+    monkeypatch.setattr(counting, "_cycle_assignment_count", lambda *a: exact(*a) + 1)
+    with pytest.raises(AssertionError, match="closed form"):
+        fiber_point_count(theta, DegreeData((0, 0), ()), 2)
 
 
 def test_fiber_count_rejects_unbalanced_data():

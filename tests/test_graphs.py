@@ -1,5 +1,7 @@
 """Tests for dual graphs and gerby decorations."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -106,6 +108,16 @@ def test_edges_are_computed_once_per_graph():
     assert g.edges() is g.edges()
     assert g.edges() == ((1, 2), (3, 4), (5, 6))
     assert [g.vertices_of_edge(e) for e in range(g.num_edges)] == [(0, 1), (1, 2), (2, 2)]
+
+
+def test_tails_are_computed_once_per_graph():
+    g = graph_of([0, 0], [(0, 1)], tails=[1, 0])
+    assert g.tails() is g.tails()
+    assert g.tails() == (0, 1)
+    assert g.tails_at(0) == (1,)
+    assert "_tails" not in {f.name for f in dataclasses.fields(g)}
+    again = ModularGraph.from_config(g.to_config())
+    assert again == g and hash(again) == hash(g)
 
 
 def test_betti_and_genus():
