@@ -23,9 +23,9 @@ from .exactnum import divisors
 from .graphs import (
     GerbyGraph,
     ModularGraph,
+    _spanning_forest,
     betti1,
     classify_edges,
-    split_at_edge,
     total_genus,
 )
 
@@ -142,31 +142,10 @@ def _cycle_order_counts(
     orders r / gcd(x_e, r), the number of balanced assignments with those
     orders.
     """
-    # A depth-first search picks a spanning forest and lists its edges as
-    # (edge, child, parent) in discovery order; reversed, every edge comes
-    # after all edges further from its root.  The other edges are free.
-    adjacent: list[list[int]] = [[] for _ in residuals]
-    for e, (a, b) in enumerate(endpoints):
-        adjacent[a].append(e)
-        adjacent[b].append(e)
-    roots: list[int] = []
-    steps: list[tuple[int, int, int]] = []
-    seen = [False] * len(residuals)
-    for root in range(len(residuals)):
-        if seen[root]:
-            continue
-        seen[root] = True
-        roots.append(root)
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for e in adjacent[v]:
-                a, b = endpoints[e]
-                w = b if a == v else a
-                if not seen[w]:
-                    seen[w] = True
-                    steps.append((e, w, v))
-                    stack.append(w)
+    # The forest's edges, (edge, child, parent) in discovery order, reversed:
+    # every edge comes after all edges further from its root.  The other
+    # edges are free.
+    roots, steps = _spanning_forest(len(residuals), endpoints)
     steps.reverse()
     tree = {e for e, _, _ in steps}
     free = [e for e in range(len(endpoints)) if e not in tree]
@@ -244,13 +223,13 @@ def fiber_point_count(graph: ModularGraph, data: DegreeData, r: int) -> int:
     edges = graph.edges()
     separating, nonseparating = classify_edges(graph)
 
-    # determined ages at bridge flags, as residues mod r, one per flag side
+    # determined ages at bridge flags, as residues mod r, one per flag side;
+    # the data is globally admissible, so the far side's age is the opposite
     flag_residue: dict[int, int] = {}
     for e in separating:
-        _side_a, side_b = split_at_edge(graph, e)
         f1, f2 = edges[e]
         flag_residue[f1] = separating_node_order(graph, data, e, r).residue(r)
-        flag_residue[f2] = separating_node_order(graph, data, e, r, side=side_b).residue(r)
+        flag_residue[f2] = -flag_residue[f1] % r
 
     residual = [k % r for k in data.vertex_residues]
     for f, t in zip(graph.tails(), data.tail_types):

@@ -46,15 +46,6 @@ def format_rational(value: RationalLike) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
 def _poly_div_exact(num: Sequence[int], den: Sequence[int]) -> list[int]:
     # den is monic; the division is exact for every use in this module.
     num = list(num)

@@ -7,13 +7,15 @@ derived views, so there are no special cases for self-loops, parallel edges,
 or marked points.
 
 Graphs must be connected; disconnected input is a construction error.
+Connectivity, bridges and the sides of a bridge all come from one search,
+_spanning_forest, which the fiber count also uses to order its leaf peel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Mapping, Sequence
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,8 @@ class ModularGraph:
         object.__setattr__(
             self, "_tails", tuple(f for f, j in enumerate(self.involution) if j == f)
         )
-        if not _is_connected(n_vertices, self._edges, self.attachment):
+        pairs = [(self.attachment[f1], self.attachment[f2]) for f1, f2 in self._edges]
+        if len(_spanning_forest(n_vertices, pairs)[0]) != 1:
             raise ValueError("graph is not connected")
 
     @property
@@ -138,23 +141,38 @@ def _expect_list(config: Mapping, key: str) -> list:
     return value
 
 
-def _is_connected(
-    n_vertices: int, edges: Iterable[tuple[int, int]], attachment: tuple[int, ...]
-) -> bool:
-    adjacency: list[list[int]] = [[] for _ in range(n_vertices)]
-    for f1, f2 in edges:
-        a, b = attachment[f1], attachment[f2]
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n_vertices
+def _spanning_forest(
+    n_vertices: int, pairs: Sequence[tuple[int, int]]
+) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """A spanning forest of the multigraph whose edge e joins pairs[e].
+
+    Returns (roots, steps).  roots holds one vertex per connected component,
+    its least vertex, in increasing order.  steps lists the tree edges as
+    (edge, child, parent) in the order a depth-first search discovers them:
+    every tree edge comes after the tree edge above its parent, so reversed,
+    every edge comes after all edges further from its root.
+    """
+    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(n_vertices)]
+    for e, (a, b) in enumerate(pairs):
+        adjacent[a].append((e, b))
+        adjacent[b].append((e, a))
+    roots: list[int] = []
+    steps: list[tuple[int, int, int]] = []
+    seen = [False] * n_vertices
+    for root in range(n_vertices):
+        if seen[root]:
+            continue
+        seen[root] = True
+        roots.append(root)
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for e, w in adjacent[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    steps.append((e, w, v))
+                    stack.append(w)
+    return roots, steps
 
 
 def betti1(graph: ModularGraph) -> int:
@@ -174,35 +192,15 @@ def classify_edges(graph: ModularGraph) -> tuple[tuple[int, ...], tuple[int, ...
     An edge is separating when deleting it disconnects the graph; the
     non-separating ("loop") edges are exactly the spanning-tree complements.
     """
+    pairs = [graph.vertices_of_edge(e) for e in range(graph.num_edges)]
     separating = []
     nonseparating = []
-    edges = graph.edges()
-    for e in range(len(edges)):
-        a, b = graph.vertices_of_edge(e)
-        if a == b:
-            nonseparating.append(e)
-        elif _connected_without(graph, e):
+    for e in range(len(pairs)):
+        if len(_spanning_forest(graph.num_vertices, pairs[:e] + pairs[e + 1 :])[0]) == 1:
             nonseparating.append(e)
         else:
             separating.append(e)
     return tuple(separating), tuple(nonseparating)
-
-
-def _connected_without(graph: ModularGraph, edge_index: int) -> bool:
-    kept = [graph.vertices_of_edge(e) for e in range(graph.num_edges) if e != edge_index]
-    adjacency: list[list[int]] = [[] for _ in range(graph.num_vertices)]
-    for a, b in kept:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == graph.num_vertices
 
 
 @lru_cache(maxsize=None)
@@ -214,22 +212,14 @@ def split_at_edge(graph: ModularGraph, edge_index: int) -> tuple[frozenset, froz
     separating, _ = classify_edges(graph)
     if edge_index not in separating:
         raise ValueError(f"edge {edge_index} is not separating")
+    pairs = [graph.vertices_of_edge(e) for e in range(graph.num_edges) if e != edge_index]
+    _, steps = _spanning_forest(graph.num_vertices, pairs)
+    label = list(range(graph.num_vertices))
+    for _e, child, parent in steps:
+        label[child] = label[parent]
     f1, _f2 = graph.edges()[edge_index]
-    root = graph.attachment[f1]
-    kept = [graph.vertices_of_edge(e) for e in range(graph.num_edges) if e != edge_index]
-    adjacency: list[list[int]] = [[] for _ in range(graph.num_vertices)]
-    for a, b in kept:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    seen = {root}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for w in adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    side = frozenset(seen)
+    root = label[graph.attachment[f1]]
+    side = frozenset(v for v, top in enumerate(label) if top == root)
     other = frozenset(range(graph.num_vertices)) - side
     return side, other
 

@@ -2,11 +2,13 @@
 
 Everything here is deliberately written with different algorithms than the
 package: brute force where the library has a closed form, DFS lowlinks
-where it deletes edges, leaf peeling where it splits at a single edge, a
-literal character double sum where it uses the vanishing shortcut, and
-every multiset of gerbe variables where the gerbe potential enumerates
-single-character monomials only, and every assignment of each prescribed
-edge order where the fiber count solves spanning-tree edges.
+where it deletes each edge and searches what is left (the package keeps
+no lowlink pass, so this check stays independent), leaf peeling where it
+splits at a single edge, a literal character double sum where it uses the
+vanishing shortcut, and every multiset of gerbe variables where the gerbe
+potential enumerates single-character monomials only, and every assignment
+of each prescribed edge order where the fiber count solves spanning-tree
+edges.
 """
 
 import itertools

@@ -11,6 +11,7 @@ from conftest import graph_of
 from gerbecalc.graphs import (
     GerbyGraph,
     ModularGraph,
+    _spanning_forest,
     betti1,
     classify_edges,
     split_at_edge,
@@ -33,6 +34,39 @@ def connected_graphs(draw):
     n_tails = draw(st.integers(0, 3))
     tails = [draw(st.integers(0, nv - 1)) for _ in range(n_tails)]
     return graph_of(genera, edges, tails), edges
+
+
+@st.composite
+def two_component_pairs(draw):
+    """A connected graph's edges plus a disjoint second component with
+    parallel edges and self-loops, in a shuffled edge order."""
+    graph, edges = draw(connected_graphs())
+    nv = graph.num_vertices
+    m = draw(st.integers(1, 4))
+    second = [(nv + draw(st.integers(0, v - 1)), nv + v) for v in range(1, m)]
+    loop = nv + draw(st.integers(0, m - 1))
+    second.append((loop, loop))
+    a, b = sorted(draw(st.lists(st.integers(nv, nv + m - 1), min_size=2, max_size=2)))
+    second += [(a, b), (a, b)]
+    pairs = draw(st.permutations(edges + second))
+    return nv + m, pairs
+
+
+def _components(n_vertices, pairs):
+    """Vertex sets of the connected components, by union-find."""
+    parent = list(range(n_vertices))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    groups = {}
+    for v in range(n_vertices):
+        groups.setdefault(find(v), set()).add(v)
+    return list(groups.values())
 
 
 def test_construction_validation():
@@ -162,7 +196,7 @@ def test_split_at_edge():
 
 @given(connected_graphs())
 def test_split_sides_partition_the_vertices(case):
-    graph, _ = case
+    graph, edges = case
     separating, _ = classify_edges(graph)
     for e in separating:
         side, other = split_at_edge(graph, e)
@@ -170,6 +204,30 @@ def test_split_sides_partition_the_vertices(case):
         assert not side & other
         f1, _f2 = graph.edges()[e]
         assert graph.attachment[f1] in side
+        for k, (a, b) in enumerate(edges):
+            if k != e:
+                assert (a in side) == (b in side)
+        for part in (side, other):
+            inside = [(a, b) for a, b in edges if a in part and b in part]
+            assert sum(c <= part for c in _components(graph.num_vertices, inside)) == 1
+
+
+@given(two_component_pairs())
+def test_spanning_forest_roots_and_step_order(case):
+    n_vertices, pairs = case
+    roots, steps = _spanning_forest(n_vertices, pairs)
+    assert roots == sorted(min(c) for c in _components(n_vertices, pairs))
+    assert len(roots) == 2
+    assert len(steps) == n_vertices - len(roots)
+    reached = set(roots)
+    for e, child, parent in steps:
+        assert parent in reached and child not in reached
+        assert sorted(pairs[e]) == sorted((child, parent))
+        reached.add(child)
+    assert reached == set(range(n_vertices))
+    tree = [e for e, _, _ in steps]
+    free = [e for e in range(len(pairs)) if e not in tree]
+    assert sorted(tree + free) == list(range(len(pairs)))
 
 
 def test_gerby_validation():
