@@ -208,11 +208,11 @@ def separating_node_order(
         side = frozenset(side)
         if side not in (side_a, side_b):
             raise ValueError(f"side {set(side)} is not a side of edge {edge_index}")
-    total = Fraction(sum(data.vertex_residues[v] for v in side), r)
+    total = sum(data.vertex_residues[v] for v in side)
     for f, t in zip(graph.tails(), data.tail_types):
         if graph.attachment[f] in side:
-            total -= t.fraction
-    return ContactType.from_fraction(total)
+            total -= t.residue(r)
+    return ContactType.from_residue(total, r)
 
 
 def enumerate_compatible_gerby(

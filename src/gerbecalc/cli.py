@@ -36,6 +36,8 @@ def _load_json(path: str) -> dict:
         raise InputError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         )
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply")
     if not isinstance(document, dict):
         raise InputError(f"{path}: configuration must be a JSON object")
     version = document.get("format", 1)
@@ -341,6 +343,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # Exact results can run past the default 4,300-digit limit on int-to-str
+    # conversion.  Lift it for this call only, since callers may run main
+    # in-process; Python 3.10 builds before 3.10.7 have no limit.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _main(argv)
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def _main(argv: Sequence[str] | None) -> int:
     args = build_parser().parse_args(argv)
     try:
         inputs, result, status = _HANDLERS[args.command](args)

@@ -13,12 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .admissibility import (
-    DegreeData,
-    enumerate_compatible_gerby,
-    is_admissible,
-    separating_node_order,
-)
+from .admissibility import DegreeData, enumerate_compatible_gerby
 from .exactnum import divisors
 from .graphs import (
     GerbyGraph,
@@ -120,7 +115,7 @@ def count_lifts(gerby: GerbyGraph, r: int, mode: str = "loop-only") -> LiftCount
         chosen = [orders[e] for e in nonseparating]
     else:
         chosen = list(orders)
-    value = r ** (2 * total_genus(gerby.base) - betti1(gerby.base))
+    value = prestable_picard_torsion(gerby.base, r)
     value *= math.prod(euler_totient(d) for d in chosen)
     return LiftCount(value, mode)
 
@@ -133,14 +128,16 @@ def _cycle_order_counts(
 ) -> dict[tuple[int, ...], int]:
     """Balanced assignments on the cycle edges, counted by their edge orders.
 
-    Each edge carries x in Z/r, contributing +x at its first endpoint and -x
-    at its second; an assignment is balanced when the sum at every vertex
-    equals its residual mod r.  The values on the edges outside a spanning
-    forest range over (Z/r)^free, and each forest edge is then solved by
-    peeling leaves towards its root; the assignment is balanced exactly when
-    every root is left with a zero residual.  Returns, per tuple of additive
-    orders r / gcd(x_e, r), the number of balanced assignments with those
-    orders.
+    The cycle edges are the edges between distinct vertices, bridges
+    included; a bridge is an edge of every spanning forest, so its value is
+    always solved, never free.  Each edge carries x in Z/r, contributing +x
+    at its first endpoint and -x at its second; an assignment is balanced
+    when the sum at every vertex equals its residual mod r.  The values on
+    the edges outside a spanning forest range over (Z/r)^free, and each
+    forest edge is then solved by peeling leaves towards its root; the
+    assignment is balanced exactly when every root is left with a zero
+    residual.  Returns, per tuple of additive orders r / gcd(x_e, r), the
+    number of balanced assignments with those orders.
     """
     # The forest's edges, (edge, child, parent) in discovery order, reversed:
     # every edge comes after all edges further from its root.  The other
@@ -182,10 +179,11 @@ def _cycle_assignment_count(
 ) -> int:
     """Count faithful age numerators on cycle edges meeting every vertex residual.
 
-    Each edge carries an unknown x in Z/r of additive order equal to its
-    assigned isotropy order, contributing +x at its first endpoint and -x at
-    its second; an assignment counts when the sum at every vertex matches the
-    prescribed residual mod r.  The count is read from _cycle_order_counts,
+    The cycle edges are the edges between distinct vertices, bridges
+    included.  Each edge carries an unknown x in Z/r of additive order equal
+    to its assigned isotropy order, contributing +x at its first endpoint and
+    -x at its second; an assignment counts when the sum at every vertex
+    matches the prescribed residual mod r.  The count is read from _cycle_order_counts,
     which enumerates the balanced assignments once per (endpoints,
     residuals, r) and buckets them by their tuple of edge orders.
     """
@@ -199,65 +197,34 @@ def fiber_point_count(graph: ModularGraph, data: DegreeData, r: int) -> int:
 
     Sums, over every gerby graph produced by enumerate_compatible_gerby, the
     number of lifts whose node ages balance the degree residue at every
-    vertex: bridges keep the ages forced by the cut formula, and the faithful
-    age numerators at non-separating nodes must satisfy the fractional-part
-    balance at each vertex.  On a graph whose non-separating edges are all
-    self-loops the balance is automatic and each summand equals
+    vertex: the age numerators on the edges between distinct vertices,
+    bridges included, must satisfy the fractional-part balance at each
+    vertex, and self-loops contribute a free totient factor.  A bridge is an
+    edge of every spanning forest, so the balance solves its age; a
+    decoration whose bridge orders disagree with that solution counts 0.  On
+    a graph whose cycles are all self-loops each summand equals
     count_lifts(loop-only); in general the constraints couple parallel
-    non-separating edges.  The balanced assignments on the edges between
-    distinct vertices are enumerated once per call, over the values of the
-    non-spanning-tree edges, and bucketed by their edge orders, so each
-    decoration looks its count up (see _cycle_order_counts).  The result
-    always equals r^(2g), independent of the graph; that closed form and the
-    totient divisor-sum identity are checked before returning, and a failure
-    raises AssertionError.
+    non-separating edges.  The balanced assignments are enumerated once per
+    call, over the values of the non-spanning-tree edges, and bucketed by
+    their edge orders, so each decoration looks its count up (see
+    _cycle_order_counts).  The result always equals r^(2g), independent of
+    the graph; that closed form and the totient divisor-sum identity are
+    checked before returning, and a failure raises AssertionError.
     """
     data = data.validated_for(graph, r)
-    if not is_admissible(data.tail_types, r, data.total_residue(r)):
-        raise ValueError(
-            "vertex residues are inconsistent with the tail types: "
-            f"ages must sum to {data.total_residue(r)}/{r} mod 1"
-        )
-    g = total_genus(graph)
-    b1 = betti1(graph)
-    edges = graph.edges()
-    separating, nonseparating = classify_edges(graph)
-
-    # determined ages at bridge flags, as residues mod r, one per flag side;
-    # the data is globally admissible, so the far side's age is the opposite
-    flag_residue: dict[int, int] = {}
-    for e in separating:
-        f1, f2 = edges[e]
-        flag_residue[f1] = separating_node_order(graph, data, e, r).residue(r)
-        flag_residue[f2] = -flag_residue[f1] % r
+    _, nonseparating = classify_edges(graph)
 
     residual = [k % r for k in data.vertex_residues]
     for f, t in zip(graph.tails(), data.tail_types):
         residual[graph.attachment[f]] -= t.residue(r)
-    for f, age in flag_residue.items():
-        residual[graph.attachment[f]] -= age
-    residual = [x % r for x in residual]
+    residuals = tuple(x % r for x in residual)
 
-    cycle_edges = [
-        e for e in nonseparating if graph.vertices_of_edge(e)[0] != graph.vertices_of_edge(e)[1]
-    ]
-    self_loops = [e for e in nonseparating if e not in cycle_edges]
-    cycle_vertices = {v for e in cycle_edges for v in graph.vertices_of_edge(e)}
-    for v in range(graph.num_vertices):
-        if v not in cycle_vertices and residual[v] != 0:
-            raise AssertionError(
-                f"bridge ages fail to balance vertex {v}; this indicates a bug"
-            )
+    pairs = [graph.vertices_of_edge(e) for e in range(graph.num_edges)]
+    cycle_edges = [e for e, (u, v) in enumerate(pairs) if u != v]
+    self_loops = [e for e, (u, v) in enumerate(pairs) if u == v]
+    endpoints = tuple(pairs[e] for e in cycle_edges)
 
-    # canonical local ids for the constrained vertices keep the cache shared
-    local = {v: i for i, v in enumerate(sorted(cycle_vertices))}
-    endpoints = tuple(
-        (local[graph.vertices_of_edge(e)[0]], local[graph.vertices_of_edge(e)[1]])
-        for e in cycle_edges
-    )
-    local_residuals = tuple(residual[v] for v in sorted(cycle_vertices))
-
-    base = r ** (2 * g - b1)
+    base = prestable_picard_torsion(graph, r)
     phi = {d: euler_totient(d) for d in divisors(r)}
     total = 0
     totient_sum = 0
@@ -265,14 +232,14 @@ def fiber_point_count(graph: ModularGraph, data: DegreeData, r: int) -> int:
         orders = gerby.edge_orders()
         loop_factor = math.prod(phi[orders[e]] for e in self_loops)
         matched = _cycle_assignment_count(
-            endpoints, tuple(orders[e] for e in cycle_edges), local_residuals, r
+            endpoints, tuple(orders[e] for e in cycle_edges), residuals, r
         )
         total += base * loop_factor * matched
         totient_sum += math.prod(phi[orders[e]] for e in nonseparating)
 
     if totient_sum != r ** len(nonseparating):
         raise AssertionError("totient divisor-sum identity failed; this indicates a bug")
-    expected = r ** (2 * g)
+    expected = r ** (2 * total_genus(graph))
     if total != expected:
         raise AssertionError(
             f"fiber count {total} differs from the closed form {expected}; this indicates a bug"

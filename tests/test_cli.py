@@ -1,11 +1,13 @@
 """End-to-end tests for the command line interface."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
-from gerbecalc import cli, counting, gw
+from gerbecalc import admissibility, cli, counting, gw
+from gerbecalc.admissibility import ContactType
 from gerbecalc.exactnum import CyclotomicNumber
 
 
@@ -173,6 +175,17 @@ def test_internal_check_failure_exits_three(capsys, tmp_path, monkeypatch):
     assert "closed form" in err
 
 
+def test_wrong_bridge_order_exits_three(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(admissibility, "separating_node_order", lambda *a: ContactType(0, 1))
+    path = graph_config(
+        tmp_path, r=4, vertices=[0, 0, 0], edges=[(0, 1), (1, 2), (1, 2)], tails=[0],
+        degree_data={"vertex_residues": [1, 1, 0], "tail_types": ["1/2"]},
+    )
+    code, out, err = run(capsys, "fiber-count", "--input", path)
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: ") and "closed form" in err
+
+
 def test_help_lists_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])
@@ -330,6 +343,38 @@ def test_invalid_json_reports_position(capsys, tmp_path):
 
     code, _, err = run(capsys, "fiber-count", "--input", str(tmp_path / "nope.json"))
     assert code == 2 and "error:" in err
+
+
+def test_deeply_nested_json_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    code, out, err = run(capsys, "fiber-count", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "nested too deeply" in err
+
+
+@pytest.mark.parametrize("command", ["degree", "fiber-count", "picard-torsion"])
+def test_results_past_the_int_string_limit(capsys, tmp_path, command):
+    # 30^n is 3^n followed by n zeros; 3^3000 has 1,432 digits, so the
+    # expected strings are built within the default limit
+    if command == "degree":
+        argv = ["--genus", "1500", "--r", "30"]
+        expected = str(3**2999) + "0" * 2999
+    else:
+        path = graph_config(
+            tmp_path, r=30, vertices=[1500], edges=[],
+            degree_data={"vertex_residues": [0], "tail_types": []},
+        )
+        argv = ["--input", path]
+        expected = str(3**3000) + "0" * 3000
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        assert 0 < limit < len(expected)
+    code, out, err = run(capsys, command, *argv)
+    assert code == 0 and err == ""
+    assert json.loads(out)["result"]["value"] == expected
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_unsupported_format_version(capsys, tmp_path):

@@ -10,11 +10,17 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import balanced_data, graph_of
-from gerbecalc import counting
-from gerbecalc.admissibility import ContactType, DegreeData, enumerate_compatible_gerby
+from gerbecalc import admissibility, counting
+from gerbecalc.admissibility import (
+    ContactType,
+    DegreeData,
+    enumerate_compatible_gerby,
+    separating_node_order,
+)
 from gerbecalc.counting import (
     LiftCount,
     _cycle_assignment_count,
+    _cycle_order_counts,
     count_lifts,
     euler_totient,
     fiber_point_count,
@@ -245,6 +251,40 @@ def test_fiber_count_detects_a_wrong_cycle_count(monkeypatch):
     monkeypatch.setattr(counting, "_cycle_assignment_count", lambda *a: exact(*a) + 1)
     with pytest.raises(AssertionError, match="closed form"):
         fiber_point_count(theta, DegreeData((0, 0), ()), 2)
+
+
+def test_fiber_count_detects_wrong_bridge_orders(monkeypatch):
+    # the balance solves the twisted bridge (0, 1) to age 3/4; decorations
+    # that give it order 1 count 0 and break the r^(2g) closed form
+    path = graph_of([0, 0, 0], [(0, 1), (1, 2), (1, 2)], tails=[0])
+    data = DegreeData((1, 1, 0), (ContactType(1, 2),))
+    assert fiber_point_count(path, data, 4) == 16
+    monkeypatch.setattr(admissibility, "separating_node_order", lambda *a: ContactType(0, 1))
+    with pytest.raises(AssertionError, match="closed form"):
+        fiber_point_count(path, data, 4)
+
+
+GRAPH_CLASSES = oracles.connected_multigraph_classes(4, 4)
+
+
+@given(st.sampled_from(GRAPH_CLASSES), st.integers(1, 8), st.randoms(use_true_random=False))
+def test_balance_solves_bridges_to_the_cut_formula(graph_class, r, rng):
+    nv, edges = graph_class
+    n_tails = rng.randint(0, 3)
+    graph = graph_of([0] * nv, edges, [rng.randrange(nv) for _ in range(n_tails)])
+    data = balanced_data(rng, nv, n_tails, r)
+    residuals = list(data.vertex_residues)
+    for f, t in zip(graph.tails(), data.tail_types):
+        residuals[graph.attachment[f]] -= t.residue(r)
+    pairs = [graph.vertices_of_edge(e) for e in range(graph.num_edges)]
+    linked = [e for e, (u, v) in enumerate(pairs) if u != v]
+    counts = _cycle_order_counts(
+        tuple(pairs[e] for e in linked), tuple(x % r for x in residuals), r
+    )
+    assert counts
+    for e in oracles.find_bridges(nv, pairs):
+        forced = separating_node_order(graph, data, e, r).order
+        assert {orders[linked.index(e)] for orders in counts} == {forced}
 
 
 def test_fiber_count_rejects_unbalanced_data():
