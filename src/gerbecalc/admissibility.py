@@ -223,8 +223,15 @@ def enumerate_compatible_gerby(
     Tail orders are the contact-type orders, separating-edge orders are the
     ones forced by the cut formula, and every non-separating edge order
     ranges independently over the divisors of r, so the number of
-    decorations is d(r)^(number of non-separating edges).  The tail data
-    must be admissible for (r, sum of k_v).
+    decorations is d(r)^(number of non-separating edges), in the order of
+    itertools.product over the non-separating edges.  The tail data must be
+    admissible for (r, sum of k_v).
+
+    The data is validated, the edges classified and the cut formula solved
+    once per call, together with the slot of (tail orders, separating
+    orders, non-separating orders) that each flag reads.  Each decoration
+    is then one tuple built by indexing, wrapped without re-checking that
+    both flags of an edge agree, since that holds by construction.
     """
     data = data.validated_for(graph, r)
     if not is_admissible(data.tail_types, r, data.total_residue(r)):
@@ -232,12 +239,17 @@ def enumerate_compatible_gerby(
             "vertex residues are inconsistent with the tail types: "
             f"ages must sum to {data.total_residue(r)}/{r} mod 1"
         )
-    tail_orders = tuple(t.order for t in data.tail_types)
     separating, nonseparating = classify_edges(graph)
-    edge_orders = [0] * graph.num_edges
-    for e in separating:
-        edge_orders[e] = separating_node_order(graph, data, e, r).order
+    fixed = tuple(t.order for t in data.tail_types) + tuple(
+        separating_node_order(graph, data, e, r).order for e in separating
+    )
+    slot = [0] * graph.num_flags
+    for i, f in enumerate(graph.tails()):
+        slot[f] = i
+    edges = graph.edges()
+    for i, e in enumerate(separating + nonseparating, start=len(graph.tails())):
+        f1, f2 = edges[e]
+        slot[f1] = slot[f2] = i
     for assignment in itertools.product(divisors(r), repeat=len(nonseparating)):
-        for e, d in zip(nonseparating, assignment):
-            edge_orders[e] = d
-        yield GerbyGraph.from_orders(graph, tail_orders, tuple(edge_orders))
+        values = fixed + assignment
+        yield GerbyGraph._trusted(graph, tuple([values[s] for s in slot]))

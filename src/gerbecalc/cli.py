@@ -6,24 +6,69 @@ sorted, so output is byte-identical across runs.  Exit status is 0 on
 success or a passing verification, 1 when a verification fails, 2 on any
 input problem, and 3 when an internal consistency check fails (a bug in
 gerbecalc); nothing is written to stdout on exit 2 or 3.
+
+Before enumerating, enumerate-admissible, compatible-graphs and fiber-count
+estimate their work from their inputs, and exit 2 when an estimate is past
+_WORK_BOUND steps (see there).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import admissibility, counting, gw
 from .admissibility import ContactType, DegreeData
-from .exactnum import format_rational, parse_rational
-from .graphs import GerbyGraph, ModularGraph
+from .exactnum import divisors, format_rational, parse_rational
+from .graphs import GerbyGraph, ModularGraph, classify_edges
+
+# The most steps of any one kind a call may enumerate: trial divisions of r
+# (about sqrt(r)), gerby decorations (d(r)^(non-separating edges)), cycle
+# assignments of the fiber count (r^(free edges), and a table of r element
+# orders) and contact types of admissible vectors (n * r^(n-1)).  Each
+# estimate is made before enumerating; past the bound the call exits 2.  At
+# the bound a call takes from under a second (trial division) to about 20 s
+# (admissible vectors, which each build and check Fractions); the largest
+# benchmark call enumerates 30^3 cycle assignments.
+_WORK_BOUND = 10**6
 
 
 class InputError(Exception):
     """A flag or configuration problem; reported on stderr with exit 2."""
+
+
+def _bound_work(what: str, base: int, exponent: int, factor: int = 1) -> None:
+    """Raise InputError when factor * base^exponent is past _WORK_BOUND."""
+    work = factor
+    for _ in range(exponent if base > 1 else 0):
+        if work > _WORK_BOUND:
+            break
+        work *= base
+    if work > _WORK_BOUND:
+        raise InputError(f"{what} are past the work bound of {_WORK_BOUND:,} steps")
+
+
+def _bound_graph_work(graph: ModularGraph, r: int, cycles: bool) -> None:
+    """Check the decorations, and with cycles the fiber count's assignments."""
+    if r < 1:
+        return  # the commands themselves reject a non-positive r
+    _bound_work("the sqrt(r) trial divisions of r", math.isqrt(r), 1)
+    _, nonseparating = classify_edges(graph)
+    _bound_work(
+        "the d(r)^(non-separating edges) decorations", len(divisors(r)), len(nonseparating)
+    )
+    if not cycles:
+        return
+    pairs = [graph.vertices_of_edge(e) for e in range(graph.num_edges)]
+    linking = sum(1 for u, v in pairs if u != v)
+    if linking:
+        # a spanning tree of a connected graph has |V| - 1 edges, none a loop
+        free = linking - (graph.num_vertices - 1)
+        _bound_work("the r^max(1, free edges) cycle-count steps", r, max(free, 1))
 
 
 def _load_json(path: str) -> dict:
@@ -148,6 +193,8 @@ def _gw_common(args) -> tuple[gw.GerbeSpec, gw.BaseTheoryTable, int, gw.Truncati
 
 
 def _run_enumerate_admissible(args) -> tuple[dict, dict, int]:
+    if args.n >= 1 and args.r >= 1:
+        _bound_work("the n * r^(n-1) contact types of the vectors", args.r, args.n - 1, args.n)
     vectors = list(admissibility.enumerate_admissible(args.n, args.r, args.k))
     result = {
         "count": len(vectors),
@@ -159,6 +206,7 @@ def _run_enumerate_admissible(args) -> tuple[dict, dict, int]:
 def _run_compatible_graphs(args) -> tuple[dict, dict, int]:
     config, graph, r = _graph_common(args.input)
     data = _degree_data_from(config)
+    _bound_graph_work(graph, r, cycles=False)
     decorated = list(admissibility.enumerate_compatible_gerby(graph, data, r))
     result = {
         "count": len(decorated),
@@ -199,6 +247,7 @@ def _run_picard_torsion(args) -> tuple[dict, dict, int]:
 def _run_fiber_count(args) -> tuple[dict, dict, int]:
     config, graph, r = _graph_common(args.input)
     data = _degree_data_from(config)
+    _bound_graph_work(graph, r, cycles=True)
     value = counting.fiber_point_count(graph, data, r)
     result = {"value": str(value), "formula": "r^(2g)"}
     return {"input": args.input, "config": config}, result, 0

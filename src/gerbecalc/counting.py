@@ -134,15 +134,30 @@ def _cycle_order_counts(
     at its first endpoint and -x at its second; an assignment is balanced
     when the sum at every vertex equals its residual mod r.  The values on
     the edges outside a spanning forest range over (Z/r)^free, and each
-    forest edge is then solved by peeling leaves towards its root; the
-    assignment is balanced exactly when every root is left with a zero
-    residual.  Returns, per tuple of additive orders r / gcd(x_e, r), the
-    number of balanced assignments with those orders.
+    forest edge is then solved by peeling leaves towards its root.
+
+    Balance is decided once per component, before the enumeration.  Every
+    edge adds x at one endpoint and -x at the other, both in one component,
+    and the peel moves each child's remaining need to its parent, so every
+    root is left with its component's residual sum mod r whatever the free
+    values are.  When some component's sum is nonzero mod r no assignment
+    balances and the table is empty; otherwise every assignment balances.
+    Returns, per tuple of additive orders r / gcd(x_e, r), the number of
+    balanced assignments with those orders.
     """
-    # The forest's edges, (edge, child, parent) in discovery order, reversed:
-    # every edge comes after all edges further from its root.  The other
-    # edges are free.
     roots, steps = _spanning_forest(len(residuals), endpoints)
+    # Steps come in discovery order, so a parent is labelled before its child.
+    top = list(range(len(residuals)))
+    for _e, child, parent in steps:
+        top[child] = top[parent]
+    component_sum = [0] * len(residuals)
+    for v, k in enumerate(residuals):
+        component_sum[top[v]] += k
+    if any(component_sum[root] % r for root in roots):
+        return {}
+
+    # The forest's edges, (edge, child, parent), reversed: every edge comes
+    # after all edges further from its root.  The other edges are free.
     steps.reverse()
     tree = {e for e, _, _ in steps}
     free = [e for e in range(len(endpoints)) if e not in tree]
@@ -163,8 +178,6 @@ def _cycle_order_counts(
             x = need[child] % r
             need[up] += x
             orders[e] = order_of[x]
-        if any(need[root] % r for root in roots):
-            continue
         key = tuple(orders)
         counts[key] = counts.get(key, 0) + 1
     return counts
@@ -207,9 +220,12 @@ def fiber_point_count(graph: ModularGraph, data: DegreeData, r: int) -> int:
     non-separating edges.  The balanced assignments are enumerated once per
     call, over the values of the non-spanning-tree edges, and bucketed by
     their edge orders, so each decoration looks its count up (see
-    _cycle_order_counts).  The result always equals r^(2g), independent of
-    the graph; that closed form and the totient divisor-sum identity are
-    checked before returning, and a failure raises AssertionError.
+    _cycle_order_counts).  Each decoration's orders are read from its
+    flag_orders through the first flags of the self-loops, cycle edges and
+    non-separating edges, found once per call.  The result always equals
+    r^(2g), independent of the graph; that closed form and the totient
+    divisor-sum identity are checked before returning, and a failure
+    raises AssertionError.
     """
     data = data.validated_for(graph, r)
     _, nonseparating = classify_edges(graph)
@@ -220,22 +236,30 @@ def fiber_point_count(graph: ModularGraph, data: DegreeData, r: int) -> int:
     residuals = tuple(x % r for x in residual)
 
     pairs = [graph.vertices_of_edge(e) for e in range(graph.num_edges)]
+    first_flag = [f1 for f1, _ in graph.edges()]
     cycle_edges = [e for e, (u, v) in enumerate(pairs) if u != v]
-    self_loops = [e for e, (u, v) in enumerate(pairs) if u == v]
     endpoints = tuple(pairs[e] for e in cycle_edges)
+    cycle_flags = [first_flag[e] for e in cycle_edges]
+    loop_flags = [first_flag[e] for e, (u, v) in enumerate(pairs) if u == v]
+    nonseparating_flags = [first_flag[e] for e in nonseparating]
 
     base = prestable_picard_torsion(graph, r)
     phi = {d: euler_totient(d) for d in divisors(r)}
     total = 0
     totient_sum = 0
     for gerby in enumerate_compatible_gerby(graph, data, r):
-        orders = gerby.edge_orders()
-        loop_factor = math.prod(phi[orders[e]] for e in self_loops)
+        flags = gerby.flag_orders
+        loop_factor = 1
+        for f in loop_flags:
+            loop_factor *= phi[flags[f]]
         matched = _cycle_assignment_count(
-            endpoints, tuple(orders[e] for e in cycle_edges), residuals, r
+            endpoints, tuple([flags[f] for f in cycle_flags]), residuals, r
         )
         total += base * loop_factor * matched
-        totient_sum += math.prod(phi[orders[e]] for e in nonseparating)
+        factor = 1
+        for f in nonseparating_flags:
+            factor *= phi[flags[f]]
+        totient_sum += factor
 
     if totient_sum != r ** len(nonseparating):
         raise AssertionError("totient divisor-sum identity failed; this indicates a bug")

@@ -269,6 +269,18 @@ class GerbyGraph:
             orders[f2] = gamma
         return cls(base, tuple(orders))
 
+    @classmethod
+    def _trusted(cls, base: ModularGraph, flag_orders: tuple[int, ...]) -> "GerbyGraph":
+        """Wrap orders that are valid by construction, skipping __post_init__.
+
+        The caller guarantees one positive order per flag, equal on the two
+        flags of every edge; user data goes through the checked constructors.
+        """
+        gerby = object.__new__(cls)
+        object.__setattr__(gerby, "base", base)
+        object.__setattr__(gerby, "flag_orders", flag_orders)
+        return gerby
+
     def to_config(self) -> dict:
         return {
             "tail_orders": list(self.tail_orders()),

@@ -20,7 +20,7 @@ from gerbecalc.admissibility import (
     is_admissible,
     separating_node_order,
 )
-from gerbecalc.graphs import classify_edges, split_at_edge
+from gerbecalc.graphs import GerbyGraph, classify_edges, split_at_edge
 
 
 def test_divisors():
@@ -233,6 +233,42 @@ def test_compatible_gerby_count_and_validity():
         for gerby in decorations:
             assert gerby.tail_orders() == tuple(t.order for t in data.tail_types)
             assert all(r % gamma == 0 for gamma in gerby.flag_orders)
+
+
+GRAPH_CLASSES = oracles.connected_multigraph_classes(4, 4)
+
+
+@given(
+    st.sampled_from(GRAPH_CLASSES),
+    st.sampled_from([1, 2, 4, 6, 12]),
+    st.randoms(use_true_random=False),
+)
+def test_decorations_equal_their_checked_construction(graph_class, r, rng):
+    nv, edges = graph_class
+    n_tails = rng.randint(0, 3)
+    graph = graph_of([0] * nv, edges, [rng.randrange(nv) for _ in range(n_tails)])
+    data = balanced_data(rng, nv, n_tails, r)
+    # the decorations in product order over the non-separating edges, each
+    # built through the checked constructor
+    separating, nonseparating = classify_edges(graph)
+    tail_orders = tuple(t.order for t in data.tail_types)
+    orders = [0] * graph.num_edges
+    for e in separating:
+        orders[e] = separating_node_order(graph, data, e, r).order
+    expected = []
+    for assignment in itertools.product(divisors(r), repeat=len(nonseparating)):
+        for e, d in zip(nonseparating, assignment):
+            orders[e] = d
+        expected.append(GerbyGraph.from_orders(graph, tail_orders, orders))
+
+    decorations = list(enumerate_compatible_gerby(graph, data, r))
+    assert decorations == expected
+    for gerby in decorations:
+        checked = GerbyGraph.from_orders(graph, gerby.tail_orders(), gerby.edge_orders())
+        assert gerby == checked
+        assert hash(gerby) == hash(checked)
+        assert gerby.to_config() == checked.to_config()
+        assert type(gerby.flag_orders) is tuple
 
 
 @given(st.integers(1, 8), st.integers(0, 7), st.integers(0, 7))

@@ -103,6 +103,24 @@ def test_count_lifts_modes(capsys, tmp_path):
     }
 
 
+@pytest.mark.parametrize(
+    "gerby, message",
+    [
+        ({"tail_orders": [3, 3], "edge_orders": [0]}, "positive"),
+        ({"tail_orders": [3, -3], "edge_orders": [3]}, "positive"),
+        ({"tail_orders": [3], "edge_orders": [3]}, "per tail"),
+        ({"tail_orders": [3, 3], "edge_orders": [3, 3]}, "per edge"),
+    ],
+)
+def test_count_lifts_rejects_bad_orders(capsys, tmp_path, gerby, message):
+    path = graph_config(
+        tmp_path, r=3, vertices=[0, 0], edges=[(0, 1)], tails=[0, 1], gerby=gerby,
+    )
+    code, out, err = run(capsys, "count-lifts", "--input", path)
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_picard_torsion_variants(capsys, tmp_path):
     plain = graph_config(tmp_path, r=5, vertices=[0], edges=[(0, 0)])
     code, out, _ = run(capsys, "picard-torsion", "--input", plain)
@@ -160,6 +178,50 @@ def test_zero_denominator_tail_type_is_an_input_error(capsys, tmp_path, command)
     code, out, err = run(capsys, command, "--input", path)
     assert code == 2 and out == ""
     assert "zero denominator" in err
+
+
+@pytest.mark.parametrize(
+    "command, r, vertices, edges, what",
+    [
+        # sqrt(10^30) trial divisions of r
+        ("fiber-count", 10**30, [1], [(0, 0)], "trial divisions"),
+        ("compatible-graphs", 10**30, [1], [(0, 0)], "trial divisions"),
+        # d(12)^8 = 1,679,616 decorations (fiber-count streams them, so a
+        # missing bound costs time here, not the memory of a listing)
+        ("fiber-count", 12, [0], [(0, 0)] * 8, "decorations"),
+        # 2,000,000^1 cycle assignments and as many element orders
+        ("fiber-count", 2 * 10**6, [0, 0], [(0, 1), (0, 1)], "cycle-count steps"),
+    ],
+)
+def test_work_past_the_bound_is_an_input_error(capsys, tmp_path, command, r, vertices, edges, what):
+    path = graph_config(
+        tmp_path, r=r, vertices=vertices, edges=edges,
+        degree_data={"vertex_residues": [0] * len(vertices), "tail_types": []},
+    )
+    code, out, err = run(capsys, command, "--input", path)
+    assert code == 2 and out == ""
+    assert what in err and "work bound of 1,000,000 steps" in err
+
+
+@pytest.mark.parametrize("n, r", [(2, 10**12), (1_000_001, 1)])
+def test_admissible_vectors_past_the_bound_are_an_input_error(capsys, n, r):
+    code, out, err = run(capsys, "enumerate-admissible", "--n", str(n), "--r", str(r), "--k", "0")
+    assert code == 2 and out == ""
+    assert "contact types" in err and "work bound of 1,000,000 steps" in err
+
+
+def test_work_at_the_bound_still_runs(capsys, tmp_path):
+    cli._bound_work("steps", 10, 6)
+    cli._bound_work("steps", 1, 10**18, 10**6)
+    with pytest.raises(cli.InputError, match="work bound"):
+        cli._bound_work("steps", 10, 6, 2)
+    # sqrt(10^12) = 10^6 trial divisions of r, exactly at the bound
+    path = graph_config(
+        tmp_path, r=10**12, vertices=[1], edges=[],
+        degree_data={"vertex_residues": [0], "tail_types": []},
+    )
+    code, out, _ = run(capsys, "fiber-count", "--input", path)
+    assert code == 0 and json.loads(out)["result"]["value"] == str(10**24)
 
 
 def test_internal_check_failure_exits_three(capsys, tmp_path, monkeypatch):

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
@@ -242,6 +242,61 @@ def test_cycle_assignment_count_is_zero_on_unbalanced_residuals():
             residuals = tuple(k % r for k in residuals)
             counts = assert_counts_match_brute_force(endpoints, residuals, r)
             assert set(counts.values()) == {0}
+
+
+def component_sums(n_vertices, endpoints, residuals):
+    """Residual sum of each connected component, by a union-find of its own."""
+    leader = list(range(n_vertices))
+
+    def find(v):
+        while leader[v] != v:
+            v = leader[v]
+        return v
+
+    for a, b in endpoints:
+        leader[find(a)] = find(b)
+    sums = {}
+    for v, k in enumerate(residuals):
+        sums[find(v)] = sums.get(find(v), 0) + k
+    return list(sums.values())
+
+
+@st.composite
+def cycle_systems(draw):
+    """Edges between distinct vertices, often in several components and with
+    isolated vertices, and residuals that are balanced about half the time."""
+    nv = draw(st.integers(2, 6))
+    r = draw(st.integers(1, 8))
+    endpoints = tuple(
+        tuple(draw(st.permutations(range(nv)))[:2]) for _ in range(draw(st.integers(1, 4)))
+    )
+    if draw(st.booleans()):
+        # the residuals of some assignment, then maybe one vertex moved
+        residuals = [0] * nv
+        for a, b in endpoints:
+            x = draw(st.integers(0, r - 1))
+            residuals[a] += x
+            residuals[b] -= x
+        residuals[draw(st.integers(0, nv - 1))] += draw(st.sampled_from([0, 0, 1]))
+    else:
+        residuals = draw(st.lists(st.integers(0, r - 1), min_size=nv, max_size=nv))
+    return endpoints, tuple(x % r for x in residuals), r
+
+
+@given(cycle_systems())
+# balanced first component, unbalanced isolated vertex
+@example((((0, 1), (1, 0)), (0, 0, 1), 2))
+# every component unbalanced, the whole graph balanced
+@example((((0, 1), (2, 3)), (1, 0, 1, 0), 2))
+def test_balance_is_decided_once_per_component(system):
+    endpoints, residuals, r = system
+    counts = _cycle_order_counts(endpoints, residuals, r)
+    unbalanced = any(s % r for s in component_sums(len(residuals), endpoints, residuals))
+    assert (counts == {}) == unbalanced
+    for orders in itertools.product(divisors(r), repeat=len(endpoints)):
+        assert counts.get(orders, 0) == oracles.cycle_assignment_count_brute(
+            endpoints, orders, residuals, r
+        ), (endpoints, orders, residuals, r)
 
 
 def test_fiber_count_detects_a_wrong_cycle_count(monkeypatch):

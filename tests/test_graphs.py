@@ -252,6 +252,21 @@ def test_gerby_order_views():
         GerbyGraph.from_orders(g, (3,), (2,))
 
 
+@pytest.mark.parametrize(
+    "tail_orders, edge_orders, message",
+    [
+        ((3,), (0, 4), "positive"),
+        ((-3,), (2, 4), "positive"),
+        ((3, 3), (2, 4), "per tail"),
+        ((3,), (2, 4, 4), "per edge"),
+    ],
+)
+def test_from_orders_checks_user_orders(tail_orders, edge_orders, message):
+    g = graph_of([0, 1], [(0, 1), (1, 1)], tails=[0])
+    with pytest.raises(ValueError, match=message):
+        GerbyGraph.from_orders(g, tail_orders, edge_orders)
+
+
 @given(connected_graphs())
 def test_betti_bounds_and_tail_count(case):
     graph, edges = case
