@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .exactnum import divisors
+from .exactnum import divisors, parse_rational
 from .graphs import GerbyGraph, ModularGraph, classify_edges, split_at_edge
 
 
@@ -71,12 +71,8 @@ class ContactType:
 
     @classmethod
     def parse(cls, text: str) -> "ContactType":
-        """Parse "m/b" or "m" (the latter meaning the untwisted type when m = 0)."""
-        try:
-            value = Fraction(text.strip())
-        except ZeroDivisionError:
-            raise ValueError(f"contact type {text!r} has a zero denominator") from None
-        return cls.from_fraction(value)
+        """Parse "m/b" or "m" by parse_rational; "0" is the untwisted type."""
+        return cls.from_fraction(parse_rational(text))
 
     def __str__(self) -> str:
         return f"{self.numerator}/{self.order}"

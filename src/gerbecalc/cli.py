@@ -7,9 +7,19 @@ success or a passing verification, 1 when a verification fails, 2 on any
 input problem, and 3 when an internal consistency check fails (a bug in
 gerbecalc); nothing is written to stdout on exit 2 or 3.
 
-Before enumerating, enumerate-admissible, compatible-graphs and fiber-count
-estimate their work from their inputs, and exit 2 when an estimate is past
-_WORK_BOUND steps (see there).
+Configuration fields are read only through graphs._field, which checks
+each against a shape and names the path of the first misfit, such as
+edges[0]; JSON true/false never pass as integers.  An optional "format"
+must be the integer 1.  Rationals in a document, base values and tail
+types, follow the grammar of exactnum.parse_rational: a sign, digits and
+an optional /digits, with no exponent or decimal point.
+
+Before enumerating, enumerate-admissible, compatible-graphs, count-lifts,
+fiber-count, decompose and verify estimate their work from their inputs,
+and exit 2 when an estimate is past _WORK_BOUND steps (see there).
+degree, picard-torsion, count-lifts, fiber-count, decompose and verify
+also estimate the digits of their powers of r before computing them, and
+exit 2 past _DIGIT_BOUND digits.
 """
 
 from __future__ import annotations
@@ -24,17 +34,26 @@ from typing import Mapping, Sequence
 from . import admissibility, counting, gw
 from .admissibility import ContactType, DegreeData
 from .exactnum import divisors, format_rational, parse_rational
-from .graphs import GerbyGraph, ModularGraph, classify_edges
+from .graphs import GerbyGraph, ModularGraph, _field, betti1, classify_edges, total_genus
 
 # The most steps of any one kind a call may enumerate: trial divisions of r
-# (about sqrt(r)), gerby decorations (d(r)^(non-separating edges)), cycle
-# assignments of the fiber count (r^(free edges), and a table of r element
-# orders) and contact types of admissible vectors (n * r^(n-1)).  Each
+# (about sqrt(r), once per edge for count-lifts' totients), gerby
+# decorations (d(r)^(non-separating edges)), cycle assignments of the fiber
+# count (r^(free edges), and a table of r element orders), contact types of
+# admissible vectors (n * r^(n-1)), and for decompose and verify the
+# r * phi(r) coefficients of the powers of zeta_r, the b(j+1) base
+# variables and the phi(r) coefficients of each potential key.  Each
 # estimate is made before enumerating; past the bound the call exits 2.  At
 # the bound a call takes from under a second (trial division) to about 20 s
 # (admissible vectors, which each build and check Fractions); the largest
 # benchmark call enumerates 30^3 cycle assignments.
 _WORK_BOUND = 10**6
+
+# The most decimal digits of a power of r that a result may hold.  Writing
+# an integer out takes time quadratic in its digits; 100,000 digits print
+# in about 0.16 s (2-vCPU VM, Python 3.11).  The digits are estimated
+# before the power is computed.
+_DIGIT_BOUND = 100_000
 
 
 class InputError(Exception):
@@ -50,6 +69,13 @@ def _bound_work(what: str, base: int, exponent: int, factor: int = 1) -> None:
         work *= base
     if work > _WORK_BOUND:
         raise InputError(f"{what} are past the work bound of {_WORK_BOUND:,} steps")
+
+
+def _bound_digits(what: str, r: int, exponent: int) -> None:
+    """Raise InputError when r^|exponent| has more than about _DIGIT_BOUND digits."""
+    # int against float compares exactly, however large the exponent
+    if r > 1 and abs(exponent) > _DIGIT_BOUND / math.log10(r):
+        raise InputError(f"{what} is past the result bound of {_DIGIT_BOUND:,} digits")
 
 
 def _bound_graph_work(graph: ModularGraph, r: int, cycles: bool) -> None:
@@ -71,6 +97,35 @@ def _bound_graph_work(graph: ModularGraph, r: int, cycles: bool) -> None:
         _bound_work("the r^max(1, free edges) cycle-count steps", r, max(free, 1))
 
 
+def _bound_theory_work(r: int, basis_size: int, genus: int, truncation: gw.Truncation) -> None:
+    """Check the work of decompose and verify before the base table is built.
+
+    r >= 1 and the truncation are valid here; the table rejects a basis
+    size below 1.
+    """
+    _bound_work("the sqrt(r) trial divisions of r", math.isqrt(r), 1)
+    phi = counting.euler_totient(r)
+    # r rows of phi(r) coefficients, one per power of zeta_r; more than the
+    # r + 1 coefficients of x^r - 1 that the cyclotomic polynomial comes from
+    _bound_work("the r * phi(r) coefficients of the powers of zeta_r", r, 1, phi)
+    # the gerbe invariants carry r^(2g-1) and r^(2g-2)
+    _bound_digits("the power r^(2g-1) or r^(2g-2)", r, abs(2 * genus - 2) + 1)
+    if basis_size < 1:
+        return
+    variables = basis_size * (truncation.j_max + 1)
+    _bound_work("the b(j+1) base variables", variables, 1)
+    monomials = 1  # C(b(j+1) + n_max, n_max), built up until past the bound
+    for i in range(1, truncation.n_max + 1):
+        monomials = monomials * (variables + i) // i
+        if monomials > _WORK_BOUND:
+            break
+    keys = len(truncation.betas) * (r * (monomials - 1) + 1)
+    _bound_work(
+        "the phi(r) coefficients of the r(C(b(j+1)+n, n) - 1) + 1 keys per curve class",
+        phi, 1, keys,
+    )
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -85,82 +140,54 @@ def _load_json(path: str) -> dict:
         raise InputError(f"{path}: JSON nested too deeply")
     if not isinstance(document, dict):
         raise InputError(f"{path}: configuration must be a JSON object")
-    version = document.get("format", 1)
-    if version != 1:
-        raise InputError(f"{path}: unsupported configuration format {version!r}")
+    if "format" in document and _field(document, "format", int) != 1:
+        raise InputError(f"{path}: unsupported configuration format {document['format']!r}")
     return document
-
-
-def _expect(config: Mapping, key: str, kind: type, where: str) -> object:
-    if not isinstance(config, Mapping):
-        raise InputError(f"{where} must be an object, got {config!r}")
-    if key not in config:
-        raise InputError(f"{where} is missing the field {key!r}")
-    value = config[key]
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise InputError(f"field {key!r} must be of type {kind.__name__}, got {value!r}")
-    return value
-
-
-def _int_list(config: Mapping, key: str, where: str) -> list[int]:
-    values = _expect(config, key, list, where)
-    for v in values:
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise InputError(f"field {key!r} must contain only integers, got {v!r}")
-    return values
 
 
 def _graph_common(path: str) -> tuple[dict, ModularGraph, int]:
     config = _load_json(path)
-    graph = ModularGraph.from_config(_expect(config, "graph", dict, "configuration"))
-    r = _expect(config, "r", int, "configuration")
+    graph = ModularGraph.from_config(_field(config, "graph", dict))
+    r = _field(config, "r", int)
     return config, graph, r
 
 
 def _gerby_from(config: Mapping, graph: ModularGraph) -> GerbyGraph:
-    section = _expect(config, "gerby", dict, "configuration")
-    tail_orders = _int_list(section, "tail_orders", "the 'gerby' section")
-    edge_orders = _int_list(section, "edge_orders", "the 'gerby' section")
+    section = _field(config, "gerby", dict)
+    tail_orders = _field(section, "tail_orders", [int], "gerby")
+    edge_orders = _field(section, "edge_orders", [int], "gerby")
     return GerbyGraph.from_orders(graph, tail_orders, edge_orders)
 
 
 def _degree_data_from(config: Mapping) -> DegreeData:
-    section = _expect(config, "degree_data", dict, "configuration")
-    residues = _int_list(section, "vertex_residues", "the 'degree_data' section")
-    raw_types = _expect(section, "tail_types", list, "the 'degree_data' section")
-    types = []
-    for text in raw_types:
-        if not isinstance(text, str):
-            raise InputError(f"tail types must be strings like \"m/b\", got {text!r}")
-        types.append(ContactType.parse(text))
-    return DegreeData(tuple(residues), tuple(types))
+    section = _field(config, "degree_data", dict)
+    residues = _field(section, "vertex_residues", [int], "degree_data")
+    hint = 'tail types must be strings like "m/b"'
+    types = _field(section, "tail_types", [str], "degree_data", hint)
+    return DegreeData(tuple(residues), tuple(ContactType.parse(t) for t in types))
 
 
 def _gw_common(args) -> tuple[gw.GerbeSpec, gw.BaseTheoryTable, int, gw.Truncation, dict]:
     if args.parallel < 1:
         raise InputError(f"--parallel must be at least 1, got {args.parallel}")
     config = _load_json(args.input)
-    r = _expect(config, "r", int, "configuration")
-    pairing = _int_list(config, "pairing", "configuration")
-    if "beta_rank" in config and config["beta_rank"] != len(pairing):
+    r = _field(config, "r", int)
+    pairing = _field(config, "pairing", [int])
+    if "beta_rank" in config and _field(config, "beta_rank", int) != len(pairing):
         raise InputError(
             f"beta_rank {config['beta_rank']} does not match the pairing length {len(pairing)}"
         )
     spec = gw.GerbeSpec(r, tuple(pairing))
-    basis_size = _expect(config, "basis_size", int, "configuration")
-    genus = _expect(config, "genus", int, "configuration")
-    section = _expect(config, "truncation", dict, "configuration")
-    betas = _expect(section, "betas", list, "the 'truncation' section")
-    for beta in betas:
-        if not isinstance(beta, list) or any(
-            not isinstance(x, int) or isinstance(x, bool) for x in beta
-        ):
-            raise InputError(f"curve classes must be lists of integers, got {beta!r}")
+    basis_size = _field(config, "basis_size", int)
+    genus = _field(config, "genus", int)
+    section = _field(config, "truncation", dict)
+    betas = _field(section, "betas", [[int]], "truncation", "curve classes are lists of integers")
     truncation = gw.Truncation(
-        _expect(section, "n_max", int, "the 'truncation' section"),
-        _expect(section, "j_max", int, "the 'truncation' section"),
+        _field(section, "n_max", int, "truncation"),
+        _field(section, "j_max", int, "truncation"),
         tuple(tuple(b) for b in betas),
     )
+    _bound_theory_work(r, basis_size, genus, truncation)
     if args.seed is not None:
         if "base_invariants" in config:
             raise InputError("--seed and a base_invariants table are mutually exclusive")
@@ -169,21 +196,21 @@ def _gw_common(args) -> tuple[gw.GerbeSpec, gw.BaseTheoryTable, int, gw.Truncati
         if "base_invariants" not in config:
             raise InputError("configuration needs base_invariants unless --seed is given")
         records = []
-        for rec in _expect(config, "base_invariants", list, "configuration"):
-            if not isinstance(rec, dict):
-                raise InputError(f"base_invariants entries must be objects, got {rec!r}")
+        for i, rec in enumerate(_field(config, "base_invariants", [dict])):
+            at = f"base_invariants[{i}]"
+            hint = "an insertion must be an object"
             insertions = [
                 gw.Insertion(
-                    _expect(ins, "class", int, "an insertion"),
-                    _expect(ins, "psi", int, "an insertion"),
+                    _field(ins, "class", int, f"{at}.insertions[{j}]"),
+                    _field(ins, "psi", int, f"{at}.insertions[{j}]"),
                 )
-                for ins in _expect(rec, "insertions", list, "a base_invariants entry")
+                for j, ins in enumerate(_field(rec, "insertions", [dict], at, hint))
             ]
-            value = _expect(rec, "value", str, "a base_invariants entry")
+            value = _field(rec, "value", str, at)
             records.append(
                 (
-                    _expect(rec, "genus", int, "a base_invariants entry"),
-                    tuple(_int_list(rec, "beta", "a base_invariants entry")),
+                    _field(rec, "genus", int, at),
+                    tuple(_field(rec, "beta", [int], at)),
                     insertions,
                     parse_rational(value),
                 )
@@ -218,6 +245,12 @@ def _run_compatible_graphs(args) -> tuple[dict, dict, int]:
 def _run_count_lifts(args) -> tuple[dict, dict, int]:
     config, graph, r = _graph_common(args.input)
     gerby = _gerby_from(config, graph)
+    if r >= 1:
+        _bound_work(
+            "the sqrt(r) trial divisions of each edge order", math.isqrt(r), 1, graph.num_edges
+        )
+    # r^(2g-b1) times a totient below r for each edge at most
+    _bound_digits("the lift count", r, 2 * total_genus(graph) - betti1(graph) + graph.num_edges)
     lifts = counting.count_lifts(gerby, r, args.mode)
     formula = {
         "loop-only": "r^(2g-b1) * prod(phi(gamma_e) : e non-separating)",
@@ -229,6 +262,9 @@ def _run_count_lifts(args) -> tuple[dict, dict, int]:
 
 def _run_picard_torsion(args) -> tuple[dict, dict, int]:
     config, graph, r = _graph_common(args.input)
+    if not args.quotient:
+        # r^(2g-b1) times gcd(gamma_e, r) <= r for each of the b1 loop edges
+        _bound_digits("the torsion order r^(2g)", r, 2 * total_genus(graph))
     if args.quotient:
         if "gerby" not in config:
             raise InputError("--quotient needs a 'gerby' section in the configuration")
@@ -248,6 +284,7 @@ def _run_fiber_count(args) -> tuple[dict, dict, int]:
     config, graph, r = _graph_common(args.input)
     data = _degree_data_from(config)
     _bound_graph_work(graph, r, cycles=True)
+    _bound_digits("the fiber count r^(2g)", r, 2 * total_genus(graph))
     value = counting.fiber_point_count(graph, data, r)
     result = {"value": str(value), "formula": "r^(2g)"}
     return {"input": args.input, "config": config}, result, 0
@@ -257,6 +294,7 @@ def _run_degree(args) -> tuple[dict, dict, int]:
     push = (args.genus, args.r)
     stack = (args.field_degree, args.delta_source, args.delta_target)
     if all(v is not None for v in push) and all(v is None for v in stack):
+        _bound_digits("the degree r^(2g-1)", args.r, 2 * args.genus - 1)
         value = counting.pushforward_degree(args.genus, args.r)
         inputs = {"genus": args.genus, "r": args.r}
         formula = "r^(2g-1)"

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -26,16 +27,23 @@ Rational = Fraction
 RationalLike = Union[int, Fraction]
 
 
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" into a Fraction.
+    """Parse "p/q" or "p": a sign, ASCII digits and an optional "/digits",
+    with surrounding whitespace.  No exponent or decimal point, so the value
+    is never longer than the text.
 
     >>> parse_rational("-3/6")
     Fraction(-1, 2)
     """
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational literal: {text!r}") from exc
+    match = _RATIONAL.fullmatch(text)
+    if not match:
+        raise ValueError(f"not a rational literal: {text!r}")
+    if int(match[2] or 1) == 0:
+        raise ValueError(f"rational literal {text!r} has a zero denominator")
+    return Fraction(int(match[1]), int(match[2] or 1))
 
 
 def format_rational(value: RationalLike) -> str:

@@ -9,6 +9,9 @@ or marked points.
 Graphs must be connected; disconnected input is a construction error.
 Connectivity, bridges and the sides of a bridge all come from one search,
 _spanning_forest, which the fiber count also uses to order its leaf peel.
+
+_field is the one reader of configuration fields, here so that from_config
+and the command line share it without an import cycle.
 """
 
 from __future__ import annotations
@@ -91,31 +94,24 @@ class ModularGraph:
         (T + 2k, T + 2k + 1) with T the number of tails, attached to the
         listed vertices in order.
         """
-        vertices = _expect_list(config, "vertices")
         genera = []
-        for i, entry in enumerate(vertices):
-            if not isinstance(entry, Mapping) or "genus" not in entry:
-                raise ValueError(f"graph config field 'vertices[{i}]' must be an object with 'genus'")
-            g = entry["genus"]
-            if not _is_int(g) or g < 0:
-                raise ValueError(f"graph config field 'vertices[{i}].genus' must be a nonnegative integer")
+        for i, entry in enumerate(_field(config, "vertices", [dict])):
+            g = _field(entry, "genus", int, f"vertices[{i}]")
+            if g < 0:
+                raise ValueError(f"field 'vertices[{i}].genus' must be a nonnegative integer")
             genera.append(g)
-        edges = _expect_list(config, "edges")
-        tails = _expect_list(config, "tails")
+        edges = _field(config, "edges", [[int]])
+        tails = _field(config, "tails", [int])
         n_tails = len(tails)
         involution = list(range(n_tails))
         attachment = []
         for i, v in enumerate(tails):
-            if not _is_int(v) or not 0 <= v < len(genera):
-                raise ValueError(f"graph config field 'tails[{i}]' must name a vertex")
+            if not 0 <= v < len(genera):
+                raise ValueError(f"field 'tails[{i}]' must name a vertex")
             attachment.append(v)
         for k, pair in enumerate(edges):
-            if (
-                not isinstance(pair, (list, tuple))
-                or len(pair) != 2
-                or not all(_is_int(v) and 0 <= v < len(genera) for v in pair)
-            ):
-                raise ValueError(f"graph config field 'edges[{k}]' must be a pair of vertices")
+            if len(pair) != 2 or not all(0 <= v < len(genera) for v in pair):
+                raise ValueError(f"field 'edges[{k}]' must be a pair of vertices")
             f = n_tails + 2 * k
             involution += [f + 1, f]
             attachment += [pair[0], pair[1]]
@@ -129,16 +125,29 @@ class ModularGraph:
         }
 
 
-def _is_int(value) -> bool:
-    # JSON true/false arrive as bool, which Python treats as an int subclass.
-    return isinstance(value, int) and not isinstance(value, bool)
+_KINDS = {int: "an integer", str: "a string", dict: "an object", list: "a list"}
 
 
-def _expect_list(config: Mapping, key: str) -> list:
-    value = config.get(key)
-    if not isinstance(value, list):
-        raise ValueError(f"graph config field '{key}' must be a list")
+def _fit(value, shape, path: str, hint: str = ""):
+    """value if it fits shape: int, str, dict or list, or [shape] for a list
+    of such values; JSON true/false never fit int.  Else ValueError naming
+    the path of the first misfit, ending with hint when one is given."""
+    kind = list if isinstance(shape, list) else shape
+    if not isinstance(value, kind) or isinstance(value, bool):
+        note = f" ({hint})" if hint else ""
+        raise ValueError(f"field {path!r} must be {_KINDS[kind]}, got {value!r}{note}")
+    if isinstance(shape, list):
+        for i, item in enumerate(value):
+            _fit(item, shape[0], f"{path}[{i}]", hint)
     return value
+
+
+def _field(section: Mapping, key: str, shape, path: str = "", hint: str = ""):
+    """section[key] checked by _fit; path locates section in its document."""
+    path = f"{path}.{key}" if path else key
+    if key not in section:
+        raise ValueError(f"the configuration is missing the field {path!r}")
+    return _fit(section[key], shape, path, hint)
 
 
 def _spanning_forest(

@@ -1,10 +1,14 @@
 """End-to-end tests for the command line interface."""
 
+import contextlib
+import io
 import json
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gerbecalc import admissibility, cli, counting, gw
 from gerbecalc.admissibility import ContactType
@@ -482,3 +486,188 @@ def test_tail_types_must_be_strings(capsys, tmp_path):
     )
     code, _, err = run(capsys, "fiber-count", "--input", path)
     assert code == 2 and "tail types must be strings" in err
+
+
+def test_count_lifts_with_a_huge_prime_edge_order_is_bounded(capsys, tmp_path):
+    # 10^18 + 3 is prime: its totient would take 10^9 trial divisions
+    prime = 10**18 + 3
+    path = graph_config(
+        tmp_path, r=prime, vertices=[0], edges=[(0, 0)],
+        gerby={"tail_orders": [], "edge_orders": [prime]},
+    )
+    code, out, err = run(capsys, "count-lifts", "--input", path)
+    assert code == 2 and out == ""
+    assert "trial divisions" in err and "work bound of 1,000,000 steps" in err
+
+
+@pytest.mark.parametrize(
+    "overrides, what",
+    [
+        ({"r": 10**30, "pairing": [0]}, "trial divisions"),
+        # 10^5 rows of phi(10^5) = 40,000 coefficients for the powers of zeta_r
+        ({"r": 10**5, "pairing": [0]}, "powers of zeta_r"),
+        ({"basis_size": 10**30}, "base variables"),
+        ({"basis_size": 10**30, "truncation": {"n_max": 0, "j_max": 0, "betas": [[0]]}},
+         "base variables"),
+        ({"truncation": {"n_max": 10**30, "j_max": 0, "betas": [[0]]}}, "keys"),
+        # 2 * (C(1000 + 2, 2) - 1) + 1 = 1,002,001 keys
+        ({"basis_size": 1000, "truncation": {"n_max": 2, "j_max": 0, "betas": [[0]]}}, "keys"),
+    ],
+    ids=["r-1e30", "r-1e5", "basis-1e30", "basis-1e30-n0", "n-1e30", "keys"],
+)
+@pytest.mark.parametrize("command", ["verify", "decompose"])
+def test_theory_work_past_the_bound_is_an_input_error(capsys, tmp_path, command, overrides, what):
+    path = gw_config(tmp_path, **overrides)
+    code, out, err = run(capsys, command, "--input", path, "--seed", "1")
+    assert code == 2 and out == ""
+    assert what in err and "work bound of 1,000,000 steps" in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["degree", "fiber-count", "picard-torsion", "count-lifts", "verify", "decompose"],
+)
+def test_results_past_the_digit_bound_are_input_errors(capsys, tmp_path, command):
+    # 30^(2 * 10^6) would have about 2.95 million digits
+    genus = 10**6
+    if command == "degree":
+        argv = ["--genus", str(genus), "--r", "30"]
+    elif command in ("verify", "decompose"):
+        argv = ["--input", gw_config(tmp_path, r=30, pairing=[0], genus=genus), "--seed", "1"]
+    else:
+        argv = ["--input", graph_config(
+            tmp_path, r=30, vertices=[genus], edges=[],
+            gerby={"tail_orders": [], "edge_orders": []},
+            degree_data={"vertex_residues": [0], "tail_types": []},
+        )]
+    code, out, err = run(capsys, command, *argv)
+    assert code == 2 and out == ""
+    assert "result bound of 100,000 digits" in err
+
+
+def test_results_at_the_digit_bound_still_print(capsys):
+    # 10^99999 has exactly 100,000 digits
+    code, out, _ = run(capsys, "degree", "--genus", "50000", "--r", "10")
+    assert code == 0 and json.loads(out)["result"]["value"] == "1" + "0" * 99_999
+    code, out, err = run(capsys, "degree", "--genus", "50001", "--r", "10")
+    assert code == 2 and out == "" and "result bound" in err
+
+
+def test_boolean_format_is_an_input_error(capsys, tmp_path):
+    path = write_json(tmp_path, "format.json", {"format": True, "r": 2, "graph": {
+        "vertices": [{"genus": 0}], "edges": [], "tails": []}})
+    code, out, err = run(capsys, "picard-torsion", "--input", path)
+    assert code == 2 and out == ""
+    assert "'format'" in err
+
+
+@pytest.mark.parametrize("value", ["1e3", "1e100000000", "0.5", "1_000"])
+def test_base_values_outside_the_rational_grammar_are_input_errors(capsys, tmp_path, value):
+    path = gw_config(tmp_path, extra={"base_invariants": [
+        {"genus": 0, "beta": [0], "insertions": [], "value": value},
+    ]})
+    code, out, err = run(capsys, "verify", "--input", path)
+    assert code == 2 and out == ""
+    assert "not a rational literal" in err
+
+
+@pytest.mark.parametrize("command", ["fiber-count", "compatible-graphs"])
+def test_exponent_tail_type_is_an_input_error(capsys, tmp_path, command):
+    path = graph_config(
+        tmp_path, r=2, vertices=[0], edges=[], tails=[0],
+        degree_data={"vertex_residues": [0], "tail_types": ["1e-100000000"]},
+    )
+    code, out, err = run(capsys, command, "--input", path)
+    assert code == 2 and out == ""
+    assert "not a rational literal" in err
+
+
+# Small valid documents for the boundary fuzz below, and the commands that
+# read each; every command exits 0 on the document as it stands.
+_GRAPH_DOCUMENT = {
+    "format": 1,
+    "r": 4,
+    "graph": {
+        "vertices": [{"genus": 0}, {"genus": 1}],
+        "edges": [[0, 1], [1, 1]],
+        "tails": [0, 1],
+    },
+    "gerby": {"tail_orders": [4, 4], "edge_orders": [1, 4]},
+    "degree_data": {"vertex_residues": [1, 1], "tail_types": ["1/4", "1/4"]},
+}
+_THEORY_DOCUMENT = {
+    "format": 1,
+    "r": 2,
+    "pairing": [1],
+    "beta_rank": 1,
+    "basis_size": 1,
+    "genus": 0,
+    "truncation": {"n_max": 1, "j_max": 0, "betas": [[0], [1]]},
+    "base_invariants": [
+        {"genus": 0, "beta": [1], "insertions": [{"class": 0, "psi": 0}], "value": "-3/2"},
+    ],
+}
+_COMMANDS = {
+    "graph": (
+        ["compatible-graphs"], ["count-lifts"], ["count-lifts", "--mode", "all-edges"],
+        ["picard-torsion"], ["picard-torsion", "--quotient"], ["fiber-count"],
+    ),
+    "theory": (["verify"], ["decompose"]),
+}
+_DELETE = object()
+_REPLACEMENTS = (True, 1.5, "x", "1e-100000000", None, [], {}, _DELETE)
+
+
+def _paths(node, prefix=()):
+    """The path of every field and list item below node."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+def _mutated(document, path, replacement):
+    copy = json.loads(json.dumps(document))
+    parent = copy
+    for key in path[:-1]:
+        parent = parent[key]
+    if replacement is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = replacement
+    return copy
+
+
+_MUTATIONS = [
+    (kind, path, replacement)
+    for kind, document in (("graph", _GRAPH_DOCUMENT), ("theory", _THEORY_DOCUMENT))
+    for path in _paths(document)
+    for replacement in _REPLACEMENTS
+]
+
+
+@pytest.mark.parametrize("kind", ["graph", "theory"])
+def test_fuzz_documents_are_valid(capsys, tmp_path, kind):
+    document = _GRAPH_DOCUMENT if kind == "graph" else _THEORY_DOCUMENT
+    path = write_json(tmp_path, "valid.json", document)
+    for argv in _COMMANDS[kind]:
+        code, out, err = run(capsys, *argv, "--input", path)
+        assert code == 0 and out and err == "", argv
+
+
+@settings(max_examples=len(_MUTATIONS))
+@given(st.sampled_from(_MUTATIONS))
+def test_one_mutated_field_exits_zero_or_two(tmp_path_factory, mutation):
+    kind, path, replacement = mutation
+    document = _GRAPH_DOCUMENT if kind == "graph" else _THEORY_DOCUMENT
+    target = tmp_path_factory.mktemp("fuzz") / "config.json"
+    target.write_text(json.dumps(_mutated(document, path, replacement)), encoding="utf-8")
+    for argv in _COMMANDS[kind]:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([*argv, "--input", str(target)])
+        allowed = (0, 1, 2) if argv[0] == "verify" else (0, 2)
+        assert code in allowed, (argv, path, replacement, err.getvalue())
+        if code == 2:
+            assert out.getvalue() == "", (argv, path, replacement)

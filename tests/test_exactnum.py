@@ -49,6 +49,21 @@ def test_rational_parsing_rejects_junk(text):
         parse_rational(text)
 
 
+@pytest.mark.parametrize(
+    "text", ["1e3", "1e-100000000", "0.5", ".5", "1_000", "\u0663", "3/-4", "--1", "1 /2"]
+)
+def test_rational_grammar_is_sign_digits_and_slash_only(text):
+    with pytest.raises(ValueError, match="not a rational literal"):
+        parse_rational(text)
+
+
+def test_rational_grammar_edges():
+    assert parse_rational(" +4/6\n") == Fraction(2, 3)
+    assert parse_rational("-0") == 0
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_rational("-1/00")
+
+
 def test_cyclotomic_polynomial_known_values():
     assert cyclotomic_polynomial(1) == (-1, 1)
     assert cyclotomic_polynomial(2) == (1, 1)

@@ -114,6 +114,15 @@ def test_from_config_validation_messages():
         )
 
 
+def test_from_config_names_the_first_misfit():
+    with pytest.raises(ValueError, match=r"'edges\[1\]\[0\]' must be an integer, got '0'"):
+        ModularGraph.from_config(
+            {"vertices": [{"genus": 0}], "edges": [[0, 0], ["0", 0]], "tails": []}
+        )
+    with pytest.raises(ValueError, match=r"missing the field 'vertices\[0\]\.genus'"):
+        ModularGraph.from_config({"vertices": [{}], "edges": [], "tails": []})
+
+
 @pytest.mark.parametrize(
     "config, field",
     [
