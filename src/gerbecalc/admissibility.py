@@ -54,7 +54,9 @@ class ContactType:
         """The element zeta_r^residue of mu_r written in lowest terms."""
         if r < 1:
             raise ValueError(f"ambient order must be positive, got {r}")
-        return cls.from_fraction(Fraction(residue % r, r))
+        residue %= r
+        g = math.gcd(residue, r)
+        return cls(residue // g, r // g)
 
     def residue(self, r: int) -> int:
         """Exponent a with zeta_r^a = this element; requires order | r."""
@@ -104,13 +106,16 @@ class AdmissibleVector:
 
 
 def is_admissible(entries: Sequence[ContactType], r: int, k: int) -> bool:
-    """True iff every order divides r and the ages sum to k/r mod 1."""
+    """True iff every order divides r and the ages sum to k/r mod 1.
+
+    Once every order divides r, each age is residue/r, so the ages sum to
+    k/r mod 1 exactly when the residues sum to k mod r.
+    """
     if r < 1:
         raise ValueError(f"ambient order must be positive, got {r}")
     if any(r % t.order != 0 for t in entries):
         return False
-    total = sum((t.fraction for t in entries), Fraction(0))
-    return (total - Fraction(k, r)) % 1 == 0
+    return (sum(t.residue(r) for t in entries) - k) % r == 0
 
 
 def enumerate_admissible(n: int, r: int, k: int) -> Iterator[AdmissibleVector]:

@@ -17,6 +17,8 @@ an optional /digits, with no exponent or decimal point.
 Before enumerating, enumerate-admissible, compatible-graphs, count-lifts,
 fiber-count, decompose and verify estimate their work from their inputs,
 and exit 2 when an estimate is past _WORK_BOUND steps (see there).
+decompose also estimates the r * C(b(j+1)+n, n) * classes * phi(r)
+coefficient strings of its sector records.
 degree, picard-torsion, count-lifts, fiber-count, decompose and verify
 also estimate the digits of their powers of r before computing them, and
 exit 2 past _DIGIT_BOUND digits.
@@ -42,11 +44,13 @@ from .graphs import GerbyGraph, ModularGraph, _field, betti1, classify_edges, to
 # count (r^(free edges), and a table of r element orders), contact types of
 # admissible vectors (n * r^(n-1)), and for decompose and verify the
 # r * phi(r) coefficients of the powers of zeta_r, the b(j+1) base
-# variables and the phi(r) coefficients of each potential key.  Each
-# estimate is made before enumerating; past the bound the call exits 2.  At
-# the bound a call takes from under a second (trial division) to about 20 s
-# (admissible vectors, which each build and check Fractions); the largest
-# benchmark call enumerates 30^3 cycle assignments.
+# variables, the phi(r) coefficients of each potential key and, for
+# decompose, the r * C(b(j+1)+n, n) * classes * phi(r) coefficients of its
+# sector records.  Each estimate is made before enumerating; past the bound
+# the call exits 2.  At the bound a call takes from under a second (trial
+# division) to about 9 s and 369 MB (enumerate-admissible --n 2 --r 500000,
+# 2-vCPU VM, Python 3.11); the largest benchmark call enumerates 30^3 cycle
+# assignments.
 _WORK_BOUND = 10**6
 
 # The most decimal digits of a power of r that a result may hold.  Writing
@@ -97,8 +101,11 @@ def _bound_graph_work(graph: ModularGraph, r: int, cycles: bool) -> None:
         _bound_work("the r^max(1, free edges) cycle-count steps", r, max(free, 1))
 
 
-def _bound_theory_work(r: int, basis_size: int, genus: int, truncation: gw.Truncation) -> None:
-    """Check the work of decompose and verify before the base table is built.
+def _bound_theory_work(
+    r: int, basis_size: int, genus: int, truncation: gw.Truncation, sectors: bool
+) -> None:
+    """Check the work of decompose and verify before the base table is built;
+    with sectors (decompose), also the coefficients of the sector records.
 
     r >= 1 and the truncation are valid here; the table rejects a basis
     size below 1.
@@ -124,6 +131,12 @@ def _bound_theory_work(r: int, basis_size: int, genus: int, truncation: gw.Trunc
         "the phi(r) coefficients of the r(C(b(j+1)+n, n) - 1) + 1 keys per curve class",
         phi, 1, keys,
     )
+    if sectors:
+        # each of the r sectors repeats every base key with phi(r) strings
+        _bound_work(
+            "the r * C(b(j+1)+n, n) * classes * phi(r) coefficients of the sectors",
+            phi, 1, r * monomials * len(truncation.betas),
+        )
 
 
 def _load_json(path: str) -> dict:
@@ -187,7 +200,7 @@ def _gw_common(args) -> tuple[gw.GerbeSpec, gw.BaseTheoryTable, int, gw.Truncati
         _field(section, "j_max", int, "truncation"),
         tuple(tuple(b) for b in betas),
     )
-    _bound_theory_work(r, basis_size, genus, truncation)
+    _bound_theory_work(r, basis_size, genus, truncation, args.command == "decompose")
     if args.seed is not None:
         if "base_invariants" in config:
             raise InputError("--seed and a base_invariants table are mutually exclusive")

@@ -4,9 +4,12 @@ A value lives in one fixed field Q(zeta_N) and is written in the power basis
 {1, zeta, ..., zeta^(phi(N)-1)}, where phi(N) is the degree of the N-th
 cyclotomic polynomial.  Internally the coefficient vector is a tuple of
 integers over a single positive denominator, which keeps multiplication an
-integer convolution.  No descent into subfields is attempted: a number built
-at order 12 stays at order 12 even if its value is rational, and equality
-across orders goes through the least-common-multiple embedding.
+integer convolution.  Every reduction into the power basis, of a product, an
+embedding or a conjugate, goes through ``_from_powers``, which writes a sum
+of c*zeta^k for any integer exponents k.  No descent into subfields is
+attempted: a number built at order 12 stays at order 12 even if its value is
+rational, and equality across orders goes through the least-common-multiple
+embedding.
 
 Rationals are stdlib ``fractions.Fraction`` throughout, re-exported here as
 ``Rational``.
@@ -20,7 +23,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 Rational = Fraction
 
@@ -134,6 +137,27 @@ def _reduction_rows(order: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+def _from_powers(
+    order: int, terms: Iterable[tuple[int, int]], denominator: int
+) -> "CyclotomicNumber":
+    # The one reduction into the power basis: sum of c * zeta^k over the
+    # (k, c) terms, over denominator.  Any integer k is taken mod order; a k
+    # below phi is a coordinate as it stands, any other adds one row.
+    rows = _reduction_rows(order)
+    phi = power_basis_size(order)
+    out = [0] * phi
+    for k, c in terms:
+        if c:
+            k %= order
+            if k < phi:
+                out[k] += c
+            else:
+                for i, ri in enumerate(rows[k]):
+                    if ri:
+                        out[i] += c * ri
+    return CyclotomicNumber(order, tuple(out), denominator)
+
+
 def _normalized(numerators: Sequence[int], denominator: int) -> tuple[tuple[int, ...], int]:
     if denominator == 0:
         raise ZeroDivisionError("zero denominator")
@@ -215,16 +239,8 @@ class CyclotomicNumber:
         if order % self.order != 0:
             raise ValueError(f"cannot embed order {self.order} into order {order}")
         step = order // self.order
-        phi = power_basis_size(order)
-        rows = _reduction_rows(order)
-        out = [0] * phi
-        for i, c in enumerate(self.numerators):
-            if c:
-                row = rows[i * step]
-                for k, rk in enumerate(row):
-                    if rk:
-                        out[k] += c * rk
-        return CyclotomicNumber(order, tuple(out), self.denominator)
+        terms = ((i * step, c) for i, c in enumerate(self.numerators))
+        return _from_powers(order, terms, self.denominator)
 
     def _aligned(self, other: "CyclotomicNumber") -> tuple["CyclotomicNumber", "CyclotomicNumber"]:
         if self.order == other.order:
@@ -278,7 +294,6 @@ class CyclotomicNumber:
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
         a, b = self._aligned(other)
-        n = a.order
         phi = len(a.numerators)
         conv = [0] * (2 * phi - 1)
         bn = b.numerators
@@ -287,21 +302,7 @@ class CyclotomicNumber:
                 for j, bj in enumerate(bn):
                     if bj:
                         conv[i + j] += ai * bj
-        if len(conv) > n:
-            # zeta^n = 1, so exponents fold modulo n before basis reduction
-            for k in range(n, len(conv)):
-                conv[k - n] += conv[k]
-            del conv[n:]
-        out = list(conv[:phi]) + [0] * (phi - min(phi, len(conv)))
-        rows = _reduction_rows(n)
-        for k in range(phi, len(conv)):
-            c = conv[k]
-            if c:
-                row = rows[k]
-                for i, ri in enumerate(row):
-                    if ri:
-                        out[i] += c * ri
-        return CyclotomicNumber(n, tuple(out), a.denominator * b.denominator)
+        return _from_powers(a.order, enumerate(conv), a.denominator * b.denominator)
 
     __rmul__ = __mul__
 
@@ -319,17 +320,8 @@ class CyclotomicNumber:
 
     def conjugate(self) -> "CyclotomicNumber":
         """Complex conjugation, zeta -> zeta^(order-1)."""
-        n = self.order
-        phi = len(self.numerators)
-        rows = _reduction_rows(n)
-        out = [0] * phi
-        for i, c in enumerate(self.numerators):
-            if c:
-                row = rows[(n - i) % n]
-                for k, rk in enumerate(row):
-                    if rk:
-                        out[k] += c * rk
-        return CyclotomicNumber(n, tuple(out), self.denominator)
+        terms = ((-i, c) for i, c in enumerate(self.numerators))
+        return _from_powers(self.order, terms, self.denominator)
 
     def __eq__(self, other: object) -> bool:
         rhs = self._coerce(other)
@@ -364,16 +356,25 @@ class CyclotomicNumber:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CyclotomicNumber":
+        """Read the form to_dict writes: a positive integer order (not a bool)
+        and phi(order) coefficient strings, each parsed by parse_rational."""
         if not isinstance(data, dict) or set(data) != {"order", "coeffs"}:
             raise ValueError("expected an object with exactly the keys 'order' and 'coeffs'")
         order = data["order"]
         coeffs = data["coeffs"]
-        if not isinstance(order, int) or order < 1:
-            raise ValueError(f"'order' must be a positive integer, got {order!r}")
+        if not isinstance(order, int) or isinstance(order, bool) or order < 1:
+            raise ValueError(f"field 'order' must be a positive integer, got {order!r}")
         phi = power_basis_size(order)
         if not isinstance(coeffs, list) or len(coeffs) != phi:
-            raise ValueError(f"order {order} needs exactly {phi} coefficients")
-        parsed = [parse_rational(c) if isinstance(c, str) else Fraction(c) for c in coeffs]
+            raise ValueError(f"field 'coeffs' must be a list of {phi} strings for order {order}")
+        parsed = []
+        for i, c in enumerate(coeffs):
+            if not isinstance(c, str):
+                raise ValueError(f"field 'coeffs[{i}]' must be a string, got {c!r}")
+            try:
+                parsed.append(parse_rational(c))
+            except ValueError as exc:
+                raise ValueError(f"field 'coeffs[{i}]': {exc}") from None
         den = reduce(math.lcm, (q.denominator for q in parsed), 1)
         nums = tuple(q.numerator * (den // q.denominator) for q in parsed)
         return cls(order, nums, den)

@@ -28,9 +28,9 @@ from fractions import Fraction
 from random import Random
 from typing import Iterable, Mapping, Sequence
 
-from .abelian import FiniteAbelianGroup, evaluate_character
+from .abelian import FiniteAbelianGroup
 from .admissibility import ContactType, is_admissible
-from .exactnum import CyclotomicNumber, Rational
+from .exactnum import CyclotomicNumber, Rational, root_of_unity
 
 logger = logging.getLogger(__name__)
 
@@ -257,11 +257,9 @@ class BaseTheoryTable:
 
 
 def character_twist(spec: GerbeSpec, rho: int, k: int) -> CyclotomicNumber:
-    """chi_rho evaluated at zeta_r^(-k), the Novikov twist of a curve class."""
-    group = spec.group()
-    return evaluate_character(
-        group, group.character((rho,)), group.element((-k,))
-    )
+    """chi_rho evaluated at zeta_r^(-k), the Novikov twist of a curve class:
+    the root of unity zeta_r^(-rho*k), as abelian.evaluate_character gives it."""
+    return root_of_unity(-rho * k, spec.band_order)
 
 
 def gerbe_invariant_sector(

@@ -1,21 +1,22 @@
 """Independent reference implementations the tests cross-check against.
 
 Everything here is deliberately written with different algorithms than the
-package: brute force where the library has a closed form, DFS lowlinks
-where it deletes each edge and searches what is left (the package keeps
-no lowlink pass, so this check stays independent), leaf peeling where it
-splits at a single edge, a literal character double sum where it uses the
-vanishing shortcut, and every multiset of gerbe variables where the gerbe
-potential enumerates single-character monomials only, and every assignment
-of each prescribed edge order where the fiber count solves spanning-tree
-edges.
+package: brute force where the library has a closed form, long division
+by the cyclotomic polynomial where it reads reduced powers of zeta from a
+table, DFS lowlinks where it deletes each edge and searches what is left
+(the package keeps no lowlink pass, so this check stays independent),
+leaf peeling where it splits at a single edge, a literal character double
+sum where it uses the vanishing shortcut, and every multiset of gerbe
+variables where the gerbe potential enumerates single-character monomials
+only, and every assignment of each prescribed edge order where the fiber
+count solves spanning-tree edges.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
-from gerbecalc.exactnum import CyclotomicNumber, root_of_unity
+from gerbecalc.exactnum import CyclotomicNumber, cyclotomic_polynomial, root_of_unity
 from gerbecalc.gw import CharacterInsertion, gerbe_invariant_rho
 
 
@@ -56,6 +57,24 @@ def poly_mul_int(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+def poly_mod_cyclotomic(poly, order: int) -> list:
+    """Integer polynomial poly (constant term first) reduced mod Phi_order.
+
+    Long division by the monic cyclotomic_polynomial(order), from the top
+    degree down; returns the phi(order) coefficients of the remainder.
+    Never reads the package's table of reduced powers of zeta.
+    """
+    divisor = cyclotomic_polynomial(order)
+    degree = len(divisor) - 1
+    rest = list(poly) + [0] * max(0, degree - len(poly))
+    for top in range(len(rest) - 1, degree - 1, -1):
+        c = rest[top]
+        if c:
+            for i, d in enumerate(divisor):
+                rest[top - degree + i] -= c * d
+    return rest[:degree]
 
 
 def find_bridges(n_vertices: int, edge_list) -> set:

@@ -71,6 +71,29 @@ def test_residue_round_trip():
         ContactType.from_residue(1, 0)
 
 
+@st.composite
+def contact_types(draw):
+    order = draw(st.integers(1, 24))
+    return ContactType.from_fraction(Fraction(draw(st.integers(0, order - 1)), order))
+
+
+@given(st.integers(1, 24), st.lists(contact_types(), max_size=4),
+       st.integers(-3, 3), st.integers(0, 2))
+def test_admissibility_matches_the_fraction_rule(r, entries, wraps, miss):
+    # k is the residue sum of the entries whose order divides r, plus wraps
+    # multiples of r (so k may be negative or >= r), plus a miss of 0, 1 or 2
+    k = sum(t.numerator * (r // t.order) for t in entries if r % t.order == 0)
+    k += wraps * r + miss
+    ages = sum((Fraction(t.numerator, t.order) for t in entries), Fraction(0))
+    expected = all(r % t.order == 0 for t in entries) and (ages - Fraction(k, r)) % 1 == 0
+    assert is_admissible(entries, r, k) == expected
+
+
+@given(st.integers(-100, 100), st.integers(1, 24))
+def test_from_residue_is_the_reduced_fraction(residue, r):
+    assert ContactType.from_residue(residue, r) == ContactType.from_fraction(Fraction(residue, r))
+
+
 def test_inverse_pairs_branches():
     assert ContactType(0, 1).inverse() == ContactType(0, 1)
     assert ContactType(1, 3).inverse() == ContactType(2, 3)

@@ -501,21 +501,36 @@ def test_count_lifts_with_a_huge_prime_edge_order_is_bounded(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "overrides, what",
+    "command, overrides, what",
     [
-        ({"r": 10**30, "pairing": [0]}, "trial divisions"),
-        # 10^5 rows of phi(10^5) = 40,000 coefficients for the powers of zeta_r
-        ({"r": 10**5, "pairing": [0]}, "powers of zeta_r"),
-        ({"basis_size": 10**30}, "base variables"),
-        ({"basis_size": 10**30, "truncation": {"n_max": 0, "j_max": 0, "betas": [[0]]}},
-         "base variables"),
-        ({"truncation": {"n_max": 10**30, "j_max": 0, "betas": [[0]]}}, "keys"),
-        # 2 * (C(1000 + 2, 2) - 1) + 1 = 1,002,001 keys
-        ({"basis_size": 1000, "truncation": {"n_max": 2, "j_max": 0, "betas": [[0]]}}, "keys"),
+        pytest.param(command, overrides, what, id=f"{command}-{name}")
+        for command in ("verify", "decompose")
+        for name, overrides, what in [
+            ("r-1e30", {"r": 10**30, "pairing": [0]}, "trial divisions"),
+            # 10^5 rows of phi(10^5) = 40,000 coefficients for the powers of zeta_r
+            ("r-1e5", {"r": 10**5, "pairing": [0]}, "powers of zeta_r"),
+            ("basis-1e30", {"basis_size": 10**30}, "base variables"),
+            ("basis-1e30-n0",
+             {"basis_size": 10**30, "truncation": {"n_max": 0, "j_max": 0, "betas": [[0]]}},
+             "base variables"),
+            ("n-1e30", {"truncation": {"n_max": 10**30, "j_max": 0, "betas": [[0]]}}, "keys"),
+            # 2 * (C(1000 + 2, 2) - 1) + 1 = 1,002,001 keys
+            ("keys",
+             {"basis_size": 1000, "truncation": {"n_max": 2, "j_max": 0, "betas": [[0]]}},
+             "keys"),
+        ]
+    ]
+    + [
+        # 997 sectors * C(1 + 1, 1) base keys * phi(997) = 1,986,024 strings;
+        # verify writes no sector records and takes this input
+        pytest.param(
+            "decompose",
+            {"r": 997, "truncation": {"n_max": 1, "j_max": 0, "betas": [[0]]}},
+            "coefficients of the sectors",
+            id="decompose-sectors",
+        ),
     ],
-    ids=["r-1e30", "r-1e5", "basis-1e30", "basis-1e30-n0", "n-1e30", "keys"],
 )
-@pytest.mark.parametrize("command", ["verify", "decompose"])
 def test_theory_work_past_the_bound_is_an_input_error(capsys, tmp_path, command, overrides, what):
     path = gw_config(tmp_path, **overrides)
     code, out, err = run(capsys, command, "--input", path, "--seed", "1")

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from fractions import Fraction
 from functools import reduce
 
@@ -187,6 +188,65 @@ def test_division_errors():
     assert (z * 6) / 3 == z * 2
 
 
+@st.composite
+def same_order_pair(draw):
+    x = draw(cyclo(st.integers(1, 24)))
+    return x, draw(cyclo(st.just(x.order)))
+
+
+@st.composite
+def embedding(draw):
+    big = draw(st.integers(1, 24))
+    x = draw(cyclo(st.sampled_from([d for d in range(1, big + 1) if big % d == 0])))
+    return x, big
+
+
+def _substituted(x, step):
+    # the numerator polynomial of x with zeta replaced by zeta^step
+    poly = [0] * (step * (len(x.numerators) - 1) + 1)
+    for i, c in enumerate(x.numerators):
+        poly[i * step] = c
+    return poly
+
+
+def _reductions(x, y, z, big, reduce_mod):
+    """(computed, expected) pairs for x * y, z embedded at big and x's
+    conjugate, the expected values reduced by reduce_mod(poly, order)."""
+    n = x.order
+    product = oracles.poly_mul_int(x.numerators, y.numerators)
+    expected = [
+        CyclotomicNumber(n, tuple(reduce_mod(product, n)), x.denominator * y.denominator),
+        CyclotomicNumber(big, tuple(reduce_mod(_substituted(z, big // z.order), big)),
+                         z.denominator),
+        CyclotomicNumber(n, tuple(reduce_mod(_substituted(x, n - 1), n)), x.denominator),
+    ]
+    computed = [x * y, z.embedded(big), x.conjugate()]
+    return [((c.order, c.numerators, c.denominator), (e.order, e.numerators, e.denominator))
+            for c, e in zip(computed, expected)]
+
+
+@given(same_order_pair(), embedding())
+def test_reductions_agree_with_long_division(pair, case):
+    # x * y is the polynomial product mod Phi_N, z.embedded(M) is
+    # z(zeta_M^(M/N)) mod Phi_M, and x.conjugate() is x(zeta^(N-1)) mod Phi_N
+    for computed, expected in _reductions(*pair, *case, oracles.poly_mod_cyclotomic):
+        assert computed == expected
+
+
+@given(same_order_pair(), embedding())
+def test_reductions_agree_with_sympy(pair, case):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+
+    def reduce_mod(poly, order):
+        expr = sum(c * t**i for i, c in enumerate(poly))
+        remainder = sympy.Poly(sympy.rem(expr, sympy.cyclotomic_poly(order, t), t), t)
+        return [int(remainder.coeff_monomial(t**i)) for i in range(power_basis_size(order))]
+
+    for computed, expected in _reductions(*pair, *case, reduce_mod):
+        assert computed == expected
+
+
 @given(cyclo(), cyclo())
 def test_conjugation_is_a_ring_involution(x, y):
     assert x.conjugate().conjugate() == x
@@ -264,10 +324,27 @@ def test_serialization_round_trip(x):
         {"order": 0, "coeffs": []},
         {"order": "4", "coeffs": ["1", "2"]},
         {"order": 4, "coeffs": ["1", "x"]},
+        {"order": True, "coeffs": ["1"]},
+        {"order": 1, "coeffs": [1.5]},
+        {"order": 1, "coeffs": [1]},
     ],
 )
 def test_deserialization_rejects_malformed(data):
     with pytest.raises(ValueError):
+        CyclotomicNumber.from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ({"order": True, "coeffs": ["1"]}, "'order'"),
+        ({"order": 4, "coeffs": ["1"]}, "'coeffs'"),
+        ({"order": 4, "coeffs": ["1", 2]}, "'coeffs[1]'"),
+        ({"order": 4, "coeffs": ["1", "1e3"]}, "'coeffs[1]'"),
+    ],
+)
+def test_deserialization_errors_name_the_field(data, field):
+    with pytest.raises(ValueError, match=re.escape(field)):
         CyclotomicNumber.from_dict(data)
 
 

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from gerbecalc.abelian import FiniteAbelianGroup, evaluate_character
 from gerbecalc.exactnum import CyclotomicNumber, root_of_unity
 from gerbecalc.gw import (
     BaseTheoryTable,
@@ -147,6 +148,22 @@ def test_character_twist_values():
     assert character_twist(spec, 0, 3) == root_of_unity(0, 4)
     assert character_twist(spec, 1, 1) == root_of_unity(3, 4)
     assert character_twist(spec, 2, 3) == root_of_unity(2, 4)
+
+
+def test_character_twist_is_the_character_value():
+    # abelian's character evaluation on mu_r is the reference for the twist
+    for r in range(1, 13):
+        spec = GerbeSpec(r, (0,))
+        group = FiniteAbelianGroup((r,))
+        for rho in range(r):
+            for k in range(-r, 2 * r):
+                expected = evaluate_character(
+                    group, group.character((rho,)), group.element((-k,))
+                )
+                twist = character_twist(spec, rho, k)
+                assert (twist.order, twist.numerators, twist.denominator) == (
+                    expected.order, expected.numerators, expected.denominator
+                )
 
 
 def test_sector_invariant_scales_or_vanishes():
