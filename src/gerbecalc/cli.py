@@ -41,16 +41,16 @@ from .graphs import GerbyGraph, ModularGraph, _field, betti1, classify_edges, to
 # The most steps of any one kind a call may enumerate: trial divisions of r
 # (about sqrt(r), once per edge for count-lifts' totients), gerby
 # decorations (d(r)^(non-separating edges)), cycle assignments of the fiber
-# count (r^(free edges), and a table of r element orders), contact types of
-# admissible vectors (n * r^(n-1)), and for decompose and verify the
-# r * phi(r) coefficients of the powers of zeta_r, the b(j+1) base
-# variables, the phi(r) coefficients of each potential key and, for
-# decompose, the r * C(b(j+1)+n, n) * classes * phi(r) coefficients of its
-# sector records.  Each estimate is made before enumerating; past the bound
-# the call exits 2.  At the bound a call takes from under a second (trial
-# division) to about 9 s and 369 MB (enumerate-admissible --n 2 --r 500000,
-# 2-vCPU VM, Python 3.11); the largest benchmark call enumerates 30^3 cycle
-# assignments.
+# count (r^(free edges), with a table of r element orders only when some
+# edge is free), contact types of admissible vectors (n * r^(n-1)), and for
+# decompose and verify the r * phi(r) coefficients of the powers of zeta_r,
+# the b(j+1) base variables, the phi(r) coefficients of each potential key
+# and, for decompose, the r * C(b(j+1)+n, n) * classes * phi(r)
+# coefficients of its sector records.  Each estimate is made before
+# enumerating; past the bound the call exits 2.  At the bound a call takes
+# from under a second (trial division) to about 8 s and 290 MB
+# (enumerate-admissible --n 2 --r 500000, 2-vCPU VM, Python 3.11); the
+# largest benchmark call enumerates 30^3 cycle assignments.
 _WORK_BOUND = 10**6
 
 # The most decimal digits of a power of r that a result may hold.  Writing
@@ -98,7 +98,7 @@ def _bound_graph_work(graph: ModularGraph, r: int, cycles: bool) -> None:
     if linking:
         # a spanning tree of a connected graph has |V| - 1 edges, none a loop
         free = linking - (graph.num_vertices - 1)
-        _bound_work("the r^max(1, free edges) cycle-count steps", r, max(free, 1))
+        _bound_work("the r^(free edges) cycle-count steps", r, free)
 
 
 def _bound_theory_work(
@@ -235,11 +235,12 @@ def _gw_common(args) -> tuple[gw.GerbeSpec, gw.BaseTheoryTable, int, gw.Truncati
 def _run_enumerate_admissible(args) -> tuple[dict, dict, int]:
     if args.n >= 1 and args.r >= 1:
         _bound_work("the n * r^(n-1) contact types of the vectors", args.r, args.n - 1, args.n)
-    vectors = list(admissibility.enumerate_admissible(args.n, args.r, args.k))
-    result = {
-        "count": len(vectors),
-        "vectors": [[str(t) for t in v.entries] for v in vectors],
-    }
+    # only the entry strings are kept, not the AdmissibleVectors beside them
+    vectors = [
+        [str(t) for t in v.entries]
+        for v in admissibility.enumerate_admissible(args.n, args.r, args.k)
+    ]
+    result = {"count": len(vectors), "vectors": vectors}
     return {"n": args.n, "r": args.r, "k": args.k}, result, 0
 
 

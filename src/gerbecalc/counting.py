@@ -162,7 +162,9 @@ def _cycle_order_counts(
     tree = {e for e, _, _ in steps}
     free = [e for e in range(len(endpoints)) if e not in tree]
 
-    order_of = [r // math.gcd(x, r) for x in range(r)]
+    # A table of the r element orders pays off only over the r^free
+    # assignments; with no free edge the one assignment computes its own.
+    order_of = [r // math.gcd(x, r) for x in range(r)] if free else None
     counts: dict[tuple[int, ...], int] = {}
     orders = [1] * len(endpoints)
     for values in itertools.product(range(r), repeat=len(free)):
@@ -177,7 +179,7 @@ def _cycle_order_counts(
             # second; either way the parent's need grows by need[child]
             x = need[child] % r
             need[up] += x
-            orders[e] = order_of[x]
+            orders[e] = order_of[x] if free else r // math.gcd(x, r)
         key = tuple(orders)
         counts[key] = counts.get(key, 0) + 1
     return counts

@@ -6,7 +6,13 @@ cyclotomic polynomial.  Internally the coefficient vector is a tuple of
 integers over a single positive denominator, which keeps multiplication an
 integer convolution.  Every reduction into the power basis, of a product, an
 embedding or a conjugate, goes through ``_from_powers``, which writes a sum
-of c*zeta^k for any integer exponents k.  No descent into subfields is
+of c*zeta^k for any integer exponents k.  Results of the module's own
+arithmetic already hold phi(N) coordinates, so they are stored through
+``_canonical``, which only normalizes the fraction; the public constructor
+keeps every check.  A product with a factor of at most one nonzero
+coordinate, c*zeta^i (a rational when i = 0), scales and shifts the other
+factor in the lcm field instead of convolving, and ``root_of_unity``
+values, which are immutable, are cached.  No descent into subfields is
 attempted: a number built at order 12 stays at order 12 even if its value is
 rational, and equality across orders goes through the least-common-multiple
 embedding.
@@ -155,7 +161,48 @@ def _from_powers(
                 for i, ri in enumerate(rows[k]):
                     if ri:
                         out[i] += c * ri
-    return CyclotomicNumber(order, tuple(out), denominator)
+    return _canonical(order, tuple(out), denominator)
+
+
+def _canonical(order: int, numerators: tuple[int, ...], denominator: int) -> "CyclotomicNumber":
+    # The constructor of this module's own results, whose numerators already
+    # hold phi(order) integers: it skips the checks of CyclotomicNumber(...)
+    # and only normalizes the fraction, which a denominator of 1 already is.
+    if denominator != 1:
+        numerators, denominator = _normalized(numerators, denominator)
+    number = object.__new__(CyclotomicNumber)
+    number.__dict__.update(order=order, numerators=numerators, denominator=denominator)
+    return number
+
+
+def _monomial_times(
+    order: int, index: int, coefficient: int, denominator: int, other: "CyclotomicNumber"
+) -> "CyclotomicNumber":
+    # (coefficient / denominator) * zeta_order^index times other, in the lcm
+    # field, without a convolution: other's coordinates are scaled, O(phi),
+    # and for index > 0 shifted, each exponent past phi adding one row.
+    m = math.lcm(order, other.order)
+    y = other.embedded(m)
+    den = denominator * y.denominator
+    shift = index * (m // order)
+    if shift == 0:
+        return _canonical(m, tuple(coefficient * c for c in y.numerators), den)
+    terms = ((j + shift, coefficient * c) for j, c in enumerate(y.numerators))
+    return _from_powers(m, terms, den)
+
+
+def _convolution(a: "CyclotomicNumber", b: "CyclotomicNumber") -> "CyclotomicNumber":
+    # The general product of two numbers of one order: the convolution of
+    # their coordinates, reduced into the power basis.
+    phi = len(a.numerators)
+    conv = [0] * (2 * phi - 1)
+    bn = b.numerators
+    for i, ai in enumerate(a.numerators):
+        if ai:
+            for j, bj in enumerate(bn):
+                if bj:
+                    conv[i + j] += ai * bj
+    return _from_powers(a.order, enumerate(conv), a.denominator * b.denominator)
 
 
 def _normalized(numerators: Sequence[int], denominator: int) -> tuple[tuple[int, ...], int]:
@@ -264,12 +311,12 @@ class CyclotomicNumber:
         den = math.lcm(a.denominator, b.denominator)
         sa, sb = den // a.denominator, den // b.denominator
         nums = tuple(x * sa + y * sb for x, y in zip(a.numerators, b.numerators))
-        return CyclotomicNumber(a.order, nums, den)
+        return _canonical(a.order, nums, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CyclotomicNumber":
-        return CyclotomicNumber(self.order, tuple(-c for c in self.numerators), self.denominator)
+        return _canonical(self.order, tuple(-c for c in self.numerators), self.denominator)
 
     def __sub__(self, other: object) -> "CyclotomicNumber":
         rhs = self._coerce(other)
@@ -285,24 +332,21 @@ class CyclotomicNumber:
 
     def __mul__(self, other: object) -> "CyclotomicNumber":
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return CyclotomicNumber(
+            return _canonical(
                 self.order,
-                tuple(c * q.numerator for c in self.numerators),
-                self.denominator * q.denominator,
+                tuple(c * other.numerator for c in self.numerators),
+                self.denominator * other.denominator,
             )
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
-        a, b = self._aligned(other)
-        phi = len(a.numerators)
-        conv = [0] * (2 * phi - 1)
-        bn = b.numerators
-        for i, ai in enumerate(a.numerators):
-            if ai:
-                for j, bj in enumerate(bn):
-                    if bj:
-                        conv[i + j] += ai * bj
-        return _from_powers(a.order, enumerate(conv), a.denominator * b.denominator)
+        # A factor with at most one nonzero coordinate, such as a rational
+        # or a root of unity below zeta^phi, scales the other factor.
+        for x, y in ((self, other), (other, self)):
+            nums = x.numerators
+            if len(nums) - nums.count(0) <= 1:
+                index = next((i for i, c in enumerate(nums) if c), 0)
+                return _monomial_times(x.order, index, nums[index], x.denominator, y)
+        return _convolution(*self._aligned(other))
 
     __rmul__ = __mul__
 
@@ -389,12 +433,16 @@ def root_of_unity(numerator: int, order: int) -> CyclotomicNumber:
     """zeta_order^numerator as an element of Q(zeta_order).
 
     The exponent is taken modulo order; the result has multiplicative order
-    order / gcd(numerator, order).
+    order / gcd(numerator, order).  Values are immutable and cached.
 
     >>> root_of_unity(1, 2)
     CyclotomicNumber(2; -1)
     """
     if order < 1:
         raise ValueError(f"order must be positive, got {order}")
-    rows = _reduction_rows(order)
-    return CyclotomicNumber(order, rows[numerator % order], 1)
+    return _root_of_unity(numerator % order, order)
+
+
+@lru_cache(maxsize=None)
+def _root_of_unity(exponent: int, order: int) -> CyclotomicNumber:
+    return _canonical(order, _reduction_rows(order)[exponent], 1)

@@ -13,9 +13,13 @@ abstract indexed basis with no grading or products.
 
 A character-basis invariant vanishes by definition unless all of its
 insertions carry one character, so the gerbe potential never enumerates a
-monomial that mixes characters: per curve class it evaluates the empty
+monomial that mixes characters: per curve class it holds the empty
 monomial and r single-character copies of each base monomial, instead of
-every multiset of the b*r*(j+1) gerbe variables.
+every multiset of the b*r*(j+1) gerbe variables.  The rho-copy of a base
+monomial is r^(2g-2) * (base value) * chi_rho(zeta_r^(-k(beta))), so the r
+copies share one lookup and one rational and differ by a root of unity;
+gerbe_invariant_rho computes the same value for one key and is the
+reference the regrouped build is tested against.
 """
 
 from __future__ import annotations
@@ -369,12 +373,17 @@ def build_potential(
     variables and the character-basis gerbe invariants; basis "base" uses
     (class_index, psi_power) variables and the raw base table.
 
-    The gerbe basis enumerates, per curve class, the empty monomial and the
-    r single-character copies of each nonempty base monomial.  A monomial
+    The gerbe basis holds, per curve class, the empty monomial and the r
+    single-character copies of each nonempty base monomial.  A monomial
     mixing two characters is never enumerated: its invariant is zero by
     definition, so it could never contribute a coefficient, and the copies
-    already look up every base key such a monomial would.  Each enumerated
-    key still goes through gerbe_invariant_rho on its own.
+    already look up every base key such a monomial would.  The copies of
+    one base monomial share its base value: per curve class the empty
+    monomial goes through gerbe_invariant_rho, each nonempty base monomial
+    is looked up once, in key order, and its r^(2g-2) * value / weight is
+    scaled by the Novikov twist zeta_r^(-rho*k(beta)) of each rho.  The
+    coefficients, the zero-fill warnings and their order and any
+    CoverageError are those of gerbe_invariant_rho applied key by key.
     """
     if basis not in ("gerbe", "base"):
         raise ValueError(f"unknown basis {basis!r}")
@@ -387,33 +396,34 @@ def build_potential(
         for n in range(1, truncation.n_max + 1)
         for combo in itertools.combinations_with_replacement(variables, n)
     ]
-    if basis == "gerbe":
-        monomials = [
-            tuple((i, rho, j) for (i, j) in monomial)
-            for rho in range(r)
+    scale = Fraction(r) ** (2 * genus - 2)
+    coefficients = {}
+    for beta in truncation.betas:
+        if basis == "gerbe":
+            empty = gerbe_invariant_rho(spec, base, genus, beta, ())
+        else:
+            empty = CyclotomicNumber.from_rational(base.lookup(genus, beta, ()))
+        if not empty.is_zero():
+            coefficients[(beta, ())] = empty
+        # one lookup per base monomial, in the order the keys list them
+        values = [
+            base.lookup(genus, beta, [Insertion(i, j) for (i, j) in monomial])
+            * _monomial_weight(monomial)
             for monomial in monomials
         ]
-    keys = [(beta, monomial) for beta in truncation.betas for monomial in [()] + monomials]
-
-    def coefficient(key):
-        beta, monomial = key
-        if basis == "gerbe":
-            value = gerbe_invariant_rho(
-                spec,
-                base,
-                genus,
-                beta,
-                [CharacterInsertion(rho, i, j) for (i, rho, j) in monomial],
-            )
-        else:
-            raw = base.lookup(genus, beta, [Insertion(i, j) for (i, j) in monomial])
-            value = CyclotomicNumber.from_rational(raw)
-        return value * _monomial_weight(monomial)
-
-    values = [coefficient(key) for key in keys]
-    coefficients = {
-        key: value for key, value in zip(keys, values) if not value.is_zero()
-    }
+        if basis == "base":
+            for monomial, value in zip(monomials, values):
+                if value:
+                    coefficients[(beta, monomial)] = CyclotomicNumber.from_rational(value)
+            continue
+        k = pairing_value(spec, beta)
+        values = [scale * value for value in values]
+        for rho in range(r):
+            twist = character_twist(spec, rho, k)
+            for monomial, value in zip(monomials, values):
+                if value:
+                    relabeled = tuple((i, rho, j) for (i, j) in monomial)
+                    coefficients[(beta, relabeled)] = twist * value
     return PotentialSeries(basis, genus, truncation, coefficients)
 
 

@@ -6,10 +6,12 @@ by the cyclotomic polynomial where it reads reduced powers of zeta from a
 table, DFS lowlinks where it deletes each edge and searches what is left
 (the package keeps no lowlink pass, so this check stays independent),
 leaf peeling where it splits at a single edge, a literal character double
-sum where it uses the vanishing shortcut, and every multiset of gerbe
+sum where it uses the vanishing shortcut, every multiset of gerbe
 variables where the gerbe potential enumerates single-character monomials
-only, and every assignment of each prescribed edge order where the fiber
-count solves spanning-tree edges.
+only, one gerbe_invariant_rho call per key where the gerbe potential looks
+each base monomial up once for all its character copies, and every
+assignment of each prescribed edge order where the fiber count solves
+spanning-tree edges.
 """
 
 import itertools
@@ -200,12 +202,44 @@ def exhaustive_gerbe_potential(spec, base, genus: int, truncation) -> dict:
                     spec, base, genus, beta,
                     [CharacterInsertion(rho, i, j) for (i, rho, j) in monomial],
                 )
-                multiplicities = [len(list(g)) for _, g in itertools.groupby(monomial)]
-                weight = math.prod(math.factorial(m) for m in multiplicities)
-                value = value * Fraction(1, weight)
+                value = value * Fraction(1, _multiplicity_factorials(monomial))
                 if not value.is_zero():
                     coefficients[(beta, monomial)] = value
     return coefficients
+
+
+def per_key_gerbe_potential(spec, base, genus: int, truncation) -> dict:
+    """Gerbe-basis potential built key by key over single-character monomials.
+
+    Per curve class: the empty monomial, then for each rho the rho-copy of
+    every nonempty base monomial, each evaluated on its own through
+    gerbe_invariant_rho, which looks the base table up once per key, so the
+    zero-fill warnings and any CoverageError come in key order.  Returns
+    the nonzero coefficients in that order.
+    """
+    r = spec.band_order
+    variables = [(i, j) for i in range(base.basis_size) for j in range(truncation.j_max + 1)]
+    monomials = [
+        combo
+        for n in range(1, truncation.n_max + 1)
+        for combo in itertools.combinations_with_replacement(variables, n)
+    ]
+    coefficients = {}
+    for beta in truncation.betas:
+        keys = [()] + [tuple((i, rho, j) for (i, j) in m) for rho in range(r) for m in monomials]
+        for monomial in keys:
+            value = gerbe_invariant_rho(
+                spec, base, genus, beta,
+                [CharacterInsertion(rho, i, j) for (i, rho, j) in monomial],
+            )
+            value = value * Fraction(1, _multiplicity_factorials(monomial))
+            if not value.is_zero():
+                coefficients[(beta, monomial)] = value
+    return coefficients
+
+
+def _multiplicity_factorials(monomial) -> int:
+    return math.prod(math.factorial(len(list(g))) for _, g in itertools.groupby(monomial))
 
 
 def _is_connected(n_vertices: int, edges) -> bool:

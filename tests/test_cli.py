@@ -207,6 +207,19 @@ def test_work_past_the_bound_is_an_input_error(capsys, tmp_path, command, r, ver
     assert what in err and "work bound of 1,000,000 steps" in err
 
 
+def test_fiber_count_on_a_forest_has_no_free_edge_to_bound(capsys, tmp_path):
+    # a three-vertex path: both edges are solved, so the one assignment
+    # costs no r^(free edges) steps and no table of r element orders
+    r = 2 * 10**6
+    path = graph_config(
+        tmp_path, r=r, vertices=[0, 1, 0], edges=[(0, 1), (1, 2)],
+        degree_data={"vertex_residues": [0, 0, 0], "tail_types": []},
+    )
+    code, out, _ = run(capsys, "fiber-count", "--input", path)
+    assert code == 0
+    assert json.loads(out)["result"] == {"value": str(r**2), "formula": "r^(2g)"}
+
+
 @pytest.mark.parametrize("n, r", [(2, 10**12), (1_000_001, 1)])
 def test_admissible_vectors_past_the_bound_are_an_input_error(capsys, n, r):
     code, out, err = run(capsys, "enumerate-admissible", "--n", str(n), "--r", str(r), "--k", "0")

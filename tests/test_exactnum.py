@@ -7,10 +7,11 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
+from gerbecalc import exactnum
 from gerbecalc.exactnum import (
     CyclotomicNumber,
     cyclotomic_polynomial,
@@ -233,18 +234,111 @@ def test_reductions_agree_with_long_division(pair, case):
         assert computed == expected
 
 
-@given(same_order_pair(), embedding())
-def test_reductions_agree_with_sympy(pair, case):
+def _sympy_reduce(poly, order):
     sympy = pytest.importorskip("sympy")
     t = sympy.Symbol("t")
+    dividend = sympy.Poly(list(reversed(poly)), t, domain="ZZ")
+    remainder = dividend.rem(sympy.cyclotomic_poly(order, t, polys=True))
+    return [int(remainder.coeff_monomial(t**i)) for i in range(power_basis_size(order))]
 
-    def reduce_mod(poly, order):
-        expr = sum(c * t**i for i, c in enumerate(poly))
-        remainder = sympy.Poly(sympy.rem(expr, sympy.cyclotomic_poly(order, t), t), t)
-        return [int(remainder.coeff_monomial(t**i)) for i in range(power_basis_size(order))]
 
-    for computed, expected in _reductions(*pair, *case, reduce_mod):
+@given(same_order_pair(), embedding())
+def test_reductions_agree_with_sympy(pair, case):
+    for computed, expected in _reductions(*pair, *case, _sympy_reduce):
         assert computed == expected
+
+
+def _data(x):
+    return x.order, x.numerators, x.denominator
+
+
+@st.composite
+def one_coordinate_pair(draw):
+    """(x, y) with x = c/d * zeta_n^i, at most one nonzero coordinate, and y
+    any number; both orders are drawn up to 24, so neither need divide the
+    other, and x may be a rational held at an order above 1."""
+    order = draw(st.integers(1, 24))
+    nums = [0] * power_basis_size(order)
+    nums[draw(st.integers(0, len(nums) - 1))] = draw(st.integers(-9, 9))
+    x = CyclotomicNumber(order, tuple(nums), draw(st.integers(1, 9)))
+    return x, draw(cyclo(st.integers(1, 24)))
+
+
+ONE_COORDINATE_EXAMPLES = [
+    # 3/2 held at order 4, times a number of order 6
+    (CyclotomicNumber(4, (3, 0), 2), CyclotomicNumber(6, (1, -2), 5)),
+    # -7/3 * zeta_9^4, times a number of order 10
+    (CyclotomicNumber(9, (0, 0, 0, 0, -7, 0), 3), CyclotomicNumber(10, (1, 2, 0, -1))),
+    # 5 * zeta_8^3, times a number of order 12
+    (CyclotomicNumber(8, (0, 0, 0, 5)), CyclotomicNumber(12, (2, 0, -3, 1), 7)),
+    # zero held at order 5, times a number of order 7
+    (CyclotomicNumber.zero(5), CyclotomicNumber(7, (1, 2, 3, 4, 5, 6), 2)),
+]
+
+
+def _product_data(x, y, reduce_mod):
+    """The data of x * y made apart from __mul__: each factor moved into the
+    lcm field by substituting zeta_N = zeta_M^(M/N) and reduced by long
+    division, and their polynomial product reduced mod Phi_M by reduce_mod."""
+    m = math.lcm(x.order, y.order)
+    a, b = (oracles.poly_mod_cyclotomic(_substituted(z, m // z.order), m) for z in (x, y))
+    nums = reduce_mod(oracles.poly_mul_int(a, b), m)
+    return _data(CyclotomicNumber(m, tuple(nums), x.denominator * y.denominator))
+
+
+def _with_examples(test):
+    for pair in ONE_COORDINATE_EXAMPLES:
+        test = example(pair)(test)
+    return given(one_coordinate_pair())(test)
+
+
+@_with_examples
+def test_one_coordinate_products_agree_with_the_convolution(pair):
+    x, y = pair
+    m = math.lcm(x.order, y.order)
+    general = _data(exactnum._convolution(x.embedded(m), y.embedded(m)))
+    assert general == _product_data(x, y, oracles.poly_mod_cyclotomic)
+    for product in (x * y, y * x):
+        assert _data(product) == general
+
+
+@_with_examples
+def test_one_coordinate_products_agree_with_sympy(pair):
+    x, y = pair
+    expected = _product_data(x, y, _sympy_reduce)
+    assert _data(x * y) == _data(y * x) == expected
+
+
+@given(
+    st.integers(1, 24).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.integers(-30, 30), min_size=power_basis_size(n), max_size=power_basis_size(n)),
+            st.integers(-30, 30).filter(bool),
+        )
+    )
+)
+def test_canonical_constructor_matches_the_checked_one(data):
+    order, nums, den = data
+    fast = exactnum._canonical(order, tuple(nums), den)
+    checked = CyclotomicNumber(order, tuple(nums), den)
+    assert _data(fast) == _data(checked)
+    assert fast == checked
+
+
+@given(cyclo(st.integers(1, 24)), cyclo(st.integers(1, 24)), rationals, st.integers(-30, 30))
+def test_results_are_stored_canonically(x, y, q, k):
+    # checking a result again changes none of its stored data
+    results = [x + y, x * y, y * x, x * q, x - y, x.conjugate(), x.embedded(2 * x.order),
+               root_of_unity(k, y.order)]
+    for z in results:
+        assert _data(CyclotomicNumber(*_data(z))) == _data(z)
+
+
+def test_roots_of_unity_are_cached():
+    assert root_of_unity(5, 12) is root_of_unity(-7, 12)
+    with pytest.raises(ValueError):
+        root_of_unity(1, 0)
 
 
 @given(cyclo(), cyclo())

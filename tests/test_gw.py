@@ -1,7 +1,9 @@
 """Tests for the gerbe potential layer over an abstract base theory."""
 
+import itertools
 import logging
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given
@@ -285,6 +287,77 @@ def test_gerbe_potential_matches_exhaustive_enumeration_on_half_empty_table(capl
     assert series.coefficients == expected
     # every missing base key is still looked up, and warned about once
     assert len(warned) == len(caplog.records) == 2 * 15 - 5
+
+
+def half_empty_records(rng, basis_size, genus, truncation):
+    """Records for about half of the base keys, some of them zero."""
+    variables = [Insertion(i, j) for i in range(basis_size) for j in range(truncation.j_max + 1)]
+    return [
+        (genus, beta, combo, Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+        for beta in truncation.betas
+        for n in range(truncation.n_max + 1)
+        for combo in itertools.combinations_with_replacement(variables, n)
+        if rng.random() < 0.5
+    ]
+
+
+def build_and_warnings(caplog, build, *args):
+    """build(*args) and the warning lines it logs, in order."""
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="gerbecalc.gw"):
+        result = build(*args)
+    return result, [record.getMessage() for record in caplog.records]
+
+
+def per_key_build(spec, table, genus, truncation):
+    return oracles.per_key_gerbe_potential(spec, table, genus, truncation)
+
+
+def regrouped_build(spec, table, genus, truncation):
+    return build_potential(spec, table, genus, truncation, "gerbe").coefficients
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 6, 8])
+@pytest.mark.parametrize("genus", [0, 1, 2])
+def test_regrouped_gerbe_build_matches_the_per_key_build(caplog, r, genus):
+    spec = GerbeSpec(r, (1 % r, (r // 2 + 1) % r))
+    truncation = Truncation(2, 1, [(0, 0), (1, 0), (1, 1), (0, 2)])
+    records = half_empty_records(Random(10 * r + genus), 2, genus, truncation)
+
+    def table():
+        # a fresh table each time: a table warns once per missing key
+        return BaseTheoryTable.from_records(2, genus, truncation, records)
+
+    built, warnings = build_and_warnings(caplog, regrouped_build, spec, table(), genus, truncation)
+    per_key, per_key_warnings = build_and_warnings(
+        caplog, per_key_build, spec, table(), genus, truncation
+    )
+    assert warnings and warnings == per_key_warnings
+    # every coefficient is gerbe_invariant_rho(...) * weight of its key, in key order
+    assert list(built.items()) == list(per_key.items())
+    assert built == oracles.exhaustive_gerbe_potential(spec, table(), genus, truncation)
+
+
+@pytest.mark.parametrize(
+    "genus, wide",
+    [
+        (1, Truncation(2, 1, [(0,), (1,)])),  # genus outside the table
+        (0, Truncation(3, 1, [(0,), (1,)])),  # three insertions
+        (0, Truncation(2, 2, [(0,), (1,)])),  # psi power 2
+        (0, Truncation(2, 1, [(0,), (1,), (2,)])),  # curve class (2,)
+    ],
+)
+def test_regrouped_gerbe_build_fails_as_the_per_key_build(caplog, genus, wide):
+    spec = GerbeSpec(3, (1,))
+    truncation = Truncation(2, 1, [(0,), (1,)])
+    records = half_empty_records(Random(5), 2, 0, truncation)
+    outcomes = []
+    for build in (regrouped_build, per_key_build):
+        table = BaseTheoryTable.from_records(2, 0, truncation, records)
+        with pytest.raises(CoverageError) as error:
+            build_and_warnings(caplog, build, spec, table, genus, wide)
+        outcomes.append((str(error.value), [record.getMessage() for record in caplog.records]))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_potential_requires_table_coverage():
