@@ -18,10 +18,15 @@ Before enumerating, enumerate-admissible, compatible-graphs, count-lifts,
 fiber-count, decompose and verify estimate their work from their inputs,
 and exit 2 when an estimate is past _WORK_BOUND steps (see there).
 decompose also estimates the r * C(b(j+1)+n, n) * classes * phi(r)
-coefficient strings of its sector records.
+coefficient strings of its sector records.  Before classifying the edges
+of a graph, compatible-graphs, count-lifts, fiber-count and picard-torsion
+(with a gerby section) estimate the E * (V + E) steps of the classifying
+searches, and compatible-graphs and fiber-count add V + E steps for each
+of the at most min(E, V - 1) bridges they split at.
 degree, picard-torsion, count-lifts, fiber-count, decompose and verify
 also estimate the digits of their powers of r before computing them, and
-exit 2 past _DIGIT_BOUND digits.
+picard-torsion --quotient the sum of log10 of its edge and tail orders
+before multiplying them; each exits 2 past _DIGIT_BOUND digits.
 """
 
 from __future__ import annotations
@@ -46,17 +51,22 @@ from .graphs import GerbyGraph, ModularGraph, _field, betti1, classify_edges, to
 # decompose and verify the r * phi(r) coefficients of the powers of zeta_r,
 # the b(j+1) base variables, the phi(r) coefficients of each potential key
 # and, for decompose, the r * C(b(j+1)+n, n) * classes * phi(r)
-# coefficients of its sector records.  Each estimate is made before
+# coefficients of its sector records.  On a graph with V vertices and E
+# edges each spanning-forest search takes about V + E steps: one search
+# per edge classifies the edges, and compatible-graphs and fiber-count
+# make one more per bridge to split at it, so the benchmark's 150-vertex
+# tree with 153 edges needs about 92,000.  Each estimate is made before
 # enumerating; past the bound the call exits 2.  At the bound a call takes
 # from under a second (trial division) to about 8 s and 290 MB
 # (enumerate-admissible --n 2 --r 500000, 2-vCPU VM, Python 3.11); the
 # largest benchmark call enumerates 30^3 cycle assignments.
 _WORK_BOUND = 10**6
 
-# The most decimal digits of a power of r that a result may hold.  Writing
+# The most decimal digits of a power of r, or of the product of orders that
+# picard-torsion --quotient writes, that a result may hold.  Writing
 # an integer out takes time quadratic in its digits; 100,000 digits print
 # in about 0.16 s (2-vCPU VM, Python 3.11).  The digits are estimated
-# before the power is computed.
+# before the result is computed.
 _DIGIT_BOUND = 100_000
 
 
@@ -82,11 +92,25 @@ def _bound_digits(what: str, r: int, exponent: int) -> None:
         raise InputError(f"{what} is past the result bound of {_DIGIT_BOUND:,} digits")
 
 
+def _bound_search_work(graph: ModularGraph, splits: bool) -> None:
+    """Check classify_edges' E searches of V + E steps each, and with splits
+    split_at_edge's one more search per bridge (at most min(E, V - 1))."""
+    searches = graph.num_edges
+    if splits:
+        searches += min(graph.num_edges, graph.num_vertices - 1)
+    _bound_work(
+        "the V + E steps of each edge classification and split search",
+        graph.num_vertices + graph.num_edges, 1, searches,
+    )
+
+
 def _bound_graph_work(graph: ModularGraph, r: int, cycles: bool) -> None:
-    """Check the decorations, and with cycles the fiber count's assignments."""
+    """Check the graph searches, the decorations, and with cycles the fiber
+    count's assignments."""
     if r < 1:
         return  # the commands themselves reject a non-positive r
     _bound_work("the sqrt(r) trial divisions of r", math.isqrt(r), 1)
+    _bound_search_work(graph, splits=True)
     _, nonseparating = classify_edges(graph)
     _bound_work(
         "the d(r)^(non-separating edges) decorations", len(divisors(r)), len(nonseparating)
@@ -263,6 +287,7 @@ def _run_count_lifts(args) -> tuple[dict, dict, int]:
         _bound_work(
             "the sqrt(r) trial divisions of each edge order", math.isqrt(r), 1, graph.num_edges
         )
+        _bound_search_work(graph, splits=False)
     # r^(2g-b1) times a totient below r for each edge at most
     _bound_digits("the lift count", r, 2 * total_genus(graph) - betti1(graph) + graph.num_edges)
     lifts = counting.count_lifts(gerby, r, args.mode)
@@ -282,10 +307,18 @@ def _run_picard_torsion(args) -> tuple[dict, dict, int]:
     if args.quotient:
         if "gerby" not in config:
             raise InputError("--quotient needs a 'gerby' section in the configuration")
-        value = counting.twisted_pic_quotient_order(_gerby_from(config, graph))
+        gerby = _gerby_from(config, graph)
+        # the product has about sum(log10(order)) digits
+        if sum(map(math.log10, gerby.edge_orders() + gerby.tail_orders())) > _DIGIT_BOUND:
+            raise InputError(
+                f"the product of the orders is past the result bound of {_DIGIT_BOUND:,} digits"
+            )
+        value = counting.twisted_pic_quotient_order(gerby)
         formula = "prod(gamma_e : e any edge) * prod(gamma_t : t any tail)"
     elif "gerby" in config:
-        value = counting.twisted_picard_torsion(_gerby_from(config, graph), r)
+        gerby = _gerby_from(config, graph)
+        _bound_search_work(graph, splits=False)
+        value = counting.twisted_picard_torsion(gerby, r)
         formula = "r^(2g-b1) * prod(gcd(gamma_e, r) : e non-separating)"
     else:
         value = counting.prestable_picard_torsion(graph, r)

@@ -332,9 +332,10 @@ class CyclotomicNumber:
 
     def __mul__(self, other: object) -> "CyclotomicNumber":
         if isinstance(other, (int, Fraction)):
+            scale = other.numerator  # a property of Fraction: read it once
             return _canonical(
                 self.order,
-                tuple(c * other.numerator for c in self.numerators),
+                tuple(c * scale for c in self.numerators),
                 self.denominator * other.denominator,
             )
         if not isinstance(other, CyclotomicNumber):

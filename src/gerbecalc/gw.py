@@ -11,15 +11,22 @@ Curve classes live in the free monoid Z^m >= 0 and enter only through the
 Novikov exponent and a mod-r pairing residue.  Cohomology of the base is an
 abstract indexed basis with no grading or products.
 
-A character-basis invariant vanishes by definition unless all of its
+Each invariant has one formula.  A sector-basis invariant is the base
+value times r^(2g-1) when its sector tuple is admissible for k(beta), and 0
+otherwise (_sector_factor).  A character-basis invariant is by definition
+the character transform of the sector invariants, (1/r)^n times the sum
+over sector tuples g of prod chi_rho(g_i^-1) times the sector invariant,
+with the characters evaluated by abelian.evaluate_character
+(_character_factors).  It vanishes by definition unless all of its
 insertions carry one character, so the gerbe potential never enumerates a
-monomial that mixes characters: per curve class it holds the empty
-monomial and r single-character copies of each base monomial, instead of
-every multiset of the b*r*(j+1) gerbe variables.  The rho-copy of a base
-monomial is r^(2g-2) * (base value) * chi_rho(zeta_r^(-k(beta))), so the r
-copies share one lookup and one rational and differ by a root of unity;
-gerbe_invariant_rho computes the same value for one key and is the
-reference the regrouped build is tested against.
+monomial that mixes characters: per curve class it holds the r
+single-character copies of each base monomial, the empty monomial
+included, instead of every multiset of the b*r*(j+1) gerbe variables.
+gerbe_invariant_rho and the gerbe-basis build both read the transform,
+which is never written in closed form here; the Novikov twist
+character_twist is used only by substitute_novikov, on the right side of
+verify_decomposition, so that check compares two independent
+computations.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from fractions import Fraction
 from random import Random
 from typing import Iterable, Mapping, Sequence
 
-from .abelian import FiniteAbelianGroup
+from .abelian import FiniteAbelianGroup, evaluate_character
 from .admissibility import ContactType, is_admissible
 from .exactnum import CyclotomicNumber, Rational, root_of_unity
 
@@ -266,6 +273,40 @@ def character_twist(spec: GerbeSpec, rho: int, k: int) -> CyclotomicNumber:
     return root_of_unity(-rho * k, spec.band_order)
 
 
+def _sector_factor(spec: GerbeSpec, genus: int, beta, sectors: Sequence[int]) -> Fraction:
+    # The one sector rule: r^(2g-1) when the tuple is admissible for k(beta), else 0.
+    r = spec.band_order
+    types = [ContactType.from_residue(s, r) for s in sectors]
+    if not is_admissible(types, r, pairing_value(spec, beta)):
+        return Fraction(0)
+    return Fraction(r) ** (2 * genus - 1)
+
+
+def _character_factors(spec: GerbeSpec, genus: int, beta, n: int) -> list[CyclotomicNumber]:
+    """For each rho, (1/r)^n * sum over sector n-tuples g of chi_rho(g^-1) times
+    _sector_factor(g): the factor that turns the base value of an n-point
+    invariant into its single-character gerbe invariant.
+
+    The empty tuple stands alone, with the empty product 1 as its character
+    value.  Otherwise chi_rho sees g only through its sum s, and r^(n-1)
+    tuples share each s, so admissibility is tested once per s, on
+    (s, 0, ..., 0), and each sum weighs (1/r)^n * r^(n-1) = 1/r.
+    """
+    r = spec.band_order
+    if n == 0:
+        return [CyclotomicNumber.from_rational(_sector_factor(spec, genus, beta, ()), r)] * r
+    group = spec.group()
+    weights = [(s, _sector_factor(spec, genus, beta, (s,) + (0,) * (n - 1)) / r) for s in range(r)]
+    weights = [(s, w) for s, w in weights if w]
+    zero = CyclotomicNumber.zero(r)
+    factors = []
+    for rho in range(r):
+        chi = group.character((rho,))
+        terms = [evaluate_character(group, chi, group.element((-s,))) * w for s, w in weights]
+        factors.append(sum(terms[1:], terms[0]) if terms else zero)
+    return factors
+
+
 def gerbe_invariant_sector(
     spec: GerbeSpec,
     base: BaseTheoryTable,
@@ -281,11 +322,7 @@ def gerbe_invariant_sector(
     """
     beta = _check_curve_class(beta, spec.beta_rank)
     value = base.lookup(genus, beta, [s.underlying() for s in insertions])
-    r = spec.band_order
-    types = [ContactType.from_residue(s.sector, r) for s in insertions]
-    if not is_admissible(types, r, pairing_value(spec, beta)):
-        return Fraction(0)
-    return Fraction(r) ** (2 * genus - 1) * value
+    return _sector_factor(spec, genus, beta, [s.sector for s in insertions]) * value
 
 
 def gerbe_invariant_rho(
@@ -297,25 +334,19 @@ def gerbe_invariant_rho(
 ) -> CyclotomicNumber:
     """Gerbe invariant with character-basis insertions, in Q(zeta_r).
 
-    Zero unless all characters agree on a common rho; in that case
-    r^(2g-2) * base value * chi_rho(zeta_r^(-k)).  The empty tuple is the
-    plain gerbe invariant: r^(2g-1) * base value when k(beta) = 0, else 0.
+    The character transform of the sector invariants: zero by definition
+    unless all characters agree on a common rho, and then the base value
+    times the rho entry of _character_factors.  The empty tuple takes the
+    one factor that all rho share.
     """
     beta = _check_curve_class(beta, spec.beta_rank)
     value = base.lookup(genus, beta, [s.underlying() for s in insertions])
     r = spec.band_order
-    k = pairing_value(spec, beta)
-    if not insertions:
-        if k != 0:
-            return CyclotomicNumber.zero(r)
-        scalar = Fraction(r) ** (2 * genus - 1) * value
-        return CyclotomicNumber.from_rational(scalar, r)
     characters = {s.character % r for s in insertions}
     if len(characters) > 1:
         return CyclotomicNumber.zero(r)
-    rho = characters.pop()
-    scalar = Fraction(r) ** (2 * genus - 2) * value
-    return character_twist(spec, rho, k) * scalar
+    rho = characters.pop() if characters else 0
+    return _character_factors(spec, genus, beta, len(insertions))[rho] * value
 
 
 @dataclass(frozen=True, eq=False)
@@ -373,57 +404,52 @@ def build_potential(
     variables and the character-basis gerbe invariants; basis "base" uses
     (class_index, psi_power) variables and the raw base table.
 
-    The gerbe basis holds, per curve class, the empty monomial and the r
-    single-character copies of each nonempty base monomial.  A monomial
-    mixing two characters is never enumerated: its invariant is zero by
-    definition, so it could never contribute a coefficient, and the copies
-    already look up every base key such a monomial would.  The copies of
-    one base monomial share its base value: per curve class the empty
-    monomial goes through gerbe_invariant_rho, each nonempty base monomial
-    is looked up once, in key order, and its r^(2g-2) * value / weight is
-    scaled by the Novikov twist zeta_r^(-rho*k(beta)) of each rho.  The
-    coefficients, the zero-fill warnings and their order and any
-    CoverageError are those of gerbe_invariant_rho applied key by key.
+    Both bases list the base monomials with n = 0, ..., n_max insertions
+    and look each up once per curve class, in key order.  The gerbe basis
+    holds the r single-character copies of each: the rho-copy of an
+    n-point monomial is its value / weight times the rho entry of
+    _character_factors for n, computed once per (curve class, n).  The
+    empty monomial is one key for every rho.  A monomial mixing two
+    characters is never enumerated: its invariant is zero by definition, so
+    it could never contribute a coefficient, and the copies already look up
+    every base key such a monomial would.  The coefficients, the zero-fill
+    warnings and their order and any CoverageError are those of
+    gerbe_invariant_rho applied key by key.
     """
     if basis not in ("gerbe", "base"):
         raise ValueError(f"unknown basis {basis!r}")
-    r = spec.band_order
     variables = [
         (i, j) for i in range(base.basis_size) for j in range(truncation.j_max + 1)
     ]
     monomials = [
         combo
-        for n in range(1, truncation.n_max + 1)
+        for n in range(truncation.n_max + 1)
         for combo in itertools.combinations_with_replacement(variables, n)
     ]
-    scale = Fraction(r) ** (2 * genus - 2)
     coefficients = {}
     for beta in truncation.betas:
         if basis == "gerbe":
-            empty = gerbe_invariant_rho(spec, base, genus, beta, ())
-        else:
-            empty = CyclotomicNumber.from_rational(base.lookup(genus, beta, ()))
-        if not empty.is_zero():
-            coefficients[(beta, ())] = empty
+            factors = [_character_factors(spec, genus, beta, n) for n in range(truncation.n_max + 1)]
         # one lookup per base monomial, in the order the keys list them
         values = [
             base.lookup(genus, beta, [Insertion(i, j) for (i, j) in monomial])
             * _monomial_weight(monomial)
             for monomial in monomials
         ]
+        nonzero = [(monomial, value) for monomial, value in zip(monomials, values) if value]
         if basis == "base":
-            for monomial, value in zip(monomials, values):
-                if value:
-                    coefficients[(beta, monomial)] = CyclotomicNumber.from_rational(value)
+            for monomial, value in nonzero:
+                coefficients[(beta, monomial)] = CyclotomicNumber.from_rational(value)
             continue
-        k = pairing_value(spec, beta)
-        values = [scale * value for value in values]
-        for rho in range(r):
-            twist = character_twist(spec, rho, k)
-            for monomial, value in zip(monomials, values):
-                if value:
-                    relabeled = tuple((i, rho, j) for (i, j) in monomial)
-                    coefficients[(beta, relabeled)] = twist * value
+        rows = [(n, list(row)) for n, row in itertools.groupby(nonzero, lambda mv: len(mv[0]))]
+        for rho in range(spec.band_order):
+            for n, row in rows:
+                factor = factors[n][rho]
+                # the empty monomial is one key for every rho; rho = 0 writes it
+                if (n or not rho) and not factor.is_zero():
+                    for monomial, value in row:
+                        key = (beta, tuple((i, rho, j) for (i, j) in monomial))
+                        coefficients[key] = factor * value
     return PotentialSeries(basis, genus, truncation, coefficients)
 
 

@@ -6,7 +6,8 @@ by the cyclotomic polynomial where it reads reduced powers of zeta from a
 table, DFS lowlinks where it deletes each edge and searches what is left
 (the package keeps no lowlink pass, so this check stays independent),
 leaf peeling where it splits at a single edge, a literal character double
-sum where it uses the vanishing shortcut, every multiset of gerbe
+sum over every sector tuple where it tests one tuple per sum of the
+sectors, every multiset of gerbe
 variables where the gerbe potential enumerates single-character monomials
 only, one gerbe_invariant_rho call per key where the gerbe potential looks
 each base monomial up once for all its character copies, and every

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import graph_of
 from gerbecalc import admissibility, cli, counting, gw
 from gerbecalc.admissibility import ContactType
-from gerbecalc.exactnum import CyclotomicNumber
+from gerbecalc.exactnum import CyclotomicNumber, root_of_unity
 
 
 def run(capsys, *argv):
@@ -153,6 +154,22 @@ def test_picard_torsion_variants(capsys, tmp_path):
     assert "'gerby' section" in err
 
 
+def test_quotient_past_the_digit_bound_is_an_input_error(capsys, tmp_path):
+    # each order 10^4000 adds 4,000 digits to the product
+    order = 10**4000
+    for edges, code in ((24, 0), (26, 2)):
+        path = graph_config(
+            tmp_path, r=2, vertices=[0], edges=[(0, 0)] * edges,
+            gerby={"tail_orders": [], "edge_orders": [order] * edges},
+        )
+        status, out, err = run(capsys, "picard-torsion", "--input", path, "--quotient")
+        assert status == code
+        if code == 0:
+            assert json.loads(out)["result"]["value"] == "1" + "0" * (4000 * edges)
+        else:
+            assert out == "" and "result bound of 100,000 digits" in err
+
+
 def test_fiber_count(capsys, tmp_path):
     path = graph_config(
         tmp_path, r=2, vertices=[0], edges=[(0, 0)],
@@ -220,6 +237,25 @@ def test_fiber_count_on_a_forest_has_no_free_edge_to_bound(capsys, tmp_path):
     assert json.loads(out)["result"] == {"value": str(r**2), "formula": "r^(2g)"}
 
 
+@pytest.mark.parametrize("command", ["picard-torsion", "count-lifts", "compatible-graphs", "fiber-count"])
+def test_graph_searches_past_the_bound_are_input_errors(capsys, tmp_path, monkeypatch, command):
+    # a 2,000-vertex path: 1,999 classification searches of 3,999 steps each
+    def never(*args):
+        raise AssertionError("the edges were classified before the bound was checked")
+
+    for module in (cli, counting, admissibility):
+        monkeypatch.setattr(module, "classify_edges", never)
+    n = 2000
+    path = graph_config(
+        tmp_path, r=2, vertices=[0] * n, edges=[(v, v + 1) for v in range(n - 1)],
+        gerby={"tail_orders": [], "edge_orders": [1] * (n - 1)},
+        degree_data={"vertex_residues": [0] * n, "tail_types": []},
+    )
+    code, out, err = run(capsys, command, "--input", path)
+    assert code == 2 and out == ""
+    assert "edge classification" in err and "work bound of 1,000,000 steps" in err
+
+
 @pytest.mark.parametrize("n, r", [(2, 10**12), (1_000_001, 1)])
 def test_admissible_vectors_past_the_bound_are_an_input_error(capsys, n, r):
     code, out, err = run(capsys, "enumerate-admissible", "--n", str(n), "--r", str(r), "--k", "0")
@@ -232,6 +268,13 @@ def test_work_at_the_bound_still_runs(capsys, tmp_path):
     cli._bound_work("steps", 1, 10**18, 10**6)
     with pytest.raises(cli.InputError, match="work bound"):
         cli._bound_work("steps", 10, 6, 2)
+    # graph searches on paths: 499 classification and 499 split searches of
+    # 999 steps (997,002), or without splits 706 searches of 1,413 (997,578)
+    for n, splits in ((500, True), (707, False)):
+        cli._bound_search_work(graph_of([0] * n, [(v, v + 1) for v in range(n - 1)]), splits)
+        longer = graph_of([0] * (n + 1), [(v, v + 1) for v in range(n)])
+        with pytest.raises(cli.InputError, match="edge classification"):
+            cli._bound_search_work(longer, splits)
     # sqrt(10^12) = 10^6 trial divisions of r, exactly at the bound
     path = graph_config(
         tmp_path, r=10**12, vertices=[1], edges=[],
@@ -316,6 +359,39 @@ def test_verify_exit_one_on_failure(capsys, tmp_path, monkeypatch):
     result = json.loads(out)["result"]
     assert result["status"] == "fail"
     assert result["first_differing_key"] == {"beta": [0], "monomial": []}
+
+
+def assert_verify_fails(capsys, tmp_path):
+    """Both the in-process check and the verify command catch a broken gerbe
+    layer at r = 3 on the one class beta = (1,), where k(beta) = 1."""
+    spec = gw.GerbeSpec(3, (1,))
+    truncation = gw.Truncation(1, 0, [(1,)])
+    table = gw.BaseTheoryTable.seeded(1, 0, truncation, 7)
+    report = gw.verify_decomposition(spec, table, 0, truncation)
+    assert not report.passed
+    assert report.first_differing_key == ((1,), ((0, 1, 0),))
+    assert report.lhs_value != report.rhs_value
+    path = gw_config(tmp_path, r=3, truncation={"n_max": 1, "j_max": 0, "betas": [[1]]})
+    code, out, _ = run(capsys, "verify", "--input", path, "--seed", "7")
+    assert code == 1
+    result = json.loads(out)["result"]
+    assert result["status"] == "fail"
+    assert result["first_differing_key"] == {"beta": [1], "monomial": [[0, 1, 0]]}
+
+
+def test_verify_fails_on_a_conjugated_novikov_twist(capsys, tmp_path, monkeypatch):
+    # zeta^(+rho*k) instead of zeta^(-rho*k): only the right side of verify twists
+    monkeypatch.setattr(
+        gw, "character_twist", lambda spec, rho, k: root_of_unity(rho * k, spec.band_order)
+    )
+    assert_verify_fails(capsys, tmp_path)
+
+
+def test_verify_fails_on_a_shifted_sector_rule(capsys, tmp_path, monkeypatch):
+    # admissible for k(beta) + 1 instead of k(beta): only the left side tests sectors
+    admissible = gw.is_admissible
+    monkeypatch.setattr(gw, "is_admissible", lambda types, r, k: admissible(types, r, k + 1))
+    assert_verify_fails(capsys, tmp_path)
 
 
 def test_verify_with_explicit_table(capsys, tmp_path):

@@ -232,6 +232,26 @@ def test_rho_invariant_matches_double_sum_oracle():
             [CharacterInsertion(rhos[0], 0, 0), CharacterInsertion(rhos[1], 1, 1)],
         )
         assert got == oracles.character_double_sum(3, rhos, 1, 1, value)
+    # every r <= 6, every k in Z/r (the class (k,) under the pairing 1),
+    # genus 0-2 and every single-character tuple of up to three insertions
+    slots = [Insertion(0, 0), Insertion(1, 1), Insertion(0, 1)]
+    for r, genus in itertools.product(range(1, 7), range(3)):
+        spec = GerbeSpec(r, (1 % r,))
+        truncation = Truncation(3, 1, [(k,) for k in range(r)])
+        records = [
+            (genus, (k,), slots[:n], Fraction(3 + n + k, 5 + genus))
+            for k in range(r)
+            for n in range(4)
+        ]
+        table = BaseTheoryTable.from_records(2, genus, truncation, records)
+        for _, (k,), insertions, value in records:
+            for rho in range(r) if insertions else [0]:
+                got = gerbe_invariant_rho(
+                    spec, table, genus, (k,),
+                    [CharacterInsertion(rho, i.class_index, i.psi_power) for i in insertions],
+                )
+                rhos = (rho,) * len(insertions)
+                assert got == oracles.character_double_sum(r, rhos, genus, k, value)
 
 
 def test_potential_divides_by_multiplicities():
