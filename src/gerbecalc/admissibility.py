@@ -216,6 +216,18 @@ def separating_node_order(
     return ContactType.from_residue(total, r)
 
 
+def _cut_orders(graph: ModularGraph, data: DegreeData, r: int) -> dict[int, int]:
+    """Per forest edge, r / gcd(s, r), with s the k_v minus the tail residues
+    summed over the subtree below the edge in one reversed sweep.  At a
+    bridge that is the order separating_node_order gives, from either side."""
+    total = list(data.vertex_residues)
+    for f, t in zip(graph.tails(), data.tail_types):
+        total[graph.attachment[f]] -= t.residue(r)
+    for _e, child, parent in reversed(graph._forest):
+        total[parent] += total[child]
+    return {e: r // math.gcd(total[child], r) for e, child, _ in graph._forest}
+
+
 def enumerate_compatible_gerby(
     graph: ModularGraph, data: DegreeData, r: int
 ) -> Iterator[GerbyGraph]:
@@ -241,9 +253,8 @@ def enumerate_compatible_gerby(
             f"ages must sum to {data.total_residue(r)}/{r} mod 1"
         )
     separating, nonseparating = classify_edges(graph)
-    fixed = tuple(t.order for t in data.tail_types) + tuple(
-        separating_node_order(graph, data, e, r).order for e in separating
-    )
+    cut = _cut_orders(graph, data, r)
+    fixed = tuple(t.order for t in data.tail_types) + tuple(cut[e] for e in separating)
     slot = [0] * graph.num_flags
     for i, f in enumerate(graph.tails()):
         slot[f] = i

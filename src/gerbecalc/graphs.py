@@ -7,8 +7,8 @@ derived views, so there are no special cases for self-loops, parallel edges,
 or marked points.
 
 Graphs must be connected; disconnected input is a construction error.
-Connectivity, bridges and the sides of a bridge all come from one search,
-_spanning_forest, which the fiber count also uses to order its leaf peel.
+Each graph is searched once, by _spanning_forest, when built; classify_edges,
+split_at_edge and admissibility._cut_orders read the forest it keeps.
 
 _field is the one reader of configuration fields, here so that from_config
 and the command line share it without an import cycle.
@@ -55,8 +55,10 @@ class ModularGraph:
             self, "_tails", tuple(f for f, j in enumerate(self.involution) if j == f)
         )
         pairs = [(self.attachment[f1], self.attachment[f2]) for f1, f2 in self._edges]
-        if len(_spanning_forest(n_vertices, pairs)[0]) != 1:
+        roots, steps = _spanning_forest(n_vertices, pairs)
+        if len(roots) != 1:
             raise ValueError("graph is not connected")
+        object.__setattr__(self, "_forest", tuple(steps))
 
     @property
     def num_flags(self) -> int:
@@ -200,19 +202,20 @@ def classify_edges(graph: ModularGraph) -> tuple[tuple[int, ...], tuple[int, ...
 
     An edge is separating when deleting it disconnects the graph; the
     non-separating ("loop") edges are exactly the spanning-tree complements.
+    Each edge e toggles bit e at both endpoints (a self-loop cancels), so the
+    bits summed over the subtree below a forest edge, in one reversed sweep,
+    are the edges leaving it; the forest edge separates when it alone leaves.
     """
-    pairs = [graph.vertices_of_edge(e) for e in range(graph.num_edges)]
-    separating = []
-    nonseparating = []
-    for e in range(len(pairs)):
-        if len(_spanning_forest(graph.num_vertices, pairs[:e] + pairs[e + 1 :])[0]) == 1:
-            nonseparating.append(e)
-        else:
-            separating.append(e)
-    return tuple(separating), tuple(nonseparating)
+    marks = [0] * graph.num_vertices
+    for e in range(graph.num_edges):
+        for v in graph.vertices_of_edge(e):
+            marks[v] ^= 1 << e
+    for _e, child, parent in reversed(graph._forest):
+        marks[parent] ^= marks[child]
+    bridges = {e for e, child, _ in graph._forest if marks[child] == 1 << e}
+    return tuple(sorted(bridges)), tuple(sorted(set(range(graph.num_edges)) - bridges))
 
 
-@lru_cache(maxsize=None)
 def split_at_edge(graph: ModularGraph, edge_index: int) -> tuple[frozenset, frozenset]:
     """Vertex sets of the two components after deleting a separating edge.
 
@@ -221,16 +224,13 @@ def split_at_edge(graph: ModularGraph, edge_index: int) -> tuple[frozenset, froz
     separating, _ = classify_edges(graph)
     if edge_index not in separating:
         raise ValueError(f"edge {edge_index} is not separating")
-    pairs = [graph.vertices_of_edge(e) for e in range(graph.num_edges) if e != edge_index]
-    _, steps = _spanning_forest(graph.num_vertices, pairs)
-    label = list(range(graph.num_vertices))
-    for _e, child, parent in steps:
-        label[child] = label[parent]
-    f1, _f2 = graph.edges()[edge_index]
-    root = label[graph.attachment[f1]]
-    side = frozenset(v for v, top in enumerate(label) if top == root)
-    other = frozenset(range(graph.num_vertices)) - side
-    return side, other
+    below = [False] * graph.num_vertices
+    # One side is the vertices below the edge; steps mark a parent before its child.
+    for e, child, parent in graph._forest:
+        below[child] = e == edge_index or below[parent]
+    lower = below[graph.attachment[graph.edges()[edge_index][0]]]
+    side = frozenset(v for v in range(graph.num_vertices) if below[v] == lower)
+    return side, frozenset(range(graph.num_vertices)) - side
 
 
 @dataclass(frozen=True)

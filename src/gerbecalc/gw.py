@@ -282,10 +282,10 @@ def _sector_factor(spec: GerbeSpec, genus: int, beta, sectors: Sequence[int]) ->
     return Fraction(r) ** (2 * genus - 1)
 
 
-def _character_factors(spec: GerbeSpec, genus: int, beta, n: int) -> list[CyclotomicNumber]:
-    """For each rho, (1/r)^n * sum over sector n-tuples g of chi_rho(g^-1) times
-    _sector_factor(g): the factor that turns the base value of an n-point
-    invariant into its single-character gerbe invariant.
+def _character_factors(spec: GerbeSpec, genus: int, beta, n: int, rhos) -> list[CyclotomicNumber]:
+    """For each rho in rhos, (1/r)^n * sum over sector n-tuples g of
+    chi_rho(g^-1) times _sector_factor(g): the factor that turns the base
+    value of an n-point invariant into its single-character gerbe invariant.
 
     The empty tuple stands alone, with the empty product 1 as its character
     value.  Otherwise chi_rho sees g only through its sum s, and r^(n-1)
@@ -294,13 +294,14 @@ def _character_factors(spec: GerbeSpec, genus: int, beta, n: int) -> list[Cyclot
     """
     r = spec.band_order
     if n == 0:
-        return [CyclotomicNumber.from_rational(_sector_factor(spec, genus, beta, ()), r)] * r
+        factor = CyclotomicNumber.from_rational(_sector_factor(spec, genus, beta, ()), r)
+        return [factor] * len(rhos)
     group = spec.group()
     weights = [(s, _sector_factor(spec, genus, beta, (s,) + (0,) * (n - 1)) / r) for s in range(r)]
     weights = [(s, w) for s, w in weights if w]
     zero = CyclotomicNumber.zero(r)
     factors = []
-    for rho in range(r):
+    for rho in rhos:
         chi = group.character((rho,))
         terms = [evaluate_character(group, chi, group.element((-s,))) * w for s, w in weights]
         factors.append(sum(terms[1:], terms[0]) if terms else zero)
@@ -336,7 +337,7 @@ def gerbe_invariant_rho(
 
     The character transform of the sector invariants: zero by definition
     unless all characters agree on a common rho, and then the base value
-    times the rho entry of _character_factors.  The empty tuple takes the
+    times _character_factors for that rho alone.  The empty tuple takes the
     one factor that all rho share.
     """
     beta = _check_curve_class(beta, spec.beta_rank)
@@ -346,7 +347,7 @@ def gerbe_invariant_rho(
     if len(characters) > 1:
         return CyclotomicNumber.zero(r)
     rho = characters.pop() if characters else 0
-    return _character_factors(spec, genus, beta, len(insertions))[rho] * value
+    return _character_factors(spec, genus, beta, len(insertions), (rho,))[0] * value
 
 
 @dataclass(frozen=True, eq=False)
@@ -429,7 +430,10 @@ def build_potential(
     coefficients = {}
     for beta in truncation.betas:
         if basis == "gerbe":
-            factors = [_character_factors(spec, genus, beta, n) for n in range(truncation.n_max + 1)]
+            factors = [
+                _character_factors(spec, genus, beta, n, range(spec.band_order))
+                for n in range(truncation.n_max + 1)
+            ]
         # one lookup per base monomial, in the order the keys list them
         values = [
             base.lookup(genus, beta, [Insertion(i, j) for (i, j) in monomial])

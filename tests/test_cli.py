@@ -1,18 +1,20 @@
 """End-to-end tests for the command line interface."""
 
 import contextlib
+import importlib.util
 import io
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graph_of
-from gerbecalc import admissibility, cli, counting, gw
-from gerbecalc.admissibility import ContactType
+from gerbecalc import admissibility, cli, counting, graphs, gw
 from gerbecalc.exactnum import CyclotomicNumber, root_of_unity
 
 
@@ -237,23 +239,64 @@ def test_fiber_count_on_a_forest_has_no_free_edge_to_bound(capsys, tmp_path):
     assert json.loads(out)["result"] == {"value": str(r**2), "formula": "r^(2g)"}
 
 
-@pytest.mark.parametrize("command", ["picard-torsion", "count-lifts", "compatible-graphs", "fiber-count"])
+def path_config(tmp_path, n):
+    return graph_config(
+        tmp_path, r=2, vertices=[0] * n, edges=[(v, v + 1) for v in range(n - 1)],
+        gerby={"tail_orders": [], "edge_orders": [1] * (n - 1)},
+        degree_data={"vertex_residues": [0] * n, "tail_types": []}, name=f"path{n}.json",
+    )
+
+
+@pytest.mark.parametrize("command", ["compatible-graphs", "fiber-count"])
 def test_graph_searches_past_the_bound_are_input_errors(capsys, tmp_path, monkeypatch, command):
-    # a 2,000-vertex path: 1,999 classification searches of 3,999 steps each
+    # a 2,000-vertex path: (1,999 + 1,999) * 3,999 graph-size steps
     def never(*args):
         raise AssertionError("the edges were classified before the bound was checked")
 
     for module in (cli, counting, admissibility):
         monkeypatch.setattr(module, "classify_edges", never)
-    n = 2000
-    path = graph_config(
-        tmp_path, r=2, vertices=[0] * n, edges=[(v, v + 1) for v in range(n - 1)],
-        gerby={"tail_orders": [], "edge_orders": [1] * (n - 1)},
-        degree_data={"vertex_residues": [0] * n, "tail_types": []},
-    )
-    code, out, err = run(capsys, command, "--input", path)
+    code, out, err = run(capsys, command, "--input", path_config(tmp_path, 2000))
     assert code == 2 and out == ""
-    assert "edge classification" in err and "work bound of 1,000,000 steps" in err
+    assert "graph-size steps" in err and "work bound of 1,000,000 steps" in err
+
+
+@pytest.mark.parametrize("command", ["picard-torsion", "count-lifts"])
+def test_one_pass_graph_commands_run_on_long_paths(capsys, tmp_path, command):
+    # these classify the edges in one pass over the graph's one search; a
+    # search per edge would take 20,000 searches of 40,000 steps here
+    for n in (2000, 20000):
+        code, out, _ = run(capsys, command, "--input", path_config(tmp_path, n))
+        assert code == 0 and json.loads(out)["result"]["value"] == "1"
+
+
+def test_each_graph_is_searched_once(capsys, tmp_path, monkeypatch):
+    # the benchmark's graph-trees tree: 150 vertices, 2 loops, 2 cycles
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", Path(__file__).parents[1] / "perfbench" / "inputs.py"
+    )
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    path = write_json(tmp_path, "tree.json", inputs.tree_with_cycles(Random(201), 3, 150, 2, [2, 3]))
+    # counting imports _spanning_forest by name, so the fiber count's own
+    # search over its cycle edges is not counted here
+    seen = {"graphs": 0, "searches": 0}
+    search, post_init = graphs._spanning_forest, graphs.ModularGraph.__post_init__
+
+    def counted_search(*args):
+        seen["searches"] += 1
+        return search(*args)
+
+    def counted_post_init(graph):
+        seen["graphs"] += 1
+        post_init(graph)
+
+    monkeypatch.setattr(graphs, "_spanning_forest", counted_search)
+    monkeypatch.setattr(graphs.ModularGraph, "__post_init__", counted_post_init)
+    for command in ("picard-torsion", "count-lifts", "compatible-graphs", "fiber-count"):
+        seen.update(graphs=0, searches=0)
+        code, _, _ = run(capsys, command, "--input", path)
+        assert code == 0
+        assert seen["graphs"] == seen["searches"] == 1
 
 
 @pytest.mark.parametrize("n, r", [(2, 10**12), (1_000_001, 1)])
@@ -268,13 +311,12 @@ def test_work_at_the_bound_still_runs(capsys, tmp_path):
     cli._bound_work("steps", 1, 10**18, 10**6)
     with pytest.raises(cli.InputError, match="work bound"):
         cli._bound_work("steps", 10, 6, 2)
-    # graph searches on paths: 499 classification and 499 split searches of
-    # 999 steps (997,002), or without splits 706 searches of 1,413 (997,578)
-    for n, splits in ((500, True), (707, False)):
-        cli._bound_search_work(graph_of([0] * n, [(v, v + 1) for v in range(n - 1)]), splits)
-        longer = graph_of([0] * (n + 1), [(v, v + 1) for v in range(n)])
-        with pytest.raises(cli.InputError, match="edge classification"):
-            cli._bound_search_work(longer, splits)
+    # the graph size of paths: (499 + 499) * 999 = 997,002 steps at 500
+    # vertices, (500 + 500) * 1,001 at 501
+    cli._bound_graph_work(graph_of([0] * 500, [(v, v + 1) for v in range(499)]), 2, True)
+    longer = graph_of([0] * 501, [(v, v + 1) for v in range(500)])
+    with pytest.raises(cli.InputError, match="graph-size steps"):
+        cli._bound_graph_work(longer, 2, True)
     # sqrt(10^12) = 10^6 trial divisions of r, exactly at the bound
     path = graph_config(
         tmp_path, r=10**12, vertices=[1], edges=[],
@@ -298,7 +340,9 @@ def test_internal_check_failure_exits_three(capsys, tmp_path, monkeypatch):
 
 
 def test_wrong_bridge_order_exits_three(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(admissibility, "separating_node_order", lambda *a: ContactType(0, 1))
+    monkeypatch.setattr(
+        admissibility, "_cut_orders", lambda graph, *a: dict.fromkeys(range(graph.num_edges), 1)
+    )
     path = graph_config(
         tmp_path, r=4, vertices=[0, 0, 0], edges=[(0, 1), (1, 2), (1, 2)], tails=[0],
         degree_data={"vertex_residues": [1, 1, 0], "tail_types": ["1/2"]},

@@ -314,7 +314,9 @@ def test_fiber_count_detects_wrong_bridge_orders(monkeypatch):
     path = graph_of([0, 0, 0], [(0, 1), (1, 2), (1, 2)], tails=[0])
     data = DegreeData((1, 1, 0), (ContactType(1, 2),))
     assert fiber_point_count(path, data, 4) == 16
-    monkeypatch.setattr(admissibility, "separating_node_order", lambda *a: ContactType(0, 1))
+    monkeypatch.setattr(
+        admissibility, "_cut_orders", lambda graph, *a: dict.fromkeys(range(graph.num_edges), 1)
+    )
     with pytest.raises(AssertionError, match="closed form"):
         fiber_point_count(path, data, 4)
 

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from gerbecalc import gw
 from gerbecalc.abelian import FiniteAbelianGroup, evaluate_character
 from gerbecalc.exactnum import CyclotomicNumber, root_of_unity
 from gerbecalc.gw import (
@@ -219,6 +220,23 @@ def test_rho_invariant_mixed_characters_vanish():
     table, _ = small_table()
     mixed = [CharacterInsertion(0, 0, 0), CharacterInsertion(1, 0, 0)]
     assert gerbe_invariant_rho(spec, table, 0, (1,), mixed).is_zero()
+
+
+def test_rho_invariant_evaluates_only_its_own_character(monkeypatch):
+    spec = GerbeSpec(12, (5,))
+    table, truncation = small_table(r_betas=((1,),), genus=1)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return evaluate_character(*args)
+
+    monkeypatch.setattr(gw, "evaluate_character", counted)
+    insertions = [CharacterInsertion(7, 0, 0), CharacterInsertion(7, 1, 1)]
+    got = gerbe_invariant_rho(spec, table, 1, (1,), insertions)
+    assert len(calls) == 1
+    built = build_potential(spec, table, 1, truncation, "gerbe")
+    assert got == built.coefficients[((1,), ((0, 7, 0), (1, 7, 1)))]
 
 
 def test_rho_invariant_matches_double_sum_oracle():
