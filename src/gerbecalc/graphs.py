@@ -201,7 +201,7 @@ def classify_edges(graph: ModularGraph) -> tuple[tuple[int, ...], tuple[int, ...
     """Edge indices split into (separating, non-separating).
 
     An edge is separating when deleting it disconnects the graph; the
-    non-separating ("loop") edges are exactly the spanning-tree complements.
+    non-separating ("loop") edges are the ones on a cycle, self-loops included.
     Each edge e toggles bit e at both endpoints (a self-loop cancels), so the
     bits summed over the subtree below a forest edge, in one reversed sweep,
     are the edges leaving it; the forest edge separates when it alone leaves.
