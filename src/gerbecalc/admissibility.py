@@ -217,9 +217,8 @@ def separating_node_order(
 
 
 def _cut_orders(graph: ModularGraph, data: DegreeData, r: int) -> dict[int, int]:
-    """Per forest edge, r / gcd(s, r), with s the k_v minus the tail residues
-    summed over the subtree below the edge in one reversed sweep.  At a
-    bridge that is the order separating_node_order gives, from either side."""
+    """Per forest edge, r / gcd(s, r) for s the sum of k_v minus tail residues
+    below it: at a bridge, the order separating_node_order gives."""
     total = list(data.vertex_residues)
     for f, t in zip(graph.tails(), data.tail_types):
         total[graph.attachment[f]] -= t.residue(r)

@@ -18,9 +18,12 @@ Before enumerating, enumerate-admissible, compatible-graphs, count-lifts,
 fiber-count, decompose and verify estimate their work from their inputs,
 and exit 2 when an estimate is past _WORK_BOUND steps (see there).
 decompose also estimates the r * C(b(j+1)+n, n) * classes * phi(r)
-coefficient strings of its sector records.  compatible-graphs and
-fiber-count first cap a graph's size at (E + min(E, V - 1)) * (V + E), so
-that the work of each decoration and each cycle assignment stays small.
+coefficient strings of its sector records.  Before classifying the edges
+of a graph, count-lifts and picard-torsion (with a gerby section) estimate
+the V * (E - V + 1) bits its classification marks may hold, and
+compatible-graphs and fiber-count cap the graph's size at
+(E + min(E, V - 1)) * (V + E), which is never less, so that the work of
+each decoration and each cycle assignment stays small too.
 degree, picard-torsion, count-lifts, fiber-count, decompose and verify
 also estimate the digits of their powers of r before computing them, and
 picard-torsion --quotient the sum of log10 of its edge and tail orders
@@ -49,9 +52,11 @@ from .graphs import GerbyGraph, ModularGraph, _field, betti1, classify_edges, to
 # decompose and verify the r * phi(r) coefficients of the powers of zeta_r,
 # the b(j+1) base variables, the phi(r) coefficients of each potential key
 # and, for decompose, the r * C(b(j+1)+n, n) * classes * phi(r)
-# coefficients of its sector records.  compatible-graphs and fiber-count
-# also cap a graph's size at (E + min(E, V - 1)) * (V + E): each decoration
-# and each cycle assignment reads the whole graph.  Each estimate is made before
+# coefficients of its sector records.  On a graph with V vertices and E
+# edges, classify_edges' marks hold up to V * (E - V + 1) bits, and
+# compatible-graphs and fiber-count cap the graph's size at the larger
+# (E + min(E, V - 1)) * (V + E), as each decoration and each cycle
+# assignment reads the whole graph.  Each estimate is made before
 # enumerating; past the bound the call exits 2.  At the bound a call takes
 # from under a second (trial division) to about 8 s and 290 MB
 # (enumerate-admissible --n 2 --r 500000, 2-vCPU VM, Python 3.11); the
@@ -88,6 +93,12 @@ def _bound_digits(what: str, r: int, exponent: int) -> None:
         raise InputError(f"{what} is past the result bound of {_DIGIT_BOUND:,} digits")
 
 
+def _bound_mark_work(graph: ModularGraph) -> None:
+    """Check the V * (E - V + 1) bits that classify_edges' marks may hold."""
+    what = "the V * (E - V + 1) mark bits of the edge classification"
+    _bound_work(what, graph.num_vertices, 1, betti1(graph))
+
+
 def _bound_graph_work(graph: ModularGraph, r: int, cycles: bool) -> None:
     """Check the graph size, the decorations, and with cycles the fiber
     count's assignments."""
@@ -108,8 +119,10 @@ def _bound_graph_work(graph: ModularGraph, r: int, cycles: bool) -> None:
         return
     pairs = [graph.vertices_of_edge(e) for e in range(graph.num_edges)]
     linking = sum(1 for u, v in pairs if u != v)
-    # a spanning tree of a connected graph has |V| - 1 edges, none a loop
-    _bound_work("the r^(free edges) cycle-count steps", r, linking - (graph.num_vertices - 1))
+    if linking:
+        # a spanning tree of a connected graph has |V| - 1 edges, none a loop
+        free = linking - (graph.num_vertices - 1)
+        _bound_work("the r^(free edges) cycle-count steps", r, free)
 
 
 def _bound_theory_work(
@@ -274,6 +287,7 @@ def _run_count_lifts(args) -> tuple[dict, dict, int]:
         _bound_work(
             "the sqrt(r) trial divisions of each edge order", math.isqrt(r), 1, graph.num_edges
         )
+        _bound_mark_work(graph)
     # r^(2g-b1) times a totient below r for each edge at most
     _bound_digits("the lift count", r, 2 * total_genus(graph) - betti1(graph) + graph.num_edges)
     lifts = counting.count_lifts(gerby, r, args.mode)
@@ -303,6 +317,7 @@ def _run_picard_torsion(args) -> tuple[dict, dict, int]:
         formula = "prod(gamma_e : e any edge) * prod(gamma_t : t any tail)"
     elif "gerby" in config:
         gerby = _gerby_from(config, graph)
+        _bound_mark_work(graph)
         value = counting.twisted_picard_torsion(gerby, r)
         formula = "r^(2g-b1) * prod(gcd(gamma_e, r) : e non-separating)"
     else:

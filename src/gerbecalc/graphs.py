@@ -202,17 +202,18 @@ def classify_edges(graph: ModularGraph) -> tuple[tuple[int, ...], tuple[int, ...
 
     An edge is separating when deleting it disconnects the graph; the
     non-separating ("loop") edges are the ones on a cycle, self-loops included.
-    Each edge e toggles bit e at both endpoints (a self-loop cancels), so the
-    bits summed over the subtree below a forest edge, in one reversed sweep,
-    are the edges leaving it; the forest edge separates when it alone leaves.
+    Each edge outside the forest toggles its own bit at both endpoints, so a
+    forest edge separates when the marks XOR-summed below it cancel.  The
+    marks hold at most V * (E - V + 1) bits, none on a tree.
     """
+    tree = {e for e, _, _ in graph._forest}
     marks = [0] * graph.num_vertices
-    for e in range(graph.num_edges):
+    for bit, e in enumerate(e for e in range(graph.num_edges) if e not in tree):
         for v in graph.vertices_of_edge(e):
-            marks[v] ^= 1 << e
+            marks[v] ^= 1 << bit
     for _e, child, parent in reversed(graph._forest):
         marks[parent] ^= marks[child]
-    bridges = {e for e, child, _ in graph._forest if marks[child] == 1 << e}
+    bridges = {e for e, child, _ in graph._forest if not marks[child]}
     return tuple(sorted(bridges)), tuple(sorted(set(range(graph.num_edges)) - bridges))
 
 

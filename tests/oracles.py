@@ -3,8 +3,9 @@
 Everything here is deliberately written with different algorithms than the
 package: brute force where the library has a closed form, long division
 by the cyclotomic polynomial where it reads reduced powers of zeta from a
-table, DFS lowlinks where it sums edge marks up a spanning forest (the
-package keeps no lowlink pass, so this check stays independent),
+table, DFS lowlinks where it sums the marks of the edges outside a
+spanning forest up that forest (the package keeps no lowlink pass, so
+this check stays independent),
 leaf peeling where it splits at a single edge, a literal character double
 sum over every sector tuple where it tests one tuple per sum of the
 sectors, every multiset of gerbe

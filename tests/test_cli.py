@@ -247,23 +247,40 @@ def path_config(tmp_path, n):
     )
 
 
-@pytest.mark.parametrize("command", ["compatible-graphs", "fiber-count"])
+def hub_config(tmp_path, n):
+    # a path of n vertices plus a hub joined to each: n - 1 edges outside
+    # any spanning forest, so V * (E - V + 1) = (n + 1) * (n - 1) mark bits
+    return graph_config(
+        tmp_path, r=2, vertices=[0] * (n + 1),
+        edges=[(v, v + 1) for v in range(n - 1)] + [(n, v) for v in range(n)],
+        gerby={"tail_orders": [], "edge_orders": [1] * (2 * n - 1)},
+        degree_data={"vertex_residues": [0] * (n + 1), "tail_types": []}, name=f"hub{n}.json",
+    )
+
+
+@pytest.mark.parametrize("command", ["compatible-graphs", "count-lifts", "fiber-count", "picard-torsion"])
 def test_graph_searches_past_the_bound_are_input_errors(capsys, tmp_path, monkeypatch, command):
-    # a 2,000-vertex path: (1,999 + 1,999) * 3,999 graph-size steps
+    # a 2,000-vertex path and its hub: 2,001 * 1,999 mark bits, and
+    # (3,999 + 2,000) * 6,000 graph-size steps
     def never(*args):
         raise AssertionError("the edges were classified before the bound was checked")
 
     for module in (cli, counting, admissibility):
         monkeypatch.setattr(module, "classify_edges", never)
-    code, out, err = run(capsys, command, "--input", path_config(tmp_path, 2000))
+    code, out, err = run(capsys, command, "--input", hub_config(tmp_path, 2000))
     assert code == 2 and out == ""
-    assert "graph-size steps" in err and "work bound of 1,000,000 steps" in err
+    what = {"count-lifts": "mark bits", "picard-torsion": "mark bits"}.get(command, "graph-size steps")
+    assert what in err and "work bound of 1,000,000 steps" in err
+    if what == "graph-size steps":
+        # a 2,000-vertex path alone: (1,999 + 1,999) * 3,999 graph-size steps
+        code, out, err = run(capsys, command, "--input", path_config(tmp_path, 2000))
+        assert code == 2 and out == "" and what in err
 
 
 @pytest.mark.parametrize("command", ["picard-torsion", "count-lifts"])
-def test_one_pass_graph_commands_run_on_long_paths(capsys, tmp_path, command):
-    # these classify the edges in one pass over the graph's one search; a
-    # search per edge would take 20,000 searches of 40,000 steps here
+def test_trees_classify_without_mark_bits(capsys, tmp_path, command):
+    # no edge of a path lies outside its spanning forest, so its marks hold
+    # no bits; a search per edge would take 20,000 searches of 40,000 steps
     for n in (2000, 20000):
         code, out, _ = run(capsys, command, "--input", path_config(tmp_path, n))
         assert code == 0 and json.loads(out)["result"]["value"] == "1"
@@ -317,6 +334,12 @@ def test_work_at_the_bound_still_runs(capsys, tmp_path):
     longer = graph_of([0] * 501, [(v, v + 1) for v in range(500)])
     with pytest.raises(cli.InputError, match="graph-size steps"):
         cli._bound_graph_work(longer, 2, True)
+    # the mark bits of a path and its hub: 1,001 * 999 = 999,999 at 1,000
+    # path vertices, 1,002 * 1,000 at 1,001
+    code, out, _ = run(capsys, "count-lifts", "--input", hub_config(tmp_path, 1000))
+    assert code == 0 and json.loads(out)["result"]["value"] == str(2**999)
+    code, out, err = run(capsys, "picard-torsion", "--input", hub_config(tmp_path, 1001))
+    assert code == 2 and out == "" and "mark bits" in err
     # sqrt(10^12) = 10^6 trial divisions of r, exactly at the bound
     path = graph_config(
         tmp_path, r=10**12, vertices=[1], edges=[],

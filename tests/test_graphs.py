@@ -1,6 +1,7 @@
 """Tests for dual graphs and gerby decorations."""
 
 import dataclasses
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -193,6 +194,21 @@ def test_edge_classification_matches_bridge_oracle(case):
     assert set(separating) == bridges
     assert set(separating) | set(nonseparating) == set(range(len(edges)))
     assert not set(separating) & set(nonseparating)
+
+
+def test_classifying_a_path_holds_memory_linear_in_its_size():
+    # only edges outside the spanning forest take a mark bit, so a path's
+    # marks stay 0; a bit per edge would keep about n^2 / 2 bits (25 MB)
+    n = 20_000
+    path = graph_of([0] * n, [(v, v + 1) for v in range(n - 1)])
+    tracemalloc.start()
+    try:
+        separating, _ = classify_edges(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert separating == tuple(range(n - 1))
+    assert peak < 1_000 * n
 
 
 def test_split_at_edge():
