@@ -27,7 +27,9 @@ each decoration and each cycle assignment stays small too.
 degree, picard-torsion, count-lifts, fiber-count, decompose and verify
 also estimate the digits of their powers of r before computing them, and
 picard-torsion --quotient the sum of log10 of its edge and tail orders
-before multiplying them; each exits 2 past _DIGIT_BOUND digits.
+before multiplying them; each exits 2 past exactnum._DIGIT_BOUND digits,
+as does an integer literal in a JSON document or a digit group of a
+rational that is longer.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from typing import Mapping, Sequence
 
 from . import admissibility, counting, gw
 from .admissibility import ContactType, DegreeData
-from .exactnum import divisors, format_rational, parse_rational
+from .exactnum import _DIGIT_BOUND, divisors, format_rational, parse_rational
 from .graphs import GerbyGraph, ModularGraph, _field, betti1, classify_edges, total_genus
 
 # The most steps of any one kind a call may enumerate: trial divisions of r
@@ -62,13 +64,6 @@ from .graphs import GerbyGraph, ModularGraph, _field, betti1, classify_edges, to
 # (enumerate-admissible --n 2 --r 500000, 2-vCPU VM, Python 3.11); the
 # largest benchmark call enumerates 30^3 cycle assignments.
 _WORK_BOUND = 10**6
-
-# The most decimal digits of a power of r, or of the product of orders that
-# picard-torsion --quotient writes, that a result may hold.  Writing
-# an integer out takes time quadratic in its digits; 100,000 digits print
-# in about 0.16 s (2-vCPU VM, Python 3.11).  The digits are estimated
-# before the result is computed.
-_DIGIT_BOUND = 100_000
 
 
 class InputError(Exception):
@@ -164,9 +159,16 @@ def _bound_theory_work(
 
 
 def _load_json(path: str) -> dict:
+    def parse_int(literal: str) -> int:
+        if len(literal.lstrip("-")) > _DIGIT_BOUND:
+            raise InputError(
+                f"{path}: integer literal past the bound of {_DIGIT_BOUND:,} digits"
+            )
+        return int(literal)
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            document = json.load(fh)
+            document = json.load(fh, parse_int=parse_int)
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}")
     except json.JSONDecodeError as exc:

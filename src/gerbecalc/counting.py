@@ -15,14 +15,7 @@ from functools import lru_cache
 
 from .admissibility import DegreeData, enumerate_compatible_gerby
 from .exactnum import divisors
-from .graphs import (
-    GerbyGraph,
-    ModularGraph,
-    _spanning_forest,
-    betti1,
-    classify_edges,
-    total_genus,
-)
+from .graphs import GerbyGraph, ModularGraph, betti1, classify_edges, total_genus
 
 
 def euler_totient(n: int) -> int:
@@ -122,64 +115,54 @@ def count_lifts(gerby: GerbyGraph, r: int, mode: str = "loop-only") -> LiftCount
 
 @lru_cache(maxsize=None)
 def _cycle_order_counts(
-    endpoints: tuple[tuple[int, int], ...],
-    residuals: tuple[int, ...],
-    r: int,
+    graph: ModularGraph, residuals: tuple[int, ...], r: int
 ) -> dict[tuple[int, ...], int]:
     """Balanced assignments on the cycle edges, counted by their edge orders.
 
     The cycle edges are the edges between distinct vertices, bridges
-    included; a bridge is an edge of every spanning forest, so its value is
+    included; a bridge is an edge of every spanning tree, so its value is
     always solved, never free.  Each edge carries x in Z/r, contributing +x
     at its first endpoint and -x at its second; an assignment is balanced
     when the sum at every vertex equals its residual mod r.  The values on
-    the edges outside a spanning forest range over (Z/r)^free, and each
-    forest edge is then solved by peeling leaves towards its root.
+    the cycle edges outside the graph's spanning tree range over
+    (Z/r)^free, and each tree edge is then solved by peeling leaves towards
+    vertex 0.
 
-    Balance is decided once per component, before the enumeration.  Every
-    edge adds x at one endpoint and -x at the other, both in one component,
-    and the peel moves each child's remaining need to its parent, so every
-    root is left with its component's residual sum mod r whatever the free
-    values are.  When some component's sum is nonzero mod r no assignment
-    balances and the table is empty; otherwise every assignment balances.
-    Returns, per tuple of additive orders r / gcd(x_e, r), the number of
-    balanced assignments with those orders.
+    Every edge adds x at one endpoint and -x at the other, and the peel
+    moves each child's remaining need to its parent, so vertex 0 is left
+    with the residual sum mod r whatever the free values are.  When that sum
+    is nonzero no assignment balances and the table is empty; otherwise
+    every assignment balances.  Returns, per tuple of additive orders
+    r / gcd(x_e, r) of the cycle edges in edge order, the number of balanced
+    assignments with those orders.
     """
-    roots, steps = _spanning_forest(len(residuals), endpoints)
-    # Steps come in discovery order, so a parent is labelled before its child.
-    top = list(range(len(residuals)))
-    for _e, child, parent in steps:
-        top[child] = top[parent]
-    component_sum = [0] * len(residuals)
-    for v, k in enumerate(residuals):
-        component_sum[top[v]] += k
-    if any(component_sum[root] % r for root in roots):
+    if sum(residuals) % r:
         return {}
-
-    # The forest's edges, (edge, child, parent), reversed: every edge comes
-    # after all edges further from its root.  The other edges are free.
-    steps.reverse()
-    tree = {e for e, _, _ in steps}
-    free = [e for e in range(len(endpoints)) if e not in tree]
+    # Each cycle edge's position in the key, found once for all assignments.
+    ends = [graph.vertices_of_edge(e) for e in range(graph.num_edges)]
+    slot = {e: k for k, e in enumerate(e for e, (a, b) in enumerate(ends) if a != b)}
+    tree = {e for e, _, _ in graph._forest}
+    free = [(slot[e], *ends[e]) for e in slot if e not in tree]
+    # Reversed, every tree edge comes after all edges further from vertex 0.
+    steps = [(slot[e], child, parent) for e, child, parent in reversed(graph._forest)]
 
     # A table of the r element orders pays off only over the r^free
     # assignments; with no free edge the one assignment computes its own.
     order_of = [r // math.gcd(x, r) for x in range(r)] if free else None
     counts: dict[tuple[int, ...], int] = {}
-    orders = [1] * len(endpoints)
+    orders = [1] * len(slot)
     for values in itertools.product(range(r), repeat=len(free)):
         need = list(residuals)
-        for e, x in zip(free, values):
-            a, b = endpoints[e]
+        for (k, a, b), x in zip(free, values):
             need[a] -= x
             need[b] += x
-            orders[e] = order_of[x]
-        for e, child, up in steps:
+            orders[k] = order_of[x]
+        for k, child, up in steps:
             # x_e is need[child] at a first endpoint and -need[child] at a
             # second; either way the parent's need grows by need[child]
             x = need[child] % r
             need[up] += x
-            orders[e] = order_of[x] if free else r // math.gcd(x, r)
+            orders[k] = order_of[x] if free else r // math.gcd(x, r)
         key = tuple(orders)
         counts[key] = counts.get(key, 0) + 1
     return counts
@@ -187,7 +170,7 @@ def _cycle_order_counts(
 
 @lru_cache(maxsize=None)
 def _cycle_assignment_count(
-    endpoints: tuple[tuple[int, int], ...],
+    graph: ModularGraph,
     orders: tuple[int, ...],
     residuals: tuple[int, ...],
     r: int,
@@ -195,16 +178,15 @@ def _cycle_assignment_count(
     """Count faithful age numerators on cycle edges meeting every vertex residual.
 
     The cycle edges are the edges between distinct vertices, bridges
-    included.  Each edge carries an unknown x in Z/r of additive order equal
-    to its assigned isotropy order, contributing +x at its first endpoint and
-    -x at its second; an assignment counts when the sum at every vertex
-    matches the prescribed residual mod r.  The count is read from _cycle_order_counts,
-    which enumerates the balanced assignments once per (endpoints,
-    residuals, r) and buckets them by their tuple of edge orders.
+    included, and orders holds one additive order per cycle edge, in edge
+    order.  Each edge carries an unknown x in Z/r of that order,
+    contributing +x at its first endpoint and -x at its second; an
+    assignment counts when the sum at every vertex matches the prescribed
+    residual mod r.  The count is read from _cycle_order_counts, which
+    enumerates the balanced assignments once per (graph, residuals, r) and
+    buckets them by their tuple of edge orders.
     """
-    if not endpoints:
-        return 1
-    return _cycle_order_counts(endpoints, residuals, r).get(orders, 0)
+    return _cycle_order_counts(graph, residuals, r).get(orders, 0)
 
 
 def fiber_point_count(graph: ModularGraph, data: DegreeData, r: int) -> int:
@@ -215,18 +197,18 @@ def fiber_point_count(graph: ModularGraph, data: DegreeData, r: int) -> int:
     vertex: the age numerators on the edges between distinct vertices,
     bridges included, must satisfy the fractional-part balance at each
     vertex, and self-loops contribute a free totient factor.  A bridge is an
-    edge of every spanning forest, so the balance solves its age; a
-    decoration whose bridge orders disagree with that solution counts 0.  On
-    a graph whose cycles are all self-loops each summand equals
-    count_lifts(loop-only); in general the constraints couple parallel
-    non-separating edges.  The balanced assignments are enumerated once per
-    call, over the values of the non-spanning-tree edges, and bucketed by
-    their edge orders, so each decoration looks its count up (see
-    _cycle_order_counts).  Each decoration's orders are read from its
-    flag_orders through the first flags of the self-loops, cycle edges and
-    non-separating edges, found once per call.  The result always equals
-    r^(2g), independent of the graph; that closed form and the totient
-    divisor-sum identity are checked before returning, and a failure
+    edge of every spanning tree, so the balance solves its age rather than
+    reading the cut formula; a decoration whose bridge orders disagree with
+    that solution counts 0.  On a graph whose cycles are all self-loops each
+    summand equals count_lifts(loop-only); in general the constraints couple
+    parallel non-separating edges.  The balanced assignments are enumerated
+    once per call, over the values of the cycle edges outside the graph's
+    spanning tree, and bucketed by their edge orders, so each decoration
+    looks its count up (see _cycle_order_counts).  Each decoration's orders
+    are read from its flag_orders through the first flags of the self-loops,
+    cycle edges and non-separating edges, found once per call.  The result
+    always equals r^(2g), independent of the graph; that closed form and the
+    totient divisor-sum identity are checked before returning, and a failure
     raises AssertionError.
     """
     data = data.validated_for(graph, r)
@@ -239,9 +221,7 @@ def fiber_point_count(graph: ModularGraph, data: DegreeData, r: int) -> int:
 
     pairs = [graph.vertices_of_edge(e) for e in range(graph.num_edges)]
     first_flag = [f1 for f1, _ in graph.edges()]
-    cycle_edges = [e for e, (u, v) in enumerate(pairs) if u != v]
-    endpoints = tuple(pairs[e] for e in cycle_edges)
-    cycle_flags = [first_flag[e] for e in cycle_edges]
+    cycle_flags = [first_flag[e] for e, (u, v) in enumerate(pairs) if u != v]
     loop_flags = [first_flag[e] for e, (u, v) in enumerate(pairs) if u == v]
     nonseparating_flags = [first_flag[e] for e in nonseparating]
 
@@ -255,7 +235,7 @@ def fiber_point_count(graph: ModularGraph, data: DegreeData, r: int) -> int:
         for f in loop_flags:
             loop_factor *= phi[flags[f]]
         matched = _cycle_assignment_count(
-            endpoints, tuple([flags[f] for f in cycle_flags]), residuals, r
+            graph, tuple([flags[f] for f in cycle_flags]), residuals, r
         )
         total += base * loop_factor * matched
         factor = 1

@@ -38,11 +38,21 @@ RationalLike = Union[int, Fraction]
 
 _RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
+# The most decimal digits of an integer that gerbecalc reads from text or, in
+# cli, writes as a result.  Converting between decimal text and int takes
+# time quadratic in the digits once Python's digit limit is lifted, as
+# cli.main lifts it: 100,000 digits parse in about 0.08 s and print in about
+# 0.16 s, 1,000,000 digits parse in about 9 s (2-vCPU VM, Python 3.11).
+# Literals are measured before they are converted, results before they are
+# computed.
+_DIGIT_BOUND = 100_000
+
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p": a sign, ASCII digits and an optional "/digits",
     with surrounding whitespace.  No exponent or decimal point, so the value
-    is never longer than the text.
+    is never longer than the text.  A digit group longer than _DIGIT_BOUND
+    is rejected before it is converted.
 
     >>> parse_rational("-3/6")
     Fraction(-1, 2)
@@ -50,9 +60,12 @@ def parse_rational(text: str) -> Fraction:
     match = _RATIONAL.fullmatch(text)
     if not match:
         raise ValueError(f"not a rational literal: {text!r}")
-    if int(match[2] or 1) == 0:
+    numerator, denominator = match[1], match[2] or "1"
+    if max(len(numerator.lstrip("+-")), len(denominator)) > _DIGIT_BOUND:
+        raise ValueError(f"rational literal past the bound of {_DIGIT_BOUND:,} digits")
+    if int(denominator) == 0:
         raise ValueError(f"rational literal {text!r} has a zero denominator")
-    return Fraction(int(match[1]), int(match[2] or 1))
+    return Fraction(int(numerator), int(denominator))
 
 
 def format_rational(value: RationalLike) -> str:

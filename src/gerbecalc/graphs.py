@@ -8,7 +8,8 @@ or marked points.
 
 Graphs must be connected; disconnected input is a construction error.
 Each graph is searched once, by _spanning_forest, when built; classify_edges,
-split_at_edge and admissibility._cut_orders read the forest it keeps.
+split_at_edge, admissibility._cut_orders and counting._cycle_order_counts
+read the spanning tree it keeps.
 
 _field is the one reader of configuration fields, here so that from_config
 and the command line share it without an import cycle.
@@ -55,8 +56,8 @@ class ModularGraph:
             self, "_tails", tuple(f for f, j in enumerate(self.involution) if j == f)
         )
         pairs = [(self.attachment[f1], self.attachment[f2]) for f1, f2 in self._edges]
-        roots, steps = _spanning_forest(n_vertices, pairs)
-        if len(roots) != 1:
+        steps = _spanning_forest(n_vertices, pairs)
+        if len(steps) != n_vertices - 1:
             raise ValueError("graph is not connected")
         object.__setattr__(self, "_forest", tuple(steps))
 
@@ -154,36 +155,32 @@ def _field(section: Mapping, key: str, shape, path: str = "", hint: str = ""):
 
 def _spanning_forest(
     n_vertices: int, pairs: Sequence[tuple[int, int]]
-) -> tuple[list[int], list[tuple[int, int, int]]]:
-    """A spanning forest of the multigraph whose edge e joins pairs[e].
+) -> list[tuple[int, int, int]]:
+    """The tree edges a depth-first search from vertex 0 discovers in the
+    multigraph whose edge e joins pairs[e].
 
-    Returns (roots, steps).  roots holds one vertex per connected component,
-    its least vertex, in increasing order.  steps lists the tree edges as
-    (edge, child, parent) in the order a depth-first search discovers them:
-    every tree edge comes after the tree edge above its parent, so reversed,
-    every edge comes after all edges further from its root.
+    Each step is (edge, child, parent), in discovery order: every tree edge
+    comes after the tree edge above its parent, so reversed, every edge
+    comes after all edges further from vertex 0.  The steps span the
+    component of vertex 0, so the graph is connected exactly when there are
+    n_vertices - 1 of them.
     """
     adjacent: list[list[tuple[int, int]]] = [[] for _ in range(n_vertices)]
     for e, (a, b) in enumerate(pairs):
         adjacent[a].append((e, b))
         adjacent[b].append((e, a))
-    roots: list[int] = []
     steps: list[tuple[int, int, int]] = []
     seen = [False] * n_vertices
-    for root in range(n_vertices):
-        if seen[root]:
-            continue
-        seen[root] = True
-        roots.append(root)
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for e, w in adjacent[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    steps.append((e, w, v))
-                    stack.append(w)
-    return roots, steps
+    seen[0] = True
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for e, w in adjacent[v]:
+            if not seen[w]:
+                seen[w] = True
+                steps.append((e, w, v))
+                stack.append(w)
+    return steps
 
 
 def betti1(graph: ModularGraph) -> int:

@@ -4,6 +4,8 @@ import contextlib
 import importlib.util
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graph_of
-from gerbecalc import admissibility, cli, counting, graphs, gw
+from gerbecalc import admissibility, cli, counting, exactnum, graphs, gw
 from gerbecalc.exactnum import CyclotomicNumber, root_of_unity
 
 
@@ -294,8 +296,6 @@ def test_each_graph_is_searched_once(capsys, tmp_path, monkeypatch):
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
     path = write_json(tmp_path, "tree.json", inputs.tree_with_cycles(Random(201), 3, 150, 2, [2, 3]))
-    # counting imports _spanning_forest by name, so the fiber count's own
-    # search over its cycle edges is not counted here
     seen = {"graphs": 0, "searches": 0}
     search, post_init = graphs._spanning_forest, graphs.ModularGraph.__post_init__
 
@@ -307,13 +307,46 @@ def test_each_graph_is_searched_once(capsys, tmp_path, monkeypatch):
         seen["graphs"] += 1
         post_init(graph)
 
-    monkeypatch.setattr(graphs, "_spanning_forest", counted_search)
+    # every module that binds the search, under any name, calls the counted one
+    for name, module in list(sys.modules.items()):
+        if name == "gerbecalc" or name.startswith("gerbecalc."):
+            for attr, value in list(vars(module).items()):
+                if value is search:
+                    monkeypatch.setattr(module, attr, counted_search)
     monkeypatch.setattr(graphs.ModularGraph, "__post_init__", counted_post_init)
     for command in ("picard-torsion", "count-lifts", "compatible-graphs", "fiber-count"):
         seen.update(graphs=0, searches=0)
         code, _, _ = run(capsys, command, "--input", path)
         assert code == 0
         assert seen["graphs"] == seen["searches"] == 1
+
+
+def test_output_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    # each command in its own interpreter, so string hashing differs by seed
+    graph = graph_config(
+        tmp_path, r=4, vertices=[0, 1, 0], edges=[(0, 1), (1, 0), (1, 2), (2, 2)],
+        tails=[0, 2], degree_data={"vertex_residues": [1, 2, 3], "tail_types": ["1/2", "0"]},
+    )
+    calls = [
+        ["verify", "--input", gw_config(tmp_path), "--seed", "7"],
+        ["compatible-graphs", "--input", graph],
+        ["fiber-count", "--input", graph],
+        ["enumerate-admissible", "--n", "3", "--r", "4", "--k", "1"],
+    ]
+    source = str(Path(cli.__file__).parents[1])
+    outputs = {}
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+        outputs[seed] = [
+            subprocess.run(
+                [sys.executable, "-m", "gerbecalc.cli", *argv],
+                env=env, capture_output=True, check=True,
+            ).stdout
+            for argv in calls
+        ]
+    assert all(outputs["0"])
+    assert outputs["0"] == outputs["1"]
 
 
 @pytest.mark.parametrize("n, r", [(2, 10**12), (1_000_001, 1)])
@@ -347,6 +380,38 @@ def test_work_at_the_bound_still_runs(capsys, tmp_path):
     )
     code, out, _ = run(capsys, "fiber-count", "--input", path)
     assert code == 0 and json.loads(out)["result"]["value"] == str(10**24)
+
+
+def test_overlong_integer_literals_are_an_input_error(capsys, tmp_path):
+    # a digit group past the bound is rejected before int() converts it,
+    # which takes seconds at 10^6 digits once the digit limit is lifted
+    bound = exactnum._DIGIT_BOUND
+
+    def picard_config(digits):
+        path = tmp_path / "picard.json"
+        graph = '{"vertices": [{"genus": 0}], "edges": [], "tails": []}'
+        path.write_text(f'{{"graph": {graph}, "r": 1{"0" * (digits - 1)}}}', encoding="utf-8")
+        return str(path)
+
+    for digits in (bound + 1, 10**6):
+        code, out, err = run(capsys, "picard-torsion", "--input", picard_config(digits))
+        assert code == 2 and out == ""
+        assert f"integer literal past the bound of {bound:,} digits" in err
+    code, out, _ = run(capsys, "picard-torsion", "--input", picard_config(bound))
+    # the output echoes r, past the test process's own digit limit
+    assert code == 0 and '"value": "1"' in out
+
+    def base_value(value):
+        return gw_config(tmp_path, extra={"base_invariants": [
+            {"genus": 0, "beta": [0], "insertions": [], "value": value},
+        ]})
+
+    for value in ("1" * (bound + 1), "-" + "1" * 10**6, "1/" + "1" * 10**6):
+        code, out, err = run(capsys, "verify", "--input", base_value(value))
+        assert code == 2 and out == ""
+        assert f"rational literal past the bound of {bound:,} digits" in err
+    code, out, _ = run(capsys, "verify", "--input", base_value("-" + "1" * bound))
+    assert code == 0 and json.loads(out)["result"]["status"] == "pass"
 
 
 def test_internal_check_failure_exits_three(capsys, tmp_path, monkeypatch):

@@ -178,11 +178,18 @@ def test_fiber_count_sums_lifts_over_decorations():
         assert total == r ** (2 * total_genus(graph))
 
 
-def assert_counts_match_brute_force(endpoints, residuals, r):
+def cycle_endpoints(graph):
+    """Endpoints of the edges between distinct vertices, in edge order."""
+    pairs = [graph.vertices_of_edge(e) for e in range(graph.num_edges)]
+    return tuple((a, b) for a, b in pairs if a != b)
+
+
+def assert_counts_match_brute_force(graph, residuals, r):
     """Compare with the oracle for every order tuple; return the counts."""
+    endpoints = cycle_endpoints(graph)
     counts = {}
     for orders in itertools.product(divisors(r), repeat=len(endpoints)):
-        got = _cycle_assignment_count(endpoints, orders, residuals, r)
+        got = _cycle_assignment_count(graph, orders, residuals, r)
         assert got == oracles.cycle_assignment_count_brute(
             endpoints, orders, residuals, r
         ), (endpoints, orders, residuals, r)
@@ -190,109 +197,99 @@ def assert_counts_match_brute_force(endpoints, residuals, r):
     return counts
 
 
+def random_connected_graph(rng, nv, n_extra):
+    """A random spanning tree on nv vertices plus n_extra edges between
+    distinct vertices, each edge in a random orientation, and maybe a loop."""
+    edges = [(rng.randrange(v), v) for v in range(1, nv)]
+    edges += [tuple(rng.sample(range(nv), 2)) for _ in range(n_extra)]
+    edges = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in edges]
+    if rng.random() < 0.3:
+        w = rng.randrange(nv)
+        edges.insert(rng.randrange(len(edges) + 1), (w, w))
+    return graph_of([0] * nv, edges)
+
+
 def test_cycle_assignment_count_matches_brute_force_on_random_graphs():
     rng = random.Random(59)
     for r in range(1, 9):
         for _ in range(6):
             nv = rng.randint(2, 4)
-            endpoints = tuple(
-                tuple(rng.sample(range(nv), 2)) for _ in range(rng.randint(1, 4))
-            )
+            graph = random_connected_graph(rng, nv, rng.randint(0, 5 - nv))
             if rng.random() < 0.5:
                 # residuals of a random assignment, so balanced ones exist
                 residuals = [0] * nv
-                for a, b in endpoints:
+                for a, b in cycle_endpoints(graph):
                     x = rng.randrange(r)
                     residuals[a] = (residuals[a] + x) % r
                     residuals[b] = (residuals[b] - x) % r
             else:
                 residuals = [rng.randrange(r) for _ in range(nv)]
-            assert_counts_match_brute_force(endpoints, tuple(residuals), r)
+            assert_counts_match_brute_force(graph, tuple(residuals), r)
 
 
 def test_cycle_assignment_count_on_parallel_edges_in_both_orientations():
-    endpoints = ((0, 1), (1, 0), (0, 1))
+    graph = graph_of([0, 0], [(0, 1), (1, 0), (0, 1)])
     for r in range(1, 9):
         for k in range(r):
-            counts = assert_counts_match_brute_force(endpoints, (k, -k % r), r)
+            counts = assert_counts_match_brute_force(graph, (k, -k % r), r)
             # two of the three values are free, the third is forced
             assert sum(counts.values()) == r**2
 
 
 def test_cycle_assignment_count_on_cycles_joined_by_a_bridge():
-    bridged = ((0, 1), (1, 0), (1, 2), (2, 3), (3, 2))
-    apart = ((0, 1), (1, 0), (2, 3), (3, 2))
+    bridged = graph_of([0] * 4, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2)])
     for r in range(1, 9):
         for residuals in ((0, 0, 0, 0), (1 % r, -1 % r, 2 % r, -2 % r), (1 % r, 0, 0, -1 % r)):
             counts = assert_counts_match_brute_force(bridged, residuals, r)
             assert sum(counts.values()) == r**2
-        counts = assert_counts_match_brute_force(apart, (1 % r, -1 % r, 3 % r, -3 % r), r)
-        assert sum(counts.values()) == r**2
 
 
 def test_cycle_assignment_count_is_zero_on_unbalanced_residuals():
     cases = [
-        (((0, 1), (1, 0), (0, 1)), (1, 0)),
-        (((0, 1), (1, 0), (1, 2), (2, 3), (3, 2)), (0, 1, 0, 0)),
-        # each component of the second graph must balance on its own
-        (((0, 1), (1, 0), (2, 3), (3, 2)), (1, -1, 1, 0)),
+        (graph_of([0, 0], [(0, 1), (1, 0), (0, 1)]), (1, 0)),
+        (graph_of([0] * 4, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2)]), (0, 1, 0, 0)),
     ]
+    loop = graph_of([0], [(0, 0)])
     for r in range(2, 9):
-        for endpoints, residuals in cases:
+        for graph, residuals in cases:
             residuals = tuple(k % r for k in residuals)
-            counts = assert_counts_match_brute_force(endpoints, residuals, r)
+            counts = assert_counts_match_brute_force(graph, residuals, r)
             assert set(counts.values()) == {0}
+        # no edge between distinct vertices: one empty assignment, if balanced
+        assert _cycle_order_counts(loop, (0,), r) == {(): 1}
+        assert _cycle_order_counts(loop, (1,), r) == {}
 
 
-def component_sums(n_vertices, endpoints, residuals):
-    """Residual sum of each connected component, by a union-find of its own."""
-    leader = list(range(n_vertices))
-
-    def find(v):
-        while leader[v] != v:
-            v = leader[v]
-        return v
-
-    for a, b in endpoints:
-        leader[find(a)] = find(b)
-    sums = {}
-    for v, k in enumerate(residuals):
-        sums[find(v)] = sums.get(find(v), 0) + k
-    return list(sums.values())
+GRAPH_CLASSES = oracles.connected_multigraph_classes(4, 4)
 
 
 @st.composite
 def cycle_systems(draw):
-    """Edges between distinct vertices, often in several components and with
-    isolated vertices, and residuals that are balanced about half the time."""
-    nv = draw(st.integers(2, 6))
+    """A connected graph of 2 to 4 vertices, its edges in random
+    orientations, and residuals that are balanced about half the time."""
+    nv, edges = draw(st.sampled_from([c for c in GRAPH_CLASSES if c[0] >= 2]))
+    edges = [(b, a) if draw(st.booleans()) else (a, b) for a, b in edges]
+    graph = graph_of([0] * nv, edges)
     r = draw(st.integers(1, 8))
-    endpoints = tuple(
-        tuple(draw(st.permutations(range(nv)))[:2]) for _ in range(draw(st.integers(1, 4)))
-    )
     if draw(st.booleans()):
         # the residuals of some assignment, then maybe one vertex moved
         residuals = [0] * nv
-        for a, b in endpoints:
+        for a, b in cycle_endpoints(graph):
             x = draw(st.integers(0, r - 1))
             residuals[a] += x
             residuals[b] -= x
         residuals[draw(st.integers(0, nv - 1))] += draw(st.sampled_from([0, 0, 1]))
     else:
         residuals = draw(st.lists(st.integers(0, r - 1), min_size=nv, max_size=nv))
-    return endpoints, tuple(x % r for x in residuals), r
+    return graph, tuple(x % r for x in residuals), r
 
 
 @given(cycle_systems())
-# balanced first component, unbalanced isolated vertex
-@example((((0, 1), (1, 0)), (0, 0, 1), 2))
-# every component unbalanced, the whole graph balanced
-@example((((0, 1), (2, 3)), (1, 0, 1, 0), 2))
-def test_balance_is_decided_once_per_component(system):
-    endpoints, residuals, r = system
-    counts = _cycle_order_counts(endpoints, residuals, r)
-    unbalanced = any(s % r for s in component_sums(len(residuals), endpoints, residuals))
-    assert (counts == {}) == unbalanced
+def test_balance_is_decided_once(system):
+    graph, residuals, r = system
+    counts = _cycle_order_counts(graph, residuals, r)
+    assert (counts == {}) == bool(sum(residuals) % r)
+    endpoints = cycle_endpoints(graph)
     for orders in itertools.product(divisors(r), repeat=len(endpoints)):
         assert counts.get(orders, 0) == oracles.cycle_assignment_count_brute(
             endpoints, orders, residuals, r
@@ -321,9 +318,6 @@ def test_fiber_count_detects_wrong_bridge_orders(monkeypatch):
         fiber_point_count(path, data, 4)
 
 
-GRAPH_CLASSES = oracles.connected_multigraph_classes(4, 4)
-
-
 @given(st.sampled_from(GRAPH_CLASSES), st.integers(1, 8), st.randoms(use_true_random=False))
 def test_balance_solves_bridges_to_the_cut_formula(graph_class, r, rng):
     nv, edges = graph_class
@@ -335,9 +329,7 @@ def test_balance_solves_bridges_to_the_cut_formula(graph_class, r, rng):
         residuals[graph.attachment[f]] -= t.residue(r)
     pairs = [graph.vertices_of_edge(e) for e in range(graph.num_edges)]
     linked = [e for e, (u, v) in enumerate(pairs) if u != v]
-    counts = _cycle_order_counts(
-        tuple(pairs[e] for e in linked), tuple(x % r for x in residuals), r
-    )
+    counts = _cycle_order_counts(graph, tuple(x % r for x in residuals), r)
     assert counts
     for e in oracles.find_bridges(nv, pairs):
         forced = separating_node_order(graph, data, e, r).order

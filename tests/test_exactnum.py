@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 from functools import reduce
 
@@ -64,6 +65,24 @@ def test_rational_grammar_edges():
     assert parse_rational("-0") == 0
     with pytest.raises(ValueError, match="zero denominator"):
         parse_rational("-1/00")
+
+
+def test_rational_digit_groups_past_the_bound_are_rejected():
+    bound = exactnum._DIGIT_BOUND
+    for text in ("1" * (bound + 1), "-" + "9" * (bound + 1), "1/" + "1" * (bound + 1)):
+        with pytest.raises(ValueError, match="past the bound"):
+            parse_rational(text)
+    # exactly at the bound still parses; the test process keeps Python's
+    # default digit limit, so lift it as the command line does
+    previous = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if previous is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert parse_rational("-" + "9" * bound) == 1 - 10**bound
+        assert parse_rational("1/" + "0" * (bound - 1) + "2") == Fraction(1, 2)
+    finally:
+        if previous is not None:
+            sys.set_int_max_str_digits(previous)
 
 
 def test_cyclotomic_polynomial_known_values():
