@@ -7,12 +7,21 @@ success or a passing verification, 1 when a verification fails, 2 on any
 input problem, and 3 when an internal consistency check fails (a bug in
 gerbecalc); nothing is written to stdout on exit 2 or 3.
 
+The document is written by _write_json, only after its command has
+returned: the bytes of json.dumps(document, indent=2, sort_keys=True) plus
+a newline, in pieces, from a walk that encodes strings with the stdlib's C
+encoder.  Only decompose and verify import gw (and through it abelian);
+the other commands never load it.
+
 Configuration fields are read only through graphs._field, which checks
 each against a shape and names the path of the first misfit, such as
 edges[0]; JSON true/false never pass as integers.  An optional "format"
 must be the integer 1.  Rationals in a document, base values and tail
 types, follow the grammar of exactnum.parse_rational: a sign, digits and
-an optional /digits, with no exponent or decimal point.
+an optional /digits, with no exponent or decimal point.  A document may
+hold other numbers in fields no command reads, which are echoed back, but
+NaN, Infinity and -Infinity, which are not JSON, and number literals past
+the range of a float exit 2.
 
 Before enumerating, enumerate-admissible, compatible-graphs, count-lifts,
 fiber-count, decompose and verify estimate their work from their inputs,
@@ -39,12 +48,15 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from . import admissibility, counting, gw
+from . import admissibility, counting
 from .admissibility import ContactType, DegreeData
 from .exactnum import _DIGIT_BOUND, divisors, format_rational, parse_rational
 from .graphs import GerbyGraph, ModularGraph, _field, betti1, classify_edges, total_genus
+
+if TYPE_CHECKING:
+    from . import gw
 
 # The most steps of any one kind a call may enumerate: trial divisions of r
 # (about sqrt(r), once per edge for count-lifts' totients), gerby
@@ -60,7 +72,7 @@ from .graphs import GerbyGraph, ModularGraph, _field, betti1, classify_edges, to
 # (E + min(E, V - 1)) * (V + E), as each decoration and each cycle
 # assignment reads the whole graph.  Each estimate is made before
 # enumerating; past the bound the call exits 2.  At the bound a call takes
-# from under a second (trial division) to about 8 s and 290 MB
+# from under a second (trial division) to about 5 s and 130 MB
 # (enumerate-admissible --n 2 --r 500000, 2-vCPU VM, Python 3.11); the
 # largest benchmark call enumerates 30^3 cycle assignments.
 _WORK_BOUND = 10**6
@@ -166,9 +178,20 @@ def _load_json(path: str) -> dict:
             )
         return int(literal)
 
+    def parse_float(literal: str) -> float:
+        value = float(literal)
+        if math.isinf(value):
+            raise InputError(f"{path}: number literal past the range of a float")
+        return value
+
+    def parse_constant(literal: str):
+        raise InputError(f"{path}: {literal} is not a JSON number")
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            document = json.load(fh, parse_int=parse_int)
+            document = json.load(
+                fh, parse_int=parse_int, parse_float=parse_float, parse_constant=parse_constant
+            )
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}")
     except json.JSONDecodeError as exc:
@@ -207,6 +230,8 @@ def _degree_data_from(config: Mapping) -> DegreeData:
 
 
 def _gw_common(args) -> tuple[gw.GerbeSpec, gw.BaseTheoryTable, int, gw.Truncation, dict]:
+    from . import gw
+
     if args.parallel < 1:
         raise InputError(f"--parallel must be at least 1, got {args.parallel}")
     config = _load_json(args.input)
@@ -261,9 +286,10 @@ def _gw_common(args) -> tuple[gw.GerbeSpec, gw.BaseTheoryTable, int, gw.Truncati
 def _run_enumerate_admissible(args) -> tuple[dict, dict, int]:
     if args.n >= 1 and args.r >= 1:
         _bound_work("the n * r^(n-1) contact types of the vectors", args.r, args.n - 1, args.n)
-    # only the entry strings are kept, not the AdmissibleVectors beside them
+    # only a tuple of entry strings is kept per vector, which _write_json
+    # writes as a list, as json.dumps does
     vectors = [
-        [str(t) for t in v.entries]
+        tuple(map(str, v.entries))
         for v in admissibility.enumerate_admissible(args.n, args.r, args.k)
     ]
     result = {"count": len(vectors), "vectors": vectors}
@@ -364,6 +390,8 @@ def _run_degree(args) -> tuple[dict, dict, int]:
 
 
 def _run_decompose(args) -> tuple[dict, dict, int]:
+    from . import gw
+
     spec, table, genus, truncation, config = _gw_common(args)
     lhs = gw.build_potential(spec, table, genus, truncation, "gerbe")
     base_series = gw.build_potential(spec, table, genus, truncation, "base")
@@ -385,6 +413,8 @@ def _run_decompose(args) -> tuple[dict, dict, int]:
 
 
 def _run_verify(args) -> tuple[dict, dict, int]:
+    from . import gw
+
     spec, table, genus, truncation, config = _gw_common(args)
     report = gw.verify_decomposition(spec, table, genus, truncation)
     inputs = {"input": args.input, "config": config, "seed": args.seed}
@@ -401,6 +431,83 @@ _HANDLERS = {
     "decompose": _run_decompose,
     "verify": _run_verify,
 }
+
+
+# The C string encoder that json.dumps uses by default (ensure_ascii).
+_encode_string = json.encoder.encode_basestring_ascii
+_CONTAINERS = (dict, list, tuple)
+# The writer hands its text to write() whenever it holds more parts than
+# this, so a document with millions of list items never exists in one piece.
+_FLUSH_PARTS = 4096
+
+
+def _scalar(value) -> str | None:
+    """The JSON text of a str, bool, None, int or finite float, as json.dumps
+    writes it; None for anything else."""
+    if isinstance(value, str):
+        return _encode_string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return float.__repr__(value)
+    return None
+
+
+def _write_json(document, write) -> None:
+    """Write json.dumps(document, indent=2, sort_keys=True) + "\n" through write.
+
+    With an indent the stdlib encodes in pure Python; this walk gives the
+    same bytes in about half the time.  Dicts (str keys, in sorted order),
+    lists and tuples are walked here, and a list of scalars is joined in one
+    piece.  Scalars go through _scalar: floats are finite, since _load_json
+    rejects the rest, and a value of any other type makes a join raise
+    TypeError.  The text reaches write in one piece per _FLUSH_PARTS parts.
+    """
+    parts: list[str] = []
+
+    def walk(value, indent: str) -> None:
+        inner = indent + "  "
+        if isinstance(value, dict):
+            if not value:
+                parts.append("{}")
+                return
+            opener = "{\n" + inner
+            for key in sorted(value):
+                parts.append(opener + _encode_string(key) + ": ")
+                walk(value[key], inner)
+                opener = ",\n" + inner
+            parts.append("\n" + indent + "}")
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                parts.append("[]")
+                return
+            separator = ",\n" + inner
+            if not isinstance(value[0], _CONTAINERS):
+                texts = [_scalar(item) for item in value]
+                if None not in texts:
+                    parts.append("[\n" + inner + separator.join(texts) + "\n" + indent + "]")
+                    return
+            opener = "[\n" + inner
+            for item in value:
+                parts.append(opener)
+                walk(item, inner)
+                opener = separator
+                if len(parts) > _FLUSH_PARTS:
+                    write("".join(parts))
+                    parts.clear()
+            parts.append("\n" + indent + "]")
+        else:
+            parts.append(_scalar(value))
+
+    walk(document, "")
+    parts.append("\n")
+    write("".join(parts))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -494,9 +601,14 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def _main(argv: Sequence[str] | None) -> int:
     args = build_parser().parse_args(argv)
+    input_errors: tuple[type[Exception], ...] = (InputError, ValueError)
+    if args.command in ("decompose", "verify"):
+        from . import gw  # the only commands that load it
+
+        input_errors += (gw.CoverageError,)
     try:
         inputs, result, status = _HANDLERS[args.command](args)
-    except (InputError, ValueError, gw.CoverageError) as exc:
+    except input_errors as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:
@@ -509,16 +621,15 @@ def _main(argv: Sequence[str] | None) -> int:
         "inputs": inputs,
         "result": result,
     }
-    text = json.dumps(document, indent=2, sort_keys=True) + "\n"
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                _write_json(document, fh.write)
         except OSError as exc:
             print(f"error: {args.output}: {exc.strerror or exc}", file=sys.stderr)
             return 2
     else:
-        sys.stdout.write(text)
+        _write_json(document, sys.stdout.write)
     return status
 
 

@@ -34,8 +34,6 @@ def cycle_assignment_count_brute(endpoints, orders, residuals, r: int) -> int:
     Edge (a, b) adds x_e at a and subtracts it at b; the sum at vertex v
     must equal residuals[v] mod r.  Tries every element of each order.
     """
-    if not endpoints:
-        return 1
     pools = [[x for x in range(r) if r // math.gcd(x, r) == d] for d in orders]
     count = 0
     for choice in itertools.product(*pools):

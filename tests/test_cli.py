@@ -5,6 +5,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -347,6 +348,136 @@ def test_output_bytes_do_not_depend_on_the_hash_seed(tmp_path):
         ]
     assert all(outputs["0"])
     assert outputs["0"] == outputs["1"]
+
+
+# The module named on each line of `python -X importtime` (stderr).
+_IMPORTED = re.compile(r"\|\s*(gerbecalc(?:\.\w+)?)\s*$", re.M)
+
+
+def imported_modules(*argv):
+    """The gerbecalc modules one `python -m gerbecalc.cli` call imports."""
+    env = dict(os.environ)
+    source = str(Path(cli.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "gerbecalc.cli", *argv],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(_IMPORTED.findall(proc.stderr))
+
+
+def test_only_decompose_and_verify_load_gw(tmp_path):
+    graph = graph_config(
+        tmp_path, r=4, vertices=[0, 1], edges=[(0, 1), (1, 1)], tails=[0, 1],
+        gerby={"tail_orders": [4, 4], "edge_orders": [1, 4]},
+        degree_data={"vertex_residues": [1, 1], "tail_types": ["1/4", "1/4"]},
+    )
+    graph_calls = [
+        ["picard-torsion", "--input", graph],
+        ["count-lifts", "--input", graph],
+        ["compatible-graphs", "--input", graph],
+        ["fiber-count", "--input", graph],
+        ["enumerate-admissible", "--n", "2", "--r", "4", "--k", "2"],
+        ["degree", "--genus", "1", "--r", "2"],
+    ]
+    for argv in graph_calls:
+        loaded = imported_modules(*argv)
+        assert {"gerbecalc", "gerbecalc.counting", "gerbecalc.graphs"} <= loaded, argv
+        assert not loaded & {"gerbecalc.gw", "gerbecalc.abelian"}, argv
+    loaded = imported_modules("verify", "--input", gw_config(tmp_path), "--seed", "7")
+    assert {"gerbecalc.gw", "gerbecalc.abelian"} <= loaded
+
+
+@pytest.mark.parametrize("command", ["verify", "decompose"])
+def test_coverage_errors_are_input_errors(capsys, tmp_path, command):
+    record = {"genus": 0, "beta": [1], "insertions": [{"class": 3, "psi": 0}], "value": "1"}
+    path = gw_config(tmp_path, base_invariants=[record])
+    code, out, err = run(capsys, command, "--input", path)
+    assert (code, out, err) == (2, "", "error: class index 3 outside the basis of size 1\n")
+
+
+@pytest.mark.parametrize(
+    "note", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "[NaN, 1e400, -Infinity, 0.1]"]
+)
+def test_non_finite_numbers_are_input_errors(capsys, tmp_path, note):
+    # an unread field still reaches stdout in the echoed configuration
+    path = tmp_path / "graph.json"
+    path.write_text(
+        '{"r": 2, "note": %s, "graph": {"vertices": [{"genus": 1}], "edges": [], "tails": []}}'
+        % note,
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "picard-torsion", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
+def test_finite_floats_echo_as_written(capsys, tmp_path):
+    path = tmp_path / "graph.json"
+    path.write_text(
+        '{"r": 2, "note": [0.1, -2.5e-07, 1e300, 1e-400], '
+        '"graph": {"vertices": [{"genus": 1}], "edges": [], "tails": []}}',
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "picard-torsion", "--input", str(path))
+    assert code == 0 and err == ""
+    assert '"note": [\n        0.1,\n        -2.5e-07,\n        1e+300,\n        0.0\n      ]' in out
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+@contextlib.contextmanager
+def no_int_digit_limit():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+_JSON_TEXT = st.text(st.characters(exclude_categories=())) | st.sampled_from(
+    ['"', "\\", "\x00\x1f\x7f", "\u00e9\u2028", "\ud800", "\U0001f600", ""]
+)
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    # past the 4,300 digits that int-to-str converts by default
+    | st.builds(lambda n, sign: sign * 10**4300 + n, st.integers(), st.sampled_from([1, -1]))
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | _JSON_TEXT
+)
+_JSON_TREES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: (
+        st.lists(children, max_size=5)
+        | st.lists(children, max_size=5).map(tuple)
+        | st.dictionaries(_JSON_TEXT, children, max_size=5)
+    ),
+    max_leaves=40,
+)
+
+
+@given(_JSON_TREES)
+def test_writer_matches_the_stdlib_encoder(document):
+    pieces = []
+    with no_int_digit_limit():
+        expected = json.dumps(document, indent=2, sort_keys=True) + "\n"
+        cli._write_json(document, pieces.append)
+    assert "".join(pieces) == expected
+
+
+def test_writer_hands_long_lists_over_in_pieces():
+    document = {"vectors": [("1/2", "1/3")] * 10_000, "count": 10_000}
+    pieces = []
+    cli._write_json(document, pieces.append)
+    assert len(pieces) > 2
+    assert "".join(pieces) == json.dumps(document, indent=2, sort_keys=True) + "\n"
+
 
 
 @pytest.mark.parametrize("n, r", [(2, 10**12), (1_000_001, 1)])

@@ -260,6 +260,18 @@ def test_cycle_assignment_count_is_zero_on_unbalanced_residuals():
         assert _cycle_order_counts(loop, (1,), r) == {}
 
 
+
+@pytest.mark.parametrize("loops", [0, 1, 2])
+def test_loops_only_graphs_match_the_oracle(loops):
+    # one vertex and no cycle edge: the empty assignment balances only when
+    # the residual is 0 mod r, for the oracle as for the table
+    graph = graph_of([1], [(0, 0)] * loops)
+    for r in range(1, 7):
+        for rho in range(r):
+            assert _cycle_order_counts(graph, (rho,), r).get((), 0) == (
+                oracles.cycle_assignment_count_brute((), (), (rho,), r)
+            )
+
 GRAPH_CLASSES = oracles.connected_multigraph_classes(4, 4)
 
 
