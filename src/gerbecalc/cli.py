@@ -26,6 +26,8 @@ the range of a float exit 2.
 Before enumerating, enumerate-admissible, compatible-graphs, count-lifts,
 fiber-count, decompose and verify estimate their work from their inputs,
 and exit 2 when an estimate is past _WORK_BOUND steps (see there).
+fiber-count's cycle assignments are counted once per prime power q of r,
+so it estimates the sum of q^(free edges) * max(1, V - 1) peel steps.
 decompose also estimates the r * C(b(j+1)+n, n) * classes * phi(r)
 coefficient strings of its sector records.  Before classifying the edges
 of a graph, count-lifts and picard-torsion (with a gerby section) estimate
@@ -60,9 +62,11 @@ if TYPE_CHECKING:
 
 # The most steps of any one kind a call may enumerate: trial divisions of r
 # (about sqrt(r), once per edge for count-lifts' totients), gerby
-# decorations (d(r)^(non-separating edges)), cycle assignments of the fiber
-# count (r^(free edges), with a table of r element orders only when some
-# edge is free), contact types of admissible vectors (n * r^(n-1)), and for
+# decorations (d(r)^(non-separating edges), which also bounds the merge of
+# the fiber count's tables), the fiber count's peel steps (q^(free edges)
+# assignments mod each prime power q of r, each solving the V - 1 edges of
+# the spanning tree, with a table of q element orders only when some edge
+# is free), contact types of admissible vectors (n * r^(n-1)), and for
 # decompose and verify the r * phi(r) coefficients of the powers of zeta_r,
 # the b(j+1) base variables, the phi(r) coefficients of each potential key
 # and, for decompose, the r * C(b(j+1)+n, n) * classes * phi(r)
@@ -74,7 +78,8 @@ if TYPE_CHECKING:
 # enumerating; past the bound the call exits 2.  At the bound a call takes
 # from under a second (trial division) to about 5 s and 130 MB
 # (enumerate-admissible --n 2 --r 500000, 2-vCPU VM, Python 3.11); the
-# largest benchmark call enumerates 30^3 cycle assignments.
+# largest benchmark call peels 4^4 + 3^4 cycle assignments (a 5-edge banana
+# at r = 12).
 _WORK_BOUND = 10**6
 
 
@@ -82,14 +87,19 @@ class InputError(Exception):
     """A flag or configuration problem; reported on stderr with exit 2."""
 
 
-def _bound_work(what: str, base: int, exponent: int, factor: int = 1) -> None:
-    """Raise InputError when factor * base^exponent is past _WORK_BOUND."""
+def _steps(base: int, exponent: int, factor: int = 1) -> int:
+    """factor * base^exponent, or a partial product past _WORK_BOUND."""
     work = factor
     for _ in range(exponent if base > 1 else 0):
         if work > _WORK_BOUND:
             break
         work *= base
-    if work > _WORK_BOUND:
+    return work
+
+
+def _bound_work(what: str, base: int, exponent: int, factor: int = 1) -> None:
+    """Raise InputError when factor * base^exponent is past _WORK_BOUND."""
+    if _steps(base, exponent, factor) > _WORK_BOUND:
         raise InputError(f"{what} are past the work bound of {_WORK_BOUND:,} steps")
 
 
@@ -108,7 +118,7 @@ def _bound_mark_work(graph: ModularGraph) -> None:
 
 def _bound_graph_work(graph: ModularGraph, r: int, cycles: bool) -> None:
     """Check the graph size, the decorations, and with cycles the fiber
-    count's assignments."""
+    count's peel steps."""
     if r < 1:
         return  # the commands themselves reject a non-positive r
     _bound_work("the sqrt(r) trial divisions of r", math.isqrt(r), 1)
@@ -127,9 +137,16 @@ def _bound_graph_work(graph: ModularGraph, r: int, cycles: bool) -> None:
     pairs = [graph.vertices_of_edge(e) for e in range(graph.num_edges)]
     linking = sum(1 for u, v in pairs if u != v)
     if linking:
-        # a spanning tree of a connected graph has |V| - 1 edges, none a loop
+        # a spanning tree of a connected graph has |V| - 1 edges, none a
+        # loop; each of the q^free assignments mod each prime power q of r
+        # peels all of them
         free = linking - (graph.num_vertices - 1)
-        _bound_work("the r^(free edges) cycle-count steps", r, free)
+        assignments = sum(_steps(q, free) for _, q in counting._prime_powers(r))
+        _bound_work(
+            "the cycle-count steps, q^(free edges) * max(1, V - 1) summed over the "
+            "prime powers q of r,",
+            assignments, 1, max(1, graph.num_vertices - 1),
+        )
 
 
 def _bound_theory_work(

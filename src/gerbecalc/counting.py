@@ -18,22 +18,31 @@ from .exactnum import divisors
 from .graphs import GerbyGraph, ModularGraph, betti1, classify_edges, total_genus
 
 
+@lru_cache(maxsize=None)
+def _prime_powers(n: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (p, p^a) of the primes p dividing n, with p^a the full
+    power of p in n, in increasing order of p, by trial division up to
+    sqrt(n); empty for n = 1."""
+    parts = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            q = 1
+            while n % p == 0:
+                n //= p
+                q *= p
+            parts.append((p, q))
+        p += 1
+    if n > 1:
+        parts.append((n, n))
+    return tuple(parts)
+
+
 def euler_totient(n: int) -> int:
     """Count of integers in [1, n] coprime to n; totient(1) = 1."""
     if n < 1:
         raise ValueError(f"totient needs a positive integer, got {n}")
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    return math.prod(q - q // p for p, q in _prime_powers(n))
 
 
 def prestable_picard_torsion(graph: ModularGraph, r: int) -> int:
@@ -113,6 +122,45 @@ def count_lifts(gerby: GerbyGraph, r: int, mode: str = "loop-only") -> LiftCount
     return LiftCount(value, mode)
 
 
+def _peel_counts(
+    free: list[tuple[int, int, int]],
+    steps: list[tuple[int, int, int]],
+    size: int,
+    residuals: tuple[int, ...],
+    q: int,
+) -> dict[tuple[int, ...], int]:
+    """The balanced assignments mod q, counted by their tuples of orders.
+
+    free holds (slot, first, second) for each cycle edge outside the
+    spanning tree and steps (slot, child, parent) for each tree edge, every
+    one after all tree edges further from the root; slot is the edge's
+    position in a key of size entries.  Every (Z/q)^free value of the free
+    edges is tried, each tree edge is solved by peeling, and the assignment
+    is counted under its additive orders q / gcd(x_e, q).  The caller has
+    checked that the residuals sum to 0 mod q, so every assignment balances.
+    """
+    # A table of the q element orders pays off only over the q^free
+    # assignments; with no free edge the one assignment computes its own.
+    order_of = [q // math.gcd(x, q) for x in range(q)] if free else None
+    counts: dict[tuple[int, ...], int] = {}
+    orders = [1] * size
+    for values in itertools.product(range(q), repeat=len(free)):
+        need = list(residuals)
+        for (k, a, b), x in zip(free, values):
+            need[a] -= x
+            need[b] += x
+            orders[k] = order_of[x]
+        for k, child, up in steps:
+            # x_e is need[child] at a first endpoint and -need[child] at a
+            # second; either way the parent's need grows by need[child]
+            x = need[child] % q
+            need[up] += x
+            orders[k] = order_of[x] if free else q // math.gcd(x, q)
+        key = tuple(orders)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 @lru_cache(maxsize=None)
 def _cycle_order_counts(
     graph: ModularGraph, residuals: tuple[int, ...], r: int
@@ -123,18 +171,27 @@ def _cycle_order_counts(
     included; a bridge is an edge of every spanning tree, so its value is
     always solved, never free.  Each edge carries x in Z/r, contributing +x
     at its first endpoint and -x at its second; an assignment is balanced
-    when the sum at every vertex equals its residual mod r.  The values on
-    the cycle edges outside the graph's spanning tree range over
-    (Z/r)^free, and each tree edge is then solved by peeling leaves towards
-    vertex 0.
+    when the sum at every vertex equals its residual mod r.  Returns, per
+    tuple of additive orders r / gcd(x_e, r) of the cycle edges in edge
+    order, the number of balanced assignments with those orders.
 
     Every edge adds x at one endpoint and -x at the other, and the peel
     moves each child's remaining need to its parent, so vertex 0 is left
     with the residual sum mod r whatever the free values are.  When that sum
     is nonzero no assignment balances and the table is empty; otherwise
-    every assignment balances.  Returns, per tuple of additive orders
-    r / gcd(x_e, r) of the cycle edges in edge order, the number of balanced
-    assignments with those orders.
+    every assignment balances.
+
+    The count is split over the prime powers q of r (Chinese remainder
+    theorem): x -> (x mod q)_q is a bijection from Z/r onto the product of
+    the Z/q, the system balances mod r exactly when it balances mod every
+    q, and r / gcd(x, r) is the product of the q / gcd(x, q).  So
+    _peel_counts enumerates (Z/q)^free once per q, for the cycle edges
+    outside the graph's spanning tree, and the tables are merged: each key
+    is the elementwise product of one key per q, and its count the product
+    of their counts.  The parts of the orders of distinct q are coprime, so
+    no two merged keys coincide.  The work is the sum of q^free peels, plus
+    a merge of at most d(r)^(non-separating edges) keys, since a bridge's
+    value is the same in every assignment.
     """
     if sum(residuals) % r:
         return {}
@@ -146,25 +203,15 @@ def _cycle_order_counts(
     # Reversed, every tree edge comes after all edges further from vertex 0.
     steps = [(slot[e], child, parent) for e, child, parent in reversed(graph._forest)]
 
-    # A table of the r element orders pays off only over the r^free
-    # assignments; with no free edge the one assignment computes its own.
-    order_of = [r // math.gcd(x, r) for x in range(r)] if free else None
-    counts: dict[tuple[int, ...], int] = {}
-    orders = [1] * len(slot)
-    for values in itertools.product(range(r), repeat=len(free)):
-        need = list(residuals)
-        for (k, a, b), x in zip(free, values):
-            need[a] -= x
-            need[b] += x
-            orders[k] = order_of[x]
-        for k, child, up in steps:
-            # x_e is need[child] at a first endpoint and -need[child] at a
-            # second; either way the parent's need grows by need[child]
-            x = need[child] % r
-            need[up] += x
-            orders[k] = order_of[x] if free else r // math.gcd(x, r)
-        key = tuple(orders)
-        counts[key] = counts.get(key, 0) + 1
+    parts = [q for _, q in _prime_powers(r)] or [1]
+    counts = _peel_counts(free, steps, len(slot), residuals, parts[0])
+    for q in parts[1:]:
+        part = _peel_counts(free, steps, len(slot), residuals, q)
+        counts = {
+            tuple([a * b for a, b in zip(key, other)]): n * m
+            for key, n in counts.items()
+            for other, m in part.items()
+        }
     return counts
 
 
@@ -202,14 +249,15 @@ def fiber_point_count(graph: ModularGraph, data: DegreeData, r: int) -> int:
     that solution counts 0.  On a graph whose cycles are all self-loops each
     summand equals count_lifts(loop-only); in general the constraints couple
     parallel non-separating edges.  The balanced assignments are enumerated
-    once per call, over the values of the cycle edges outside the graph's
-    spanning tree, and bucketed by their edge orders, so each decoration
-    looks its count up (see _cycle_order_counts).  Each decoration's orders
-    are read from its flag_orders through the first flags of the self-loops,
-    cycle edges and non-separating edges, found once per call.  The result
-    always equals r^(2g), independent of the graph; that closed form and the
-    totient divisor-sum identity are checked before returning, and a failure
-    raises AssertionError.
+    once per call and prime power q of r, over the values mod q of the cycle
+    edges outside the graph's spanning tree, bucketed by their edge orders
+    and merged into one table for r, so each decoration looks its count up
+    (see _cycle_order_counts).  Each decoration's orders are read from its
+    flag_orders through the first flags of the self-loops, cycle edges and
+    non-separating edges, found once per call.  The result always equals
+    r^(2g), independent of the graph; that closed form and the totient
+    divisor-sum identity are checked before returning, and a failure raises
+    AssertionError.
     """
     data = data.validated_for(graph, r)
     _, nonseparating = classify_edges(graph)

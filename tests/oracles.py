@@ -11,9 +11,10 @@ sum over every sector tuple where it tests one tuple per sum of the
 sectors, every multiset of gerbe
 variables where the gerbe potential enumerates single-character monomials
 only, one gerbe_invariant_rho call per key where the gerbe potential looks
-each base monomial up once for all its character copies, and every
+each base monomial up once for all its character copies, every
 assignment of each prescribed edge order where the fiber count solves
-spanning-tree edges.
+spanning-tree edges, and Ramanujan sums over the divisors of r where it
+splits a banana graph's count over the prime powers of r.
 """
 
 import itertools
@@ -44,6 +45,50 @@ def cycle_assignment_count_brute(endpoints, orders, residuals, r: int) -> int:
         if all((s - t) % r == 0 for s, t in zip(sums, residuals)):
             count += 1
     return count
+
+
+def mobius_brute(n: int) -> int:
+    """The Moebius function: 0 when a square divides n, else (-1)^(primes)."""
+    sign = 1
+    for p in range(2, n + 1):
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+    return sign
+
+
+def ramanujan_sum(q: int, n: int) -> int:
+    """c_q(n), the sum of the n-th powers of the primitive q-th roots of
+    unity, by von Sterneck's closed form mu(q/g) phi(q) / phi(q/g), g = (q, n)."""
+    m = q // math.gcd(q, n)
+    return mobius_brute(m) * totient_brute(q) // totient_brute(m)
+
+
+def banana_order_counts(n_edges: int, rho: int, r: int) -> dict:
+    """Per tuple d of additive orders, the x in (Z/r)^n_edges of orders d
+    summing to rho mod r: on a two-vertex banana, the balanced assignments
+    for residuals (rho, -rho) whatever the edges' orientations, as negating
+    a value keeps its order.  Counted by characters instead of assignments:
+    (1/r) * sum over g | r of c_{r/g}(rho) * prod_e c_{d_e}(g).  Tuples with
+    no such assignment are left out.
+    """
+    divs = [d for d in range(1, r + 1) if r % d == 0]
+    # one term per g, for all tuples at once, in itertools.product's order
+    totals = [0] * len(divs) ** n_edges
+    for g in divs:
+        terms = [ramanujan_sum(r // g, rho)]
+        sums = [ramanujan_sum(d, g) for d in divs]
+        for _ in range(n_edges):
+            terms = [t * c for t in terms for c in sums]
+        totals = [a + b for a, b in zip(totals, terms)]
+    counts = {}
+    for orders, total in zip(itertools.product(divs, repeat=n_edges), totals):
+        assert total % r == 0, (orders, rho, r)
+        if total:
+            counts[orders] = total // r
+    return counts
 
 
 def admissible_residue_tuples(n: int, r: int, k: int) -> set:

@@ -215,8 +215,9 @@ def test_zero_denominator_tail_type_is_an_input_error(capsys, tmp_path, command)
         # d(12)^8 = 1,679,616 decorations (fiber-count streams them, so a
         # missing bound costs time here, not the memory of a listing)
         ("fiber-count", 12, [0], [(0, 0)] * 8, "decorations"),
-        # 2,000,000^1 cycle assignments and as many element orders
-        ("fiber-count", 2 * 10**6, [0, 0], [(0, 1), (0, 1)], "cycle-count steps"),
+        # a prime r = 1,000,003 is its own only prime power: as many
+        # assignments of the one free edge
+        ("fiber-count", 1_000_003, [0, 0], [(0, 1), (0, 1)], "cycle-count steps"),
     ],
 )
 def test_work_past_the_bound_is_an_input_error(capsys, tmp_path, command, r, vertices, edges, what):
@@ -230,8 +231,8 @@ def test_work_past_the_bound_is_an_input_error(capsys, tmp_path, command, r, ver
 
 
 def test_fiber_count_on_a_forest_has_no_free_edge_to_bound(capsys, tmp_path):
-    # a three-vertex path: both edges are solved, so the one assignment
-    # costs no r^(free edges) steps and no table of r element orders
+    # a three-vertex path: both edges are solved, so each prime power of r
+    # peels one assignment, with no table of element orders
     r = 2 * 10**6
     path = graph_config(
         tmp_path, r=r, vertices=[0, 1, 0], edges=[(0, 1), (1, 2)],
@@ -240,6 +241,43 @@ def test_fiber_count_on_a_forest_has_no_free_edge_to_bound(capsys, tmp_path):
     code, out, _ = run(capsys, "fiber-count", "--input", path)
     assert code == 0
     assert json.loads(out)["result"] == {"value": str(r**2), "formula": "r^(2g)"}
+
+
+@pytest.mark.parametrize(
+    "r, n_edges",
+    [
+        # 2 * 10**6 = 2^7 * 5^6: 128 + 15,625 assignments of the one free edge
+        (2 * 10**6, 2),
+        # 2310 = 2 * 3 * 5 * 7 * 11: 4 + 9 + 25 + 49 + 121 assignments of the
+        # two free edges, where r^2 = 5,336,100 would pass the bound
+        (2310, 3),
+    ],
+)
+def test_fiber_count_bound_sums_the_prime_power_steps(capsys, tmp_path, r, n_edges):
+    path = graph_config(
+        tmp_path, r=r, vertices=[0, 0], edges=[(0, 1)] * n_edges,
+        degree_data={"vertex_residues": [0, 0], "tail_types": []},
+    )
+    code, out, _ = run(capsys, "fiber-count", "--input", path)
+    assert code == 0
+    assert json.loads(out)["result"] == {"value": str(r ** (2 * (n_edges - 1))), "formula": "r^(2g)"}
+
+
+def test_fiber_count_bound_counts_every_peeled_edge(capsys, tmp_path, monkeypatch):
+    # a 480-vertex path plus one doubled edge at r = 10^6 = 2^6 * 5^6: only
+    # 64 + 15,625 assignments of the one free edge, but each peels 479 tree
+    # edges, 7,515,031 steps in all
+    def never(*args):
+        raise AssertionError("the cycle assignments were enumerated past the bound")
+
+    monkeypatch.setattr(counting, "_peel_counts", never)
+    path = graph_config(
+        tmp_path, r=10**6, vertices=[0] * 480, edges=[(v, v + 1) for v in range(479)] + [(0, 1)],
+        degree_data={"vertex_residues": [0] * 480, "tail_types": []},
+    )
+    code, out, err = run(capsys, "fiber-count", "--input", path)
+    assert code == 2 and out == ""
+    assert "cycle-count steps" in err and "work bound of 1,000,000 steps" in err
 
 
 def path_config(tmp_path, n):

@@ -260,6 +260,61 @@ def test_cycle_assignment_count_is_zero_on_unbalanced_residuals():
         assert _cycle_order_counts(loop, (1,), r) == {}
 
 
+def test_cycle_assignment_count_by_prime_powers_matches_brute_force():
+    # random connected graphs with bridges and maybe a loop, at r with one
+    # or several prime powers; r^(cycle edges) stays within reach of the oracle
+    rng = random.Random(83)
+    for r in (4, 8, 9, 12, 18, 20, 30):
+        max_cycle_edges = 4 if r < 10 else 3
+        for _ in range(6):
+            nv = rng.randint(2, max_cycle_edges + 1)
+            graph = random_connected_graph(rng, nv, rng.randint(0, max_cycle_edges + 1 - nv))
+            residuals = [0] * nv
+            for a, b in cycle_endpoints(graph):
+                x = rng.randrange(r)
+                residuals[a] = (residuals[a] + x) % r
+                residuals[b] = (residuals[b] - x) % r
+            counts = assert_counts_match_brute_force(graph, tuple(residuals), r)
+            assert sum(counts.values()) == r ** (len(cycle_endpoints(graph)) - nv + 1)
+            # a residual sum that is 0 mod one prime power q of r but not
+            # mod r balances mod q only, so no assignment balances
+            q = max(q for _, q in counting._prime_powers(r))
+            if q < r:
+                residuals[rng.randrange(nv)] += q
+                unbalanced = tuple(x % r for x in residuals)
+                assert _cycle_order_counts(graph, unbalanced, r) == {}
+                counts = assert_counts_match_brute_force(graph, unbalanced, r)
+                assert set(counts.values()) == {0}
+
+
+@pytest.mark.parametrize("r, n_edges", [(r, n) for r in (30, 60, 210) for n in (2, 3, 4)])
+def test_banana_counts_match_ramanujan_sums(r, n_edges):
+    # r^(n_edges) assignments are past the brute-force oracle at r = 60 and
+    # 210; every residual at r = 30, a few elsewhere
+    rng = random.Random(r * 10 + n_edges)
+    edges = [(0, 1) if rng.random() < 0.5 else (1, 0) for _ in range(n_edges)]
+    banana = graph_of([0, 0], edges)
+    for rho in range(r) if r == 30 else (0, 1, r // 2, rng.randrange(r)):
+        assert _cycle_order_counts(banana, (rho, -rho % r), r) == (
+            oracles.banana_order_counts(n_edges, rho, r)
+        ), (edges, rho, r)
+
+
+def test_cycle_count_enumerates_once_per_prime_power(monkeypatch):
+    # a 4-edge banana at r = 30: 2^3 + 3^3 + 5^3 assignments, never 30^3
+    seen = []
+    peel = counting._peel_counts
+
+    def spy(free, steps, size, residuals, q):
+        seen.append(q)
+        return peel(free, steps, size, residuals, q)
+
+    monkeypatch.setattr(counting, "_peel_counts", spy)
+    banana = graph_of([0, 0], [(0, 1)] * 4)
+    counts = _cycle_order_counts.__wrapped__(banana, (0, 0), 30)
+    assert seen == [2, 3, 5]
+    assert sum(counts.values()) == 30**3
+
 
 @pytest.mark.parametrize("loops", [0, 1, 2])
 def test_loops_only_graphs_match_the_oracle(loops):
