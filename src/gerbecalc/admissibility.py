@@ -185,6 +185,13 @@ class DegreeData:
             if graph.attachment[f] == vertex
         )
 
+    def _residuals(self, graph: ModularGraph, r: int) -> list[int]:
+        """Per vertex, k_v minus the residues of the tails at v, mod r."""
+        residual = list(self.vertex_residues)
+        for f, t in zip(graph.tails(), self.tail_types):
+            residual[graph.attachment[f]] -= t.residue(r)
+        return [x % r for x in residual]
+
 
 def separating_node_order(
     graph: ModularGraph,
@@ -219,9 +226,7 @@ def separating_node_order(
 def _cut_orders(graph: ModularGraph, data: DegreeData, r: int) -> dict[int, int]:
     """Per forest edge, r / gcd(s, r) for s the sum of k_v minus tail residues
     below it: at a bridge, the order separating_node_order gives."""
-    total = list(data.vertex_residues)
-    for f, t in zip(graph.tails(), data.tail_types):
-        total[graph.attachment[f]] -= t.residue(r)
+    total = data._residuals(graph, r)
     for _e, child, parent in reversed(graph._forest):
         total[parent] += total[child]
     return {e: r // math.gcd(total[child], r) for e, child, _ in graph._forest}

@@ -26,6 +26,8 @@ the range of a float exit 2.
 Before enumerating, enumerate-admissible, compatible-graphs, count-lifts,
 fiber-count, decompose and verify estimate their work from their inputs,
 and exit 2 when an estimate is past _WORK_BOUND steps (see there).
+compatible-graphs and fiber-count charge each of the d(r)^(non-separating
+edges) decorations 1 + (V + E) // 48 steps for the graph it reads.
 fiber-count's cycle assignments are counted once per prime power q of r,
 so it estimates the sum of q^(free edges) * max(1, V - 1) peel steps.
 decompose also estimates the r * C(b(j+1)+n, n) * classes * phi(r)
@@ -34,7 +36,7 @@ of a graph, count-lifts and picard-torsion (with a gerby section) estimate
 the V * (E - V + 1) bits its classification marks may hold, and
 compatible-graphs and fiber-count cap the graph's size at
 (E + min(E, V - 1)) * (V + E), which is never less, so that the work of
-each decoration and each cycle assignment stays small too.
+each cycle assignment stays small too.
 degree, picard-torsion, count-lifts, fiber-count, decompose and verify
 also estimate the digits of their powers of r before computing them, and
 picard-torsion --quotient the sum of log10 of its edge and tail orders
@@ -54,7 +56,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import admissibility, counting
 from .admissibility import ContactType, DegreeData
-from .exactnum import _DIGIT_BOUND, divisors, format_rational, parse_rational
+from .exactnum import _DIGIT_BOUND, _prime_powers, divisors, format_rational, parse_rational
 from .graphs import GerbyGraph, ModularGraph, _field, betti1, classify_edges, total_genus
 
 if TYPE_CHECKING:
@@ -73,8 +75,12 @@ if TYPE_CHECKING:
 # coefficients of its sector records.  On a graph with V vertices and E
 # edges, classify_edges' marks hold up to V * (E - V + 1) bits, and
 # compatible-graphs and fiber-count cap the graph's size at the larger
-# (E + min(E, V - 1)) * (V + E), as each decoration and each cycle
-# assignment reads the whole graph.  Each estimate is made before
+# (E + min(E, V - 1)) * (V + E), as each cycle assignment reads the whole
+# graph, and charge each decoration 1 + (V + E) // 48 steps for the graph
+# it reads: one more decoration costs fiber-count about 4 us plus 0.07 us
+# per vertex or edge, and compatible-graphs, which writes each one out,
+# about 14 us plus 0.3 us (measured at 14 and 970 vertices and edges), and
+# both ratios are near 48.  Each estimate is made before
 # enumerating; past the bound the call exits 2.  At the bound a call takes
 # from under a second (trial division) to about 5 s and 130 MB
 # (enumerate-admissible --n 2 --r 500000, 2-vCPU VM, Python 3.11); the
@@ -117,8 +123,8 @@ def _bound_mark_work(graph: ModularGraph) -> None:
 
 
 def _bound_graph_work(graph: ModularGraph, r: int, cycles: bool) -> None:
-    """Check the graph size, the decorations, and with cycles the fiber
-    count's peel steps."""
+    """Check the graph size, the decorations with the graph each one reads,
+    and with cycles the fiber count's peel steps."""
     if r < 1:
         return  # the commands themselves reject a non-positive r
     _bound_work("the sqrt(r) trial divisions of r", math.isqrt(r), 1)
@@ -130,7 +136,9 @@ def _bound_graph_work(graph: ModularGraph, r: int, cycles: bool) -> None:
     )
     _, nonseparating = classify_edges(graph)
     _bound_work(
-        "the d(r)^(non-separating edges) decorations", len(divisors(r)), len(nonseparating)
+        "the d(r)^(non-separating edges) decorations, each charged 1 + (V + E) // 48 "
+        "steps for the graph it reads,",
+        len(divisors(r)), len(nonseparating), 1 + (graph.num_vertices + graph.num_edges) // 48,
     )
     if not cycles:
         return
@@ -141,7 +149,7 @@ def _bound_graph_work(graph: ModularGraph, r: int, cycles: bool) -> None:
         # loop; each of the q^free assignments mod each prime power q of r
         # peels all of them
         free = linking - (graph.num_vertices - 1)
-        assignments = sum(_steps(q, free) for _, q in counting._prime_powers(r))
+        assignments = sum(_steps(q, free) for _, q in _prime_powers(r))
         _bound_work(
             "the cycle-count steps, q^(free edges) * max(1, V - 1) summed over the "
             "prime powers q of r,",

@@ -14,34 +14,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .admissibility import DegreeData, enumerate_compatible_gerby
-from .exactnum import divisors
+from .exactnum import _prime_powers, divisors
 from .graphs import GerbyGraph, ModularGraph, betti1, classify_edges, total_genus
-
-
-@lru_cache(maxsize=None)
-def _prime_powers(n: int) -> tuple[tuple[int, int], ...]:
-    """The pairs (p, p^a) of the primes p dividing n, with p^a the full
-    power of p in n, in increasing order of p, by trial division up to
-    sqrt(n); empty for n = 1."""
-    parts = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            q = 1
-            while n % p == 0:
-                n //= p
-                q *= p
-            parts.append((p, q))
-        p += 1
-    if n > 1:
-        parts.append((n, n))
-    return tuple(parts)
 
 
 def euler_totient(n: int) -> int:
     """Count of integers in [1, n] coprime to n; totient(1) = 1."""
-    if n < 1:
-        raise ValueError(f"totient needs a positive integer, got {n}")
     return math.prod(q - q // p for p, q in _prime_powers(n))
 
 
@@ -262,10 +240,7 @@ def fiber_point_count(graph: ModularGraph, data: DegreeData, r: int) -> int:
     data = data.validated_for(graph, r)
     _, nonseparating = classify_edges(graph)
 
-    residual = [k % r for k in data.vertex_residues]
-    for f, t in zip(graph.tails(), data.tail_types):
-        residual[graph.attachment[f]] -= t.residue(r)
-    residuals = tuple(x % r for x in residual)
+    residuals = tuple(data._residuals(graph, r))
 
     pairs = [graph.vertices_of_edge(e) for e in range(graph.num_edges)]
     first_flag = [f1 for f1, _ in graph.edges()]
@@ -274,7 +249,9 @@ def fiber_point_count(graph: ModularGraph, data: DegreeData, r: int) -> int:
     nonseparating_flags = [first_flag[e] for e in nonseparating]
 
     base = prestable_picard_torsion(graph, r)
-    phi = {d: euler_totient(d) for d in divisors(r)}
+    # phi(d) is the product of phi(gcd(d, q)) over the prime powers q of r
+    parts = _prime_powers(r)
+    phi = {d: math.prod((g := math.gcd(d, q)) - g // p for p, q in parts) for d in divisors(r)}
     total = 0
     totient_sum = 0
     for gerby in enumerate_compatible_gerby(graph, data, r):

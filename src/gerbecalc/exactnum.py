@@ -92,19 +92,36 @@ def _poly_div_exact(num: Sequence[int], den: Sequence[int]) -> list[int]:
     return out
 
 
-def divisors(n: int) -> tuple[int, ...]:
-    """Positive divisors of n in increasing order."""
+@lru_cache(maxsize=None)
+def _prime_powers(n: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (p, p^a), p^a the full power of the prime p in n, by
+    increasing p: the package's one factoriser, trial division to sqrt(n)."""
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n}")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return tuple(small + large[::-1])
+    parts = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            q = 1
+            while n % p == 0:
+                n //= p
+                q *= p
+            parts.append((p, q))
+        p += 1
+    if n > 1:
+        parts.append((n, n))
+    return tuple(parts)
+
+
+def divisors(n: int) -> tuple[int, ...]:
+    """Positive divisors of n in increasing order, built from its prime powers."""
+    found = [1]
+    for p, q in _prime_powers(n):
+        powers = [1]
+        while powers[-1] < q:
+            powers.append(powers[-1] * p)
+        found = [d * e for d in found for e in powers]
+    return tuple(sorted(found))
 
 
 @lru_cache(maxsize=None)

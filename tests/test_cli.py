@@ -525,6 +525,81 @@ def test_admissible_vectors_past_the_bound_are_an_input_error(capsys, n, r):
     assert "contact types" in err and "work bound of 1,000,000 steps" in err
 
 
+def path_with_loops(n, loops):
+    # a path of n vertices with the given number of self-loops at vertex 0
+    return graph_of([0] * n, [(v, v + 1) for v in range(n - 1)] + [(0, 0)] * loops)
+
+
+def test_each_decoration_is_charged_for_the_graph_it_reads():
+    # 2^16 decorations at r = 2: on a 352-vertex path with 16 loops
+    # (V + E = 719) each is charged 1 + 719 // 48 = 15 steps, 983,040 in all;
+    # at 353 vertices 16 steps, 1,048,576.  Both pass the graph-size cap.
+    for cycles in (False, True):
+        cli._bound_graph_work(path_with_loops(352, 16), 2, cycles)
+        with pytest.raises(cli.InputError, match="decorations, each charged"):
+            cli._bound_graph_work(path_with_loops(353, 16), 2, cycles)
+
+
+@pytest.mark.parametrize("command", ["fiber-count", "compatible-graphs"])
+def test_many_decorations_of_a_large_graph_are_an_input_error(capsys, tmp_path, monkeypatch, command):
+    # a 480-vertex path with 19 loops at r = 2: 2^19 = 524,288 decorations
+    # and 955,506 graph-size steps are each within the bound, but every
+    # decoration reads 978 vertices and edges (fiber-count took 35 s)
+    def never(*args):
+        raise AssertionError("the decorations were enumerated past the bound")
+
+    for module in (admissibility, counting):
+        monkeypatch.setattr(module, "enumerate_compatible_gerby", never)
+    path = graph_config(
+        tmp_path, r=2, vertices=[0] * 480, edges=[(v, v + 1) for v in range(479)] + [(0, 0)] * 19,
+        degree_data={"vertex_residues": [0] * 480, "tail_types": []},
+    )
+    code, out, err = run(capsys, command, "--input", path)
+    assert code == 2 and out == ""
+    assert "decorations, each charged" in err and "work bound of 1,000,000 steps" in err
+
+
+def necklace(multiplicities):
+    # a cycle of vertices, consecutive ones joined by so many parallel edges
+    n = len(multiplicities)
+    return graph_of([0] * n, [(i, (i + 1) % n) for i in range(n) for _ in range(multiplicities[i])])
+
+
+@pytest.mark.parametrize(
+    "graph, r",
+    [
+        (necklace([2, 2, 2]), 24),
+        (necklace([2, 2, 2]), 30),
+        (necklace([3, 2, 2]), 12),
+        (graph_of([0, 0], [(0, 1)] * 5), 30),
+        (graph_of([0, 0], [(0, 1)] * 6), 30),
+    ],
+)
+def test_fiber_wide_calls_pass_the_bound(graph, r):
+    # up to 6^7 = 279,936 decorations of graphs of at most 10 vertices and
+    # edges, charged one step each
+    cli._bound_graph_work(graph, r, True)
+
+
+@pytest.mark.parametrize(
+    "command, edges",
+    [("fiber-count", [(0, 1), (0, 1), (0, 1)]), ("compatible-graphs", [(0, 1), (0, 1), (1, 1)])],
+)
+def test_each_call_factors_r_once(capsys, tmp_path, command, edges):
+    # the bound's sqrt(r) and d(r), the decorations' divisors, the peel's
+    # prime powers and the totients of the divisors of r = 60 all read one
+    # factorisation
+    exactnum._prime_powers.cache_clear()
+    path = graph_config(
+        tmp_path, r=60, vertices=[0, 0], edges=edges,
+        degree_data={"vertex_residues": [0, 0], "tail_types": []},
+    )
+    code, _, _ = run(capsys, command, "--input", path)
+    assert code == 0
+    info = exactnum._prime_powers.cache_info()
+    assert info.misses == 1 and info.hits >= 1
+
+
 def test_work_at_the_bound_still_runs(capsys, tmp_path):
     cli._bound_work("steps", 10, 6)
     cli._bound_work("steps", 1, 10**18, 10**6)

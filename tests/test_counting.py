@@ -9,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
-from conftest import balanced_data, graph_of
+from conftest import balanced_data, graph_of, prime_products
 from gerbecalc import admissibility, counting
 from gerbecalc.admissibility import (
     ContactType,
@@ -42,7 +42,7 @@ def test_totient_examples():
         euler_totient(0)
 
 
-@given(st.integers(1, 300))
+@given(st.integers(1, 10**4) | prime_products(limit=10**5).map(lambda case: case[0]))
 def test_totient_matches_brute_force(n):
     assert euler_totient(n) == oracles.totient_brute(n)
 

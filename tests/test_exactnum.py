@@ -1,5 +1,6 @@
 """Tests for exact cyclotomic arithmetic."""
 
+import itertools
 import json
 import math
 import re
@@ -12,10 +13,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
+from conftest import prime_products
 from gerbecalc import exactnum
 from gerbecalc.exactnum import (
     CyclotomicNumber,
     cyclotomic_polynomial,
+    divisors,
     format_rational,
     parse_rational,
     power_basis_size,
@@ -99,6 +102,25 @@ def test_cyclotomic_polynomial_known_values():
 def test_cyclotomic_polynomial_rejects_nonpositive():
     with pytest.raises(ValueError):
         cyclotomic_polynomial(0)
+
+
+@given(st.integers(1, 10**4) | prime_products(limit=10**5).map(lambda case: case[0]))
+def test_divisors_match_brute_force(n):
+    assert divisors(n) == tuple(d for d in range(1, n + 1) if n % d == 0)
+
+
+@given(prime_products(max_exponent=10))
+def test_factoriser_on_prime_products(case):
+    # the drawn factorisation is the reference: the prime powers in
+    # increasing order, and every product of powers of them as a divisor
+    n, exponents = case
+    primes = sorted(exponents)
+    assert exactnum._prime_powers(n) == tuple((p, p ** exponents[p]) for p in primes)
+    expected = sorted(
+        math.prod(p**e for p, e in zip(primes, chosen))
+        for chosen in itertools.product(*(range(exponents[p] + 1) for p in primes))
+    )
+    assert divisors(n) == tuple(expected)
 
 
 @pytest.mark.parametrize("n", range(1, 31))
