@@ -25,18 +25,9 @@ the range of a float exit 2.
 
 Before enumerating, enumerate-admissible, compatible-graphs, count-lifts,
 fiber-count, decompose and verify estimate their work from their inputs,
-and exit 2 when an estimate is past _WORK_BOUND steps (see there).
-compatible-graphs and fiber-count charge each of the d(r)^(non-separating
-edges) decorations 1 + (V + E) // 48 steps for the graph it reads.
-fiber-count's cycle assignments are counted once per prime power q of r,
-so it estimates the sum of q^(free edges) * max(1, V - 1) peel steps.
-decompose also estimates the r * C(b(j+1)+n, n) * classes * phi(r)
-coefficient strings of its sector records.  Before classifying the edges
-of a graph, count-lifts and picard-torsion (with a gerby section) estimate
-the V * (E - V + 1) bits its classification marks may hold, and
-compatible-graphs and fiber-count cap the graph's size at
-(E + min(E, V - 1)) * (V + E), which is never less, so that the work of
-each cycle assignment stays small too.
+and exit 2 when an estimate is past _WORK_BOUND steps; the estimates are
+listed where _WORK_BOUND is defined.
+
 degree, picard-torsion, count-lifts, fiber-count, decompose and verify
 also estimate the digits of their powers of r before computing them, and
 picard-torsion --quotient the sum of log10 of its edge and tail orders
@@ -62,30 +53,39 @@ from .graphs import GerbyGraph, ModularGraph, _field, betti1, classify_edges, to
 if TYPE_CHECKING:
     from . import gw
 
-# The most steps of any one kind a call may enumerate: trial divisions of r
-# (about sqrt(r), once per edge for count-lifts' totients), gerby
-# decorations (d(r)^(non-separating edges), which also bounds the merge of
-# the fiber count's tables), the fiber count's peel steps (q^(free edges)
-# assignments mod each prime power q of r, each solving the V - 1 edges of
-# the spanning tree, with a table of q element orders only when some edge
-# is free), contact types of admissible vectors (n * r^(n-1)), and for
-# decompose and verify the r * phi(r) coefficients of the powers of zeta_r,
-# the b(j+1) base variables, the phi(r) coefficients of each potential key
-# and, for decompose, the r * C(b(j+1)+n, n) * classes * phi(r)
-# coefficients of its sector records.  On a graph with V vertices and E
-# edges, classify_edges' marks hold up to V * (E - V + 1) bits, and
-# compatible-graphs and fiber-count cap the graph's size at the larger
-# (E + min(E, V - 1)) * (V + E), as each cycle assignment reads the whole
-# graph, and charge each decoration 1 + (V + E) // 48 steps for the graph
-# it reads: one more decoration costs fiber-count about 4 us plus 0.07 us
-# per vertex or edge, and compatible-graphs, which writes each one out,
-# about 14 us plus 0.3 us (measured at 14 and 970 vertices and edges), and
-# both ratios are near 48.  Each estimate is made before
-# enumerating; past the bound the call exits 2.  At the bound a call takes
-# from under a second (trial division) to about 5 s and 130 MB
-# (enumerate-admissible --n 2 --r 500000, 2-vCPU VM, Python 3.11); the
-# largest benchmark call peels 4^4 + 3^4 cycle assignments (a 5-edge banana
-# at r = 12).
+# The most steps of any one kind a call may enumerate.  Each estimate is
+# made before enumerating, and past the bound the call exits 2:
+# - the sqrt(r) trial divisions that factor r once (count-lifts factors r
+#   only when the graph has an edge, for the totients of its edge orders);
+# - on a graph with V vertices, E edges and T tails: for count-lifts and
+#   picard-torsion (with a gerby section), the V * (E - V + 1) bits that
+#   classify_edges' marks may hold; for compatible-graphs and fiber-count,
+#   a cap of (E + min(E, V - 1)) * (V + E) on the graph's size, never less,
+#   as each cycle assignment reads the whole graph, and the d(r)^(non-
+#   separating edges) gerby decorations, which also bound the merge of the
+#   fiber count's tables, each charged 1 + (V + E + 2T) // 48 steps for the
+#   graph and tails it reads.  One more decoration costs fiber-count about
+#   4 us plus 0.07 us per vertex or edge, and compatible-graphs, which
+#   writes each one out, about 14 us plus 0.3 us (measured at 14 and 970
+#   vertices and edges); a tail costs fiber-count about 0.1 us and
+#   compatible-graphs 0.5 to 0.7 us, about twice a vertex or edge (measured
+#   at 0, 2,000 and 8,000 tails on a vertex with 8 loops);
+# - fiber-count's peel steps: q^(free edges) assignments mod each prime
+#   power q of r, each solving the V - 1 edges of the spanning tree, with a
+#   table of q element orders only when some edge is free;
+# - enumerate-admissible's n * r^(n-1) contact types;
+# - for decompose and verify, the r * phi(r) coefficients of the powers of
+#   zeta_r, the b(j+1) base variables, and for each potential key its
+#   phi(r) coefficients and the rank entries of its curve class; for
+#   decompose also the r * C(b(j+1)+n, n) * classes * (phi(r) + rank)
+#   coefficients and class entries of its sector records.
+# At the bound a call takes from under a second (trial division) to about
+# 5 s and 130 MB (enumerate-admissible --n 2 --r 500000, measured on a
+# 2-vCPU VM, Python 3.11).  compatible-graphs, which holds every decoration
+# until it writes, would take about 480 MB on one vertex with 19 loops at
+# r = 2 (524,288 decorations charged one step each; extrapolated from
+# 129 MB at 17 loops, not run).  The largest benchmark call peels
+# 4^4 + 3^4 cycle assignments (a 5-edge banana at r = 12).
 _WORK_BOUND = 10**6
 
 
@@ -123,8 +123,8 @@ def _bound_mark_work(graph: ModularGraph) -> None:
 
 
 def _bound_graph_work(graph: ModularGraph, r: int, cycles: bool) -> None:
-    """Check the graph size, the decorations with the graph each one reads,
-    and with cycles the fiber count's peel steps."""
+    """Check the graph size, the decorations with the graph and tails each
+    one reads, and with cycles the fiber count's peel steps."""
     if r < 1:
         return  # the commands themselves reject a non-positive r
     _bound_work("the sqrt(r) trial divisions of r", math.isqrt(r), 1)
@@ -135,10 +135,11 @@ def _bound_graph_work(graph: ModularGraph, r: int, cycles: bool) -> None:
         graph.num_edges + min(graph.num_edges, graph.num_vertices - 1),
     )
     _, nonseparating = classify_edges(graph)
+    size = graph.num_vertices + graph.num_edges + 2 * len(graph.tails())
     _bound_work(
-        "the d(r)^(non-separating edges) decorations, each charged 1 + (V + E) // 48 "
+        "the d(r)^(non-separating edges) decorations, each charged 1 + (V + E + 2T) // 48 "
         "steps for the graph it reads,",
-        len(divisors(r)), len(nonseparating), 1 + (graph.num_vertices + graph.num_edges) // 48,
+        len(divisors(r)), len(nonseparating), 1 + size // 48,
     )
     if not cycles:
         return
@@ -158,10 +159,11 @@ def _bound_graph_work(graph: ModularGraph, r: int, cycles: bool) -> None:
 
 
 def _bound_theory_work(
-    r: int, basis_size: int, genus: int, truncation: gw.Truncation, sectors: bool
+    r: int, rank: int, basis_size: int, genus: int, truncation: gw.Truncation, sectors: bool
 ) -> None:
     """Check the work of decompose and verify before the base table is built;
     with sectors (decompose), also the coefficients of the sector records.
+    Each key and sector record also carries a curve class of rank entries.
 
     r >= 1 and the truncation are valid here; the table rejects a basis
     size below 1.
@@ -184,14 +186,17 @@ def _bound_theory_work(
             break
     keys = len(truncation.betas) * (r * (monomials - 1) + 1)
     _bound_work(
-        "the phi(r) coefficients of the r(C(b(j+1)+n, n) - 1) + 1 keys per curve class",
-        phi, 1, keys,
+        "the phi(r) coefficients and rank class entries of the r(C(b(j+1)+n, n) - 1) + 1 "
+        "keys per curve class",
+        phi + rank, 1, keys,
     )
     if sectors:
         # each of the r sectors repeats every base key with phi(r) strings
+        # and its curve class
         _bound_work(
-            "the r * C(b(j+1)+n, n) * classes * phi(r) coefficients of the sectors",
-            phi, 1, r * monomials * len(truncation.betas),
+            "the r * C(b(j+1)+n, n) * classes * (phi(r) + rank) coefficients of the "
+            "sectors and their curve classes",
+            phi + rank, 1, r * monomials * len(truncation.betas),
         )
 
 
@@ -276,7 +281,9 @@ def _gw_common(args) -> tuple[gw.GerbeSpec, gw.BaseTheoryTable, int, gw.Truncati
         _field(section, "j_max", int, "truncation"),
         tuple(tuple(b) for b in betas),
     )
-    _bound_theory_work(r, basis_size, genus, truncation, args.command == "decompose")
+    _bound_theory_work(
+        r, len(pairing), basis_size, genus, truncation, args.command == "decompose"
+    )
     if args.seed is not None:
         if "base_invariants" in config:
             raise InputError("--seed and a base_invariants table are mutually exclusive")
@@ -337,9 +344,8 @@ def _run_count_lifts(args) -> tuple[dict, dict, int]:
     config, graph, r = _graph_common(args.input)
     gerby = _gerby_from(config, graph)
     if r >= 1:
-        _bound_work(
-            "the sqrt(r) trial divisions of each edge order", math.isqrt(r), 1, graph.num_edges
-        )
+        if graph.num_edges:  # the edge orders' totients factor r once
+            _bound_work("the sqrt(r) trial divisions of r", math.isqrt(r), 1)
         _bound_mark_work(graph)
     # r^(2g-b1) times a totient below r for each edge at most
     _bound_digits("the lift count", r, 2 * total_genus(graph) - betti1(graph) + graph.num_edges)

@@ -18,9 +18,15 @@ from .exactnum import _prime_powers, divisors
 from .graphs import GerbyGraph, ModularGraph, betti1, classify_edges, total_genus
 
 
+def _totient(d: int, n: int) -> int:
+    """phi(d) for a divisor d of n: the product of phi(gcd(d, q)) over the
+    cached prime powers q of n, so the divisors of n share one factorisation."""
+    return math.prod((g := math.gcd(d, q)) - g // p for p, q in _prime_powers(n))
+
+
 def euler_totient(n: int) -> int:
     """Count of integers in [1, n] coprime to n; totient(1) = 1."""
-    return math.prod(q - q // p for p, q in _prime_powers(n))
+    return _totient(n, n)
 
 
 def prestable_picard_torsion(graph: ModularGraph, r: int) -> int:
@@ -80,7 +86,8 @@ def count_lifts(gerby: GerbyGraph, r: int, mode: str = "loop-only") -> LiftCount
     Both modes start from r^(2g - b1).  Mode "loop-only" multiplies by the
     totient of each non-separating edge order; mode "all-edges" multiplies
     over every edge.  The two agree when every separating edge has order 1
-    or 2.  Edge and tail orders must divide r.
+    or 2.  Edge and tail orders must divide r, so each totient is read from
+    the prime powers of r, factored once per r.
     """
     if mode not in ("loop-only", "all-edges"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -96,7 +103,7 @@ def count_lifts(gerby: GerbyGraph, r: int, mode: str = "loop-only") -> LiftCount
     else:
         chosen = list(orders)
     value = prestable_picard_torsion(gerby.base, r)
-    value *= math.prod(euler_totient(d) for d in chosen)
+    value *= math.prod(_totient(d, r) for d in chosen)
     return LiftCount(value, mode)
 
 
@@ -249,9 +256,7 @@ def fiber_point_count(graph: ModularGraph, data: DegreeData, r: int) -> int:
     nonseparating_flags = [first_flag[e] for e in nonseparating]
 
     base = prestable_picard_torsion(graph, r)
-    # phi(d) is the product of phi(gcd(d, q)) over the prime powers q of r
-    parts = _prime_powers(r)
-    phi = {d: math.prod((g := math.gcd(d, q)) - g // p for p, q in parts) for d in divisors(r)}
+    phi = {d: _totient(d, r) for d in divisors(r)}
     total = 0
     totient_sum = 0
     for gerby in enumerate_compatible_gerby(graph, data, r):

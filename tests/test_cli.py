@@ -540,16 +540,45 @@ def test_each_decoration_is_charged_for_the_graph_it_reads():
             cli._bound_graph_work(path_with_loops(353, 16), 2, cycles)
 
 
-@pytest.mark.parametrize("command", ["fiber-count", "compatible-graphs"])
-def test_many_decorations_of_a_large_graph_are_an_input_error(capsys, tmp_path, monkeypatch, command):
-    # a 480-vertex path with 19 loops at r = 2: 2^19 = 524,288 decorations
-    # and 955,506 graph-size steps are each within the bound, but every
-    # decoration reads 978 vertices and edges (fiber-count took 35 s)
+def test_each_decoration_is_charged_for_the_tails_it_reads():
+    # 2^16 decorations of one vertex with 16 loops at r = 2: with 351 tails
+    # (V + E + 2T = 719) each is charged 15 steps, 983,040 in all; with 352
+    # tails 16 steps, 1,048,576.  Tails do not enter the graph-size cap.
+    for cycles in (False, True):
+        cli._bound_graph_work(graph_of([0], [(0, 0)] * 16, [0] * 351), 2, cycles)
+        with pytest.raises(cli.InputError, match="decorations, each charged"):
+            cli._bound_graph_work(graph_of([0], [(0, 0)] * 16, [0] * 352), 2, cycles)
+
+
+def never_enumerate(monkeypatch):
     def never(*args):
         raise AssertionError("the decorations were enumerated past the bound")
 
     for module in (admissibility, counting):
         monkeypatch.setattr(module, "enumerate_compatible_gerby", never)
+
+
+@pytest.mark.parametrize("command", ["fiber-count", "compatible-graphs"])
+def test_many_decorations_with_many_tails_are_an_input_error(capsys, tmp_path, monkeypatch, command):
+    # one vertex with 12 loops and 100,000 tails at r = 2: 4,096 decorations,
+    # each charged 1 + 200,013 // 48 = 4,167 steps (fiber-count ran 16.5 s
+    # when each was charged one)
+    never_enumerate(monkeypatch)
+    path = graph_config(
+        tmp_path, r=2, vertices=[0], edges=[(0, 0)] * 12, tails=[0] * 100_000,
+        degree_data={"vertex_residues": [0], "tail_types": ["0"] * 100_000},
+    )
+    code, out, err = run(capsys, command, "--input", path)
+    assert code == 2 and out == ""
+    assert "decorations, each charged" in err and "work bound of 1,000,000 steps" in err
+
+
+@pytest.mark.parametrize("command", ["fiber-count", "compatible-graphs"])
+def test_many_decorations_of_a_large_graph_are_an_input_error(capsys, tmp_path, monkeypatch, command):
+    # a 480-vertex path with 19 loops at r = 2: 2^19 = 524,288 decorations
+    # and 955,506 graph-size steps are each within the bound, but every
+    # decoration reads 978 vertices and edges (fiber-count took 35 s)
+    never_enumerate(monkeypatch)
     path = graph_config(
         tmp_path, r=2, vertices=[0] * 480, edges=[(v, v + 1) for v in range(479)] + [(0, 0)] * 19,
         degree_data={"vertex_residues": [0] * 480, "tail_types": []},
@@ -583,15 +612,21 @@ def test_fiber_wide_calls_pass_the_bound(graph, r):
 
 @pytest.mark.parametrize(
     "command, edges",
-    [("fiber-count", [(0, 1), (0, 1), (0, 1)]), ("compatible-graphs", [(0, 1), (0, 1), (1, 1)])],
+    [
+        ("fiber-count", [(0, 1), (0, 1), (0, 1)]),
+        ("compatible-graphs", [(0, 1), (0, 1), (1, 1)]),
+        ("count-lifts", [(0, 1), (0, 1), (0, 1)]),
+    ],
 )
 def test_each_call_factors_r_once(capsys, tmp_path, command, edges):
     # the bound's sqrt(r) and d(r), the decorations' divisors, the peel's
     # prime powers and the totients of the divisors of r = 60 all read one
-    # factorisation
+    # factorisation; count-lifts takes the totients of its edge orders 60,
+    # 4 and 6 from it too
     exactnum._prime_powers.cache_clear()
+    gerby = {"tail_orders": [], "edge_orders": [60, 4, 6]} if command == "count-lifts" else None
     path = graph_config(
-        tmp_path, r=60, vertices=[0, 0], edges=edges,
+        tmp_path, r=60, vertices=[0, 0], edges=edges, gerby=gerby,
         degree_data={"vertex_residues": [0, 0], "tail_types": []},
     )
     code, _, _ = run(capsys, command, "--input", path)
@@ -965,6 +1000,38 @@ def test_count_lifts_with_a_huge_prime_edge_order_is_bounded(capsys, tmp_path):
     assert "trial divisions" in err and "work bound of 1,000,000 steps" in err
 
 
+@pytest.mark.parametrize("mode", ["loop-only", "all-edges"])
+def test_count_lifts_at_a_huge_prime_r_factors_it_once(capsys, tmp_path, mode):
+    # r = 999,999,999,989 is prime: its sqrt(r) trial divisions are within
+    # the bound once, though not once per edge; every edge is non-separating
+    prime = 999_999_999_989
+    path = graph_config(
+        tmp_path, r=prime, vertices=[0, 0], edges=[(0, 1)] * 3,
+        gerby={"tail_orders": [], "edge_orders": [prime, prime, 1]},
+    )
+    code, out, err = run(capsys, "count-lifts", "--input", path, "--mode", mode)
+    assert code == 0 and err == ""
+    value = "999999999954000000000792999999993928000000017424"
+    assert value == str(prime**2 * (prime - 1) ** 2)
+    assert json.loads(out)["result"]["value"] == value
+
+
+def test_theory_keys_are_charged_for_their_curve_classes():
+    # r = 1000, one base variable, n_max 1: 1,001 keys per class, each
+    # charged phi(1000) = 400 coefficients plus rank class entries, and
+    # 1000 * 2 sectors of the same; verify builds no sectors
+    def bound(rank, sectors):
+        truncation = gw.Truncation(1, 0, ((0,) * rank,))
+        cli._bound_theory_work(1000, rank, 1, 0, truncation, sectors)
+
+    bound(599, False)  # 1,001 * 999 = 999,999
+    with pytest.raises(cli.InputError, match="rank class entries of the"):
+        bound(600, False)  # 1,001,000
+    bound(100, True)  # 2,000 * 500 = 1,000,000
+    with pytest.raises(cli.InputError, match="coefficients of the sectors"):
+        bound(101, True)
+
+
 @pytest.mark.parametrize(
     "command, overrides, what",
     [
@@ -983,11 +1050,18 @@ def test_count_lifts_with_a_huge_prime_edge_order_is_bounded(capsys, tmp_path):
             ("keys",
              {"basis_size": 1000, "truncation": {"n_max": 2, "j_max": 0, "betas": [[0]]}},
              "keys"),
+            # 1,001 keys at r = 1000, each charged phi(1000) = 400 coefficients
+            # and the 10,000 entries of its curve class: about 10.4 M steps
+            ("rank-1e4",
+             {"r": 1000, "pairing": [1] * 10_000,
+              "truncation": {"n_max": 1, "j_max": 0, "betas": [[1] * 10_000]}},
+             "rank class entries"),
         ]
     ]
     + [
-        # 997 sectors * C(1 + 1, 1) base keys * phi(997) = 1,986,024 strings;
-        # verify writes no sector records and takes this input
+        # 997 sectors * C(1 + 1, 1) base keys * (phi(997) + rank 1) =
+        # 1,988,018 strings; verify writes no sector records and takes this
+        # input
         pytest.param(
             "decompose",
             {"r": 997, "truncation": {"n_max": 1, "j_max": 0, "betas": [[0]]}},

@@ -47,6 +47,12 @@ def test_totient_matches_brute_force(n):
     assert euler_totient(n) == oracles.totient_brute(n)
 
 
+@given(st.integers(1, 10**4) | prime_products(limit=10**4).map(lambda case: case[0]))
+def test_totient_of_each_divisor_reads_the_prime_powers_of_n(n):
+    for d in divisors(n):
+        assert counting._totient(d, n) == oracles.totient_brute(d)
+
+
 def test_totient_divisor_sum():
     for n in range(1, 201):
         assert sum(euler_totient(d) for d in range(1, n + 1) if n % d == 0) == n
