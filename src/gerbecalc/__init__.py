@@ -33,7 +33,6 @@ _EXPORTS = {
     "counting": (
         "LiftCount",
         "count_lifts",
-        "euler_totient",
         "fiber_point_count",
         "prestable_picard_torsion",
         "pushforward_degree",
@@ -45,6 +44,7 @@ _EXPORTS = {
         "CyclotomicNumber",
         "cyclotomic_polynomial",
         "divisors",
+        "euler_totient",
         "format_rational",
         "parse_rational",
         "power_basis_size",

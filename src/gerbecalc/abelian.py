@@ -10,34 +10,40 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import reduce
 
+from ._record import Record, setfield
 from .exactnum import CyclotomicNumber, root_of_unity
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(Record):
+    _fields = ("residues",)
     residues: tuple[int, ...]
 
+    def __init__(self, residues: tuple[int, ...]) -> None:
+        setfield(self, "residues", residues)
 
-@dataclass(frozen=True)
-class Character:
+
+class Character(Record):
     """An element of the dual group, stored by its residue tuple."""
 
+    _fields = ("residues",)
     residues: tuple[int, ...]
 
+    def __init__(self, residues: tuple[int, ...]) -> None:
+        setfield(self, "residues", residues)
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+
+class FiniteAbelianGroup(Record):
     """The product of cyclic groups Z/n_1 x ... x Z/n_t (empty product = trivial)."""
 
+    _fields = ("cyclic_orders",)
     cyclic_orders: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if any(n < 1 for n in self.cyclic_orders):
-            raise ValueError(f"cyclic orders must be positive, got {self.cyclic_orders}")
-        object.__setattr__(self, "cyclic_orders", tuple(self.cyclic_orders))
+    def __init__(self, cyclic_orders: tuple[int, ...]) -> None:
+        if any(n < 1 for n in cyclic_orders):
+            raise ValueError(f"cyclic orders must be positive, got {cyclic_orders}")
+        setfield(self, "cyclic_orders", tuple(cyclic_orders))
 
     @property
     def order(self) -> int:

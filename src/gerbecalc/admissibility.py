@@ -12,32 +12,34 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+from ._record import Record, setfield
 from .exactnum import divisors, parse_rational
 from .graphs import GerbyGraph, ModularGraph, classify_edges, split_at_edge
 
 
-@dataclass(frozen=True, order=False)
-class ContactType:
+class ContactType(Record):
     """A reduced fraction numerator/order with 0 <= numerator < order.
 
     order = 1 forces numerator = 0 (the untwisted sector); gcd(0, 1) = 1
     makes that the consistent degenerate case of the coprimality rule.
     """
 
+    _fields = ("numerator", "order")
     numerator: int
     order: int
 
-    def __post_init__(self) -> None:
-        if self.order < 1:
-            raise ValueError(f"contact order must be positive, got {self.order}")
-        if not 0 <= self.numerator < self.order:
-            raise ValueError(f"numerator {self.numerator} out of range for order {self.order}")
-        if math.gcd(self.numerator, self.order) != 1:
-            raise ValueError(f"{self.numerator}/{self.order} is not in lowest terms")
+    def __init__(self, numerator: int, order: int) -> None:
+        setfield(self, "numerator", numerator)
+        setfield(self, "order", order)
+        if order < 1:
+            raise ValueError(f"contact order must be positive, got {order}")
+        if not 0 <= numerator < order:
+            raise ValueError(f"numerator {numerator} out of range for order {order}")
+        if math.gcd(numerator, order) != 1:
+            raise ValueError(f"{numerator}/{order} is not in lowest terms")
 
     @property
     def fraction(self) -> Fraction:
@@ -80,25 +82,30 @@ class ContactType:
         return f"{self.numerator}/{self.order}"
 
 
-@dataclass(frozen=True)
-class AdmissibleVector:
+class AdmissibleVector(Record):
     """An n-tuple of contact types whose ages sum to k/r mod 1."""
 
+    _fields = ("entries", "ambient_order", "degree_residue")
     entries: tuple[ContactType, ...]
     ambient_order: int
     degree_residue: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
-        r = self.ambient_order
+    def __init__(
+        self, entries: tuple[ContactType, ...], ambient_order: int, degree_residue: int
+    ) -> None:
+        entries = tuple(entries)
+        setfield(self, "entries", entries)
+        setfield(self, "ambient_order", ambient_order)
+        setfield(self, "degree_residue", degree_residue)
+        r = ambient_order
         if r < 1:
             raise ValueError(f"ambient order must be positive, got {r}")
-        if not 0 <= self.degree_residue < r:
-            raise ValueError(f"degree residue {self.degree_residue} out of range mod {r}")
-        if not is_admissible(self.entries, r, self.degree_residue):
+        if not 0 <= degree_residue < r:
+            raise ValueError(f"degree residue {degree_residue} out of range mod {r}")
+        if not is_admissible(entries, r, degree_residue):
             raise ValueError(
-                f"entries {[str(t) for t in self.entries]} are not admissible "
-                f"for r={r}, k={self.degree_residue}"
+                f"entries {[str(t) for t in entries]} are not admissible "
+                f"for r={r}, k={degree_residue}"
             )
 
     def residues(self) -> tuple[int, ...]:
@@ -140,20 +147,22 @@ def enumerate_admissible(n: int, r: int, k: int) -> Iterator[AdmissibleVector]:
         yield AdmissibleVector(entries, r, k)
 
 
-@dataclass(frozen=True)
-class DegreeData:
+class DegreeData(Record):
     """Per-vertex degree residues and the contact types on the tails.
 
     vertex_residues is parallel to the graph's vertices, tail_types to
     graph.tails().  The global degree residue is the sum of the k_v mod r.
     """
 
+    _fields = ("vertex_residues", "tail_types")
     vertex_residues: tuple[int, ...]
     tail_types: tuple[ContactType, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vertex_residues", tuple(self.vertex_residues))
-        object.__setattr__(self, "tail_types", tuple(self.tail_types))
+    def __init__(
+        self, vertex_residues: tuple[int, ...], tail_types: tuple[ContactType, ...]
+    ) -> None:
+        setfield(self, "vertex_residues", tuple(vertex_residues))
+        setfield(self, "tail_types", tuple(tail_types))
 
     def validated_for(self, graph: ModularGraph, r: int) -> "DegreeData":
         if r < 1:

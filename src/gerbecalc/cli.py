@@ -11,7 +11,10 @@ The document is written by _write_json, only after its command has
 returned: the bytes of json.dumps(document, indent=2, sort_keys=True) plus
 a newline, in pieces, from a walk that encodes strings with the stdlib's C
 encoder.  Only decompose and verify import gw (and through it abelian);
-the other commands never load it.
+the other commands never load it.  Likewise only the commands that count,
+picard-torsion, count-lifts, fiber-count and degree, import counting, and
+compatible-graphs and fiber-count check their work bound before they parse
+the tail types of the degree data.
 
 Configuration fields are read only through graphs._field, which checks
 each against a shape and names the path of the first misfit, such as
@@ -45,9 +48,16 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from . import admissibility, counting
+from . import admissibility
 from .admissibility import ContactType, DegreeData
-from .exactnum import _DIGIT_BOUND, _prime_powers, divisors, format_rational, parse_rational
+from .exactnum import (
+    _DIGIT_BOUND,
+    _prime_powers,
+    divisors,
+    euler_totient,
+    format_rational,
+    parse_rational,
+)
 from .graphs import GerbyGraph, ModularGraph, _field, betti1, classify_edges, total_genus
 
 if TYPE_CHECKING:
@@ -169,7 +179,7 @@ def _bound_theory_work(
     size below 1.
     """
     _bound_work("the sqrt(r) trial divisions of r", math.isqrt(r), 1)
-    phi = counting.euler_totient(r)
+    phi = euler_totient(r)
     # r rows of phi(r) coefficients, one per power of zeta_r; more than the
     # r + 1 coefficients of x^r - 1 that the cyclotomic polynomial comes from
     _bound_work("the r * phi(r) coefficients of the powers of zeta_r", r, 1, phi)
@@ -330,8 +340,8 @@ def _run_enumerate_admissible(args) -> tuple[dict, dict, int]:
 
 def _run_compatible_graphs(args) -> tuple[dict, dict, int]:
     config, graph, r = _graph_common(args.input)
-    data = _degree_data_from(config)
     _bound_graph_work(graph, r, cycles=False)
+    data = _degree_data_from(config)
     decorated = list(admissibility.enumerate_compatible_gerby(graph, data, r))
     result = {
         "count": len(decorated),
@@ -341,6 +351,8 @@ def _run_compatible_graphs(args) -> tuple[dict, dict, int]:
 
 
 def _run_count_lifts(args) -> tuple[dict, dict, int]:
+    from . import counting
+
     config, graph, r = _graph_common(args.input)
     gerby = _gerby_from(config, graph)
     if r >= 1:
@@ -359,6 +371,8 @@ def _run_count_lifts(args) -> tuple[dict, dict, int]:
 
 
 def _run_picard_torsion(args) -> tuple[dict, dict, int]:
+    from . import counting
+
     config, graph, r = _graph_common(args.input)
     if not args.quotient:
         # r^(2g-b1) times gcd(gamma_e, r) <= r for each of the b1 loop edges
@@ -387,16 +401,20 @@ def _run_picard_torsion(args) -> tuple[dict, dict, int]:
 
 
 def _run_fiber_count(args) -> tuple[dict, dict, int]:
+    from . import counting
+
     config, graph, r = _graph_common(args.input)
-    data = _degree_data_from(config)
     _bound_graph_work(graph, r, cycles=True)
     _bound_digits("the fiber count r^(2g)", r, 2 * total_genus(graph))
+    data = _degree_data_from(config)
     value = counting.fiber_point_count(graph, data, r)
     result = {"value": str(value), "formula": "r^(2g)"}
     return {"input": args.input, "config": config}, result, 0
 
 
 def _run_degree(args) -> tuple[dict, dict, int]:
+    from . import counting
+
     push = (args.genus, args.r)
     stack = (args.field_degree, args.delta_source, args.delta_target)
     if all(v is not None for v in push) and all(v is None for v in stack):

@@ -9,24 +9,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from ._record import Record, setfield
 from .admissibility import DegreeData, enumerate_compatible_gerby
-from .exactnum import _prime_powers, divisors
+from .exactnum import _prime_powers, _totient, divisors
+from .exactnum import euler_totient  # noqa: F401  (defined in exactnum, importable here)
 from .graphs import GerbyGraph, ModularGraph, betti1, classify_edges, total_genus
-
-
-def _totient(d: int, n: int) -> int:
-    """phi(d) for a divisor d of n: the product of phi(gcd(d, q)) over the
-    cached prime powers q of n, so the divisors of n share one factorisation."""
-    return math.prod((g := math.gcd(d, q)) - g // p for p, q in _prime_powers(n))
-
-
-def euler_totient(n: int) -> int:
-    """Count of integers in [1, n] coprime to n; totient(1) = 1."""
-    return _totient(n, n)
 
 
 def prestable_picard_torsion(graph: ModularGraph, r: int) -> int:
@@ -66,18 +56,20 @@ def twisted_pic_quotient_order(gerby: GerbyGraph) -> int:
     return math.prod(gerby.edge_orders()) * math.prod(gerby.tail_orders())
 
 
-@dataclass(frozen=True)
-class LiftCount:
+class LiftCount(Record):
     """An exact lift count together with the product rule that produced it."""
 
+    _fields = ("value", "formula_tag")
     value: int
     formula_tag: str
 
-    def __post_init__(self) -> None:
-        if self.value < 1:
-            raise ValueError(f"lift counts are positive, got {self.value}")
-        if self.formula_tag not in ("loop-only", "all-edges"):
-            raise ValueError(f"unknown formula tag {self.formula_tag!r}")
+    def __init__(self, value: int, formula_tag: str) -> None:
+        setfield(self, "value", value)
+        setfield(self, "formula_tag", formula_tag)
+        if value < 1:
+            raise ValueError(f"lift counts are positive, got {value}")
+        if formula_tag not in ("loop-only", "all-edges"):
+            raise ValueError(f"unknown formula tag {formula_tag!r}")
 
 
 def count_lifts(gerby: GerbyGraph, r: int, mode: str = "loop-only") -> LiftCount:

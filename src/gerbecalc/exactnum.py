@@ -26,10 +26,11 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Iterable, Sequence, Union
+
+from ._record import Record, setfield
 
 Rational = Fraction
 
@@ -111,6 +112,17 @@ def _prime_powers(n: int) -> tuple[tuple[int, int], ...]:
     if n > 1:
         parts.append((n, n))
     return tuple(parts)
+
+
+def _totient(d: int, n: int) -> int:
+    """phi(d) for a divisor d of n: the product of phi(gcd(d, q)) over the
+    cached prime powers q of n, so the divisors of n share one factorisation."""
+    return math.prod((g := math.gcd(d, q)) - g // p for p, q in _prime_powers(n))
+
+
+def euler_totient(n: int) -> int:
+    """Count of integers in [1, n] coprime to n; totient(1) = 1."""
+    return _totient(n, n)
 
 
 def divisors(n: int) -> tuple[int, ...]:
@@ -248,8 +260,7 @@ def _normalized(numerators: Sequence[int], denominator: int) -> tuple[tuple[int,
     return tuple(numerators), denominator
 
 
-@dataclass(frozen=True, eq=False)
-class CyclotomicNumber:
+class CyclotomicNumber(Record, eq=False):
     """An element of Q(zeta_order) with exact rational coordinates.
 
     ``numerators[i] / denominator`` is the coefficient of zeta^i.  Stored data
@@ -258,11 +269,20 @@ class CyclotomicNumber:
     when their stored fields are equal.
     """
 
+    _fields = ("order", "numerators", "denominator")
     order: int
     numerators: tuple[int, ...]
-    denominator: int = 1
+    denominator: int
+
+    def __init__(self, order: int, numerators: tuple[int, ...], denominator: int = 1) -> None:
+        setfield(self, "order", order)
+        setfield(self, "numerators", numerators)
+        setfield(self, "denominator", denominator)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        # The checks of the public constructor, one method so that a
+        # tracer can count the numbers built through it (_canonical's are not).
         if self.order < 1:
             raise ValueError(f"order must be positive, got {self.order}")
         phi = power_basis_size(self.order)
@@ -271,8 +291,8 @@ class CyclotomicNumber:
                 f"order {self.order} needs {phi} coordinates, got {len(self.numerators)}"
             )
         nums, den = _normalized(self.numerators, self.denominator)
-        object.__setattr__(self, "numerators", nums)
-        object.__setattr__(self, "denominator", den)
+        setfield(self, "numerators", nums)
+        setfield(self, "denominator", den)
 
     # Equality crosses field orders, so hashing is deliberately disabled.
     __hash__ = None  # type: ignore[assignment]

@@ -17,49 +17,55 @@ and the command line share it without an import cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
 
+from ._record import Record, setfield
 
-@dataclass(frozen=True)
-class ModularGraph:
+
+class ModularGraph(Record):
     """Connected dual graph: involution and attachment per flag, genus per vertex."""
 
+    _fields = ("involution", "attachment", "vertex_genus")
     involution: tuple[int, ...]
     attachment: tuple[int, ...]
     vertex_genus: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "involution", tuple(self.involution))
-        object.__setattr__(self, "attachment", tuple(self.attachment))
-        object.__setattr__(self, "vertex_genus", tuple(self.vertex_genus))
-        flags = len(self.involution)
-        if len(self.attachment) != flags:
+    def __init__(
+        self,
+        involution: tuple[int, ...],
+        attachment: tuple[int, ...],
+        vertex_genus: tuple[int, ...],
+    ) -> None:
+        involution = tuple(involution)
+        setfield(self, "involution", involution)
+        attachment = tuple(attachment)
+        setfield(self, "attachment", attachment)
+        vertex_genus = tuple(vertex_genus)
+        setfield(self, "vertex_genus", vertex_genus)
+        flags = len(involution)
+        if len(attachment) != flags:
             raise ValueError("involution and attachment must cover the same flags")
-        if not self.vertex_genus:
+        if not vertex_genus:
             raise ValueError("a graph needs at least one vertex")
-        if any(g < 0 for g in self.vertex_genus):
-            raise ValueError(f"vertex genera must be nonnegative, got {self.vertex_genus}")
-        n_vertices = len(self.vertex_genus)
+        if any(g < 0 for g in vertex_genus):
+            raise ValueError(f"vertex genera must be nonnegative, got {vertex_genus}")
+        n_vertices = len(vertex_genus)
         for f in range(flags):
-            j = self.involution[f]
-            if not 0 <= j < flags or self.involution[j] != f:
+            j = involution[f]
+            if not 0 <= j < flags or involution[j] != f:
                 raise ValueError(f"involution is not self-inverse at flag {f}")
-            if not 0 <= self.attachment[f] < n_vertices:
-                raise ValueError(f"flag {f} attached to missing vertex {self.attachment[f]}")
-        # Derived once: not dataclass fields, so hash and equality ignore them.
-        object.__setattr__(
-            self, "_edges", tuple((f, j) for f, j in enumerate(self.involution) if j > f)
-        )
-        object.__setattr__(
-            self, "_tails", tuple(f for f, j in enumerate(self.involution) if j == f)
-        )
-        pairs = [(self.attachment[f1], self.attachment[f2]) for f1, f2 in self._edges]
+            if not 0 <= attachment[f] < n_vertices:
+                raise ValueError(f"flag {f} attached to missing vertex {attachment[f]}")
+        # Derived once: not in _fields, so hash and equality ignore them.
+        edges = tuple((f, j) for f, j in enumerate(involution) if j > f)
+        setfield(self, "_edges", edges)
+        setfield(self, "_tails", tuple(f for f, j in enumerate(involution) if j == f))
+        pairs = [(attachment[f1], attachment[f2]) for f1, f2 in edges]
         steps = _spanning_forest(n_vertices, pairs)
         if len(steps) != n_vertices - 1:
             raise ValueError("graph is not connected")
-        object.__setattr__(self, "_forest", tuple(steps))
+        setfield(self, "_forest", tuple(steps))
 
     @property
     def num_flags(self) -> int:
@@ -231,24 +237,26 @@ def split_at_edge(graph: ModularGraph, edge_index: int) -> tuple[frozenset, froz
     return side, frozenset(range(graph.num_vertices)) - side
 
 
-@dataclass(frozen=True)
-class GerbyGraph:
+class GerbyGraph(Record):
     """A dual graph with an isotropy order per flag, constant across each edge."""
 
+    _fields = ("base", "flag_orders")
     base: ModularGraph
     flag_orders: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "flag_orders", tuple(self.flag_orders))
-        if len(self.flag_orders) != self.base.num_flags:
+    def __init__(self, base: ModularGraph, flag_orders: tuple[int, ...]) -> None:
+        setfield(self, "base", base)
+        flag_orders = tuple(flag_orders)
+        setfield(self, "flag_orders", flag_orders)
+        if len(flag_orders) != base.num_flags:
             raise ValueError("need one isotropy order per flag")
-        if any(gamma < 1 for gamma in self.flag_orders):
-            raise ValueError(f"isotropy orders must be positive, got {self.flag_orders}")
-        for f1, f2 in self.base.edges():
-            if self.flag_orders[f1] != self.flag_orders[f2]:
+        if any(gamma < 1 for gamma in flag_orders):
+            raise ValueError(f"isotropy orders must be positive, got {flag_orders}")
+        for f1, f2 in base.edges():
+            if flag_orders[f1] != flag_orders[f2]:
                 raise ValueError(
                     f"edge flags {f1},{f2} carry different orders "
-                    f"{self.flag_orders[f1]} != {self.flag_orders[f2]}"
+                    f"{flag_orders[f1]} != {flag_orders[f2]}"
                 )
 
     def tail_orders(self) -> tuple[int, ...]:
@@ -278,14 +286,15 @@ class GerbyGraph:
 
     @classmethod
     def _trusted(cls, base: ModularGraph, flag_orders: tuple[int, ...]) -> "GerbyGraph":
-        """Wrap orders that are valid by construction, skipping __post_init__.
+        """Wrap orders that are valid by construction, skipping the checks of
+        __init__.
 
         The caller guarantees one positive order per flag, equal on the two
         flags of every edge; user data goes through the checked constructors.
         """
         gerby = object.__new__(cls)
-        object.__setattr__(gerby, "base", base)
-        object.__setattr__(gerby, "flag_orders", flag_orders)
+        setfield(gerby, "base", base)
+        setfield(gerby, "flag_orders", flag_orders)
         return gerby
 
     def to_config(self) -> dict:

@@ -32,18 +32,15 @@ computations.
 from __future__ import annotations
 
 import itertools
-import logging
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 from typing import Iterable, Mapping, Sequence
 
+from ._record import Record, setfield
 from .abelian import FiniteAbelianGroup, evaluate_character
 from .admissibility import ContactType, is_admissible
 from .exactnum import CyclotomicNumber, Rational, root_of_unity
-
-logger = logging.getLogger(__name__)
 
 CurveClass = tuple[int, ...]
 
@@ -52,20 +49,22 @@ class CoverageError(LookupError):
     """A base-table key outside the declared truncation was requested."""
 
 
-@dataclass(frozen=True)
-class GerbeSpec:
+class GerbeSpec(Record):
     """The band order r and the linear pairing residues defining k(beta)."""
 
+    _fields = ("band_order", "pairing")
     band_order: int
     pairing: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pairing", tuple(self.pairing))
-        if self.band_order < 1:
-            raise ValueError(f"band order must be positive, got {self.band_order}")
-        if any(not 0 <= a < self.band_order for a in self.pairing):
+    def __init__(self, band_order: int, pairing: tuple[int, ...]) -> None:
+        setfield(self, "band_order", band_order)
+        pairing = tuple(pairing)
+        setfield(self, "pairing", pairing)
+        if band_order < 1:
+            raise ValueError(f"band order must be positive, got {band_order}")
+        if any(not 0 <= a < band_order for a in pairing):
             raise ValueError(
-                f"pairing residues must lie in [0, {self.band_order}), got {self.pairing}"
+                f"pairing residues must lie in [0, {band_order}), got {pairing}"
             )
 
     @property
@@ -91,54 +90,66 @@ def pairing_value(spec: GerbeSpec, beta) -> int:
     return sum(a * b for a, b in zip(spec.pairing, beta)) % spec.band_order
 
 
-@dataclass(frozen=True, order=True)
-class Insertion:
+class Insertion(Record, order=True):
     """A base cohomology class index with a descendant power."""
 
+    _fields = ("class_index", "psi_power")
     class_index: int
     psi_power: int
 
-    def __post_init__(self) -> None:
-        if self.class_index < 0 or self.psi_power < 0:
+    def __init__(self, class_index: int, psi_power: int) -> None:
+        setfield(self, "class_index", class_index)
+        setfield(self, "psi_power", psi_power)
+        if class_index < 0 or psi_power < 0:
             raise ValueError(f"insertion indices must be nonnegative, got {self}")
 
 
-@dataclass(frozen=True, order=True)
-class SectorInsertion:
+class SectorInsertion(Record, order=True):
     """An insertion decorated with a group element of mu_r (sector basis)."""
 
+    _fields = ("sector", "class_index", "psi_power")
     sector: int
     class_index: int
     psi_power: int
 
+    def __init__(self, sector: int, class_index: int, psi_power: int) -> None:
+        setfield(self, "sector", sector)
+        setfield(self, "class_index", class_index)
+        setfield(self, "psi_power", psi_power)
+
     def underlying(self) -> Insertion:
         return Insertion(self.class_index, self.psi_power)
 
 
-@dataclass(frozen=True, order=True)
-class CharacterInsertion:
+class CharacterInsertion(Record, order=True):
     """An insertion decorated with a character of mu_r (rho basis)."""
 
+    _fields = ("character", "class_index", "psi_power")
     character: int
     class_index: int
     psi_power: int
 
+    def __init__(self, character: int, class_index: int, psi_power: int) -> None:
+        setfield(self, "character", character)
+        setfield(self, "class_index", class_index)
+        setfield(self, "psi_power", psi_power)
+
     def underlying(self) -> Insertion:
         return Insertion(self.class_index, self.psi_power)
 
 
-@dataclass(frozen=True)
-class Truncation:
+class Truncation(Record):
     """Finite truncation bounds: insertion count, psi power, curve classes."""
 
+    _fields = ("n_max", "j_max", "betas")
     n_max: int
     j_max: int
     betas: tuple[CurveClass, ...]
 
-    def __post_init__(self) -> None:
-        if self.n_max < 0 or self.j_max < 0:
+    def __init__(self, n_max: int, j_max: int, betas: tuple[CurveClass, ...]) -> None:
+        if n_max < 0 or j_max < 0:
             raise ValueError("truncation bounds must be nonnegative")
-        betas = tuple(sorted({tuple(b) for b in self.betas}))
+        betas = tuple(sorted({tuple(b) for b in betas}))
         if not betas:
             raise ValueError("truncation needs at least one curve class")
         ranks = {len(b) for b in betas}
@@ -146,7 +157,9 @@ class Truncation:
             raise ValueError(f"curve classes of mixed rank: {sorted(ranks)}")
         if any(x < 0 for b in betas for x in b):
             raise ValueError("curve classes must be effective (componentwise >= 0)")
-        object.__setattr__(self, "betas", betas)
+        setfield(self, "n_max", n_max)
+        setfield(self, "j_max", j_max)
+        setfield(self, "betas", betas)
 
     @property
     def rank(self) -> int:
@@ -258,7 +271,9 @@ class BaseTheoryTable:
         except KeyError:
             if key not in self._warned:
                 self._warned.add(key)
-                logger.warning(
+                import logging  # loaded by the first warning only
+
+                logging.getLogger(__name__).warning(
                     "base table has no entry for genus=%s beta=%s insertions=%s; using 0",
                     genus,
                     beta,
@@ -350,8 +365,7 @@ def gerbe_invariant_rho(
     return _character_factors(spec, genus, beta, len(insertions), (rho,))[0] * value
 
 
-@dataclass(frozen=True, eq=False)
-class PotentialSeries:
+class PotentialSeries(Record, eq=False):
     """A truncated descendant potential with exact cyclotomic coefficients.
 
     Keys are (curve class, sorted variable monomial); variables are
@@ -360,10 +374,17 @@ class PotentialSeries:
     nonzero coefficients are stored.
     """
 
+    _fields = ("basis", "genus", "truncation", "coefficients")
     basis: str
     genus: int
     truncation: Truncation
     coefficients: dict
+
+    def __init__(self, basis: str, genus: int, truncation: Truncation, coefficients: dict) -> None:
+        setfield(self, "basis", basis)
+        setfield(self, "genus", genus)
+        setfield(self, "truncation", truncation)
+        setfield(self, "coefficients", coefficients)
 
     def sorted_items(self) -> list:
         return sorted(self.coefficients.items())
@@ -482,15 +503,29 @@ def substitute_novikov(
     return PotentialSeries("gerbe", series.genus, series.truncation, coefficients)
 
 
-@dataclass(frozen=True, eq=False)
-class DecompositionReport:
+class DecompositionReport(Record, eq=False):
     """Outcome of the exact termwise comparison of the two potentials."""
 
+    _fields = ("passed", "keys_compared", "first_differing_key", "lhs_value", "rhs_value")
     passed: bool
     keys_compared: int
-    first_differing_key: tuple | None = None
-    lhs_value: CyclotomicNumber | None = None
-    rhs_value: CyclotomicNumber | None = None
+    first_differing_key: tuple | None
+    lhs_value: CyclotomicNumber | None
+    rhs_value: CyclotomicNumber | None
+
+    def __init__(
+        self,
+        passed: bool,
+        keys_compared: int,
+        first_differing_key: tuple | None = None,
+        lhs_value: CyclotomicNumber | None = None,
+        rhs_value: CyclotomicNumber | None = None,
+    ) -> None:
+        setfield(self, "passed", passed)
+        setfield(self, "keys_compared", keys_compared)
+        setfield(self, "first_differing_key", first_differing_key)
+        setfield(self, "lhs_value", lhs_value)
+        setfield(self, "rhs_value", rhs_value)
 
     @staticmethod
     def _encode_key(key: tuple) -> dict:

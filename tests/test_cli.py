@@ -336,15 +336,15 @@ def test_each_graph_is_searched_once(capsys, tmp_path, monkeypatch):
     spec.loader.exec_module(inputs)
     path = write_json(tmp_path, "tree.json", inputs.tree_with_cycles(Random(201), 3, 150, 2, [2, 3]))
     seen = {"graphs": 0, "searches": 0}
-    search, post_init = graphs._spanning_forest, graphs.ModularGraph.__post_init__
+    search, init = graphs._spanning_forest, graphs.ModularGraph.__init__
 
     def counted_search(*args):
         seen["searches"] += 1
         return search(*args)
 
-    def counted_post_init(graph):
+    def counted_init(graph, *args):
         seen["graphs"] += 1
-        post_init(graph)
+        init(graph, *args)
 
     # every module that binds the search, under any name, calls the counted one
     for name, module in list(sys.modules.items()):
@@ -352,7 +352,7 @@ def test_each_graph_is_searched_once(capsys, tmp_path, monkeypatch):
             for attr, value in list(vars(module).items()):
                 if value is search:
                     monkeypatch.setattr(module, attr, counted_search)
-    monkeypatch.setattr(graphs.ModularGraph, "__post_init__", counted_post_init)
+    monkeypatch.setattr(graphs.ModularGraph, "__init__", counted_init)
     for command in ("picard-torsion", "count-lifts", "compatible-graphs", "fiber-count"):
         seen.update(graphs=0, searches=0)
         code, _, _ = run(capsys, command, "--input", path)
@@ -389,11 +389,13 @@ def test_output_bytes_do_not_depend_on_the_hash_seed(tmp_path):
 
 
 # The module named on each line of `python -X importtime` (stderr).
-_IMPORTED = re.compile(r"\|\s*(gerbecalc(?:\.\w+)?)\s*$", re.M)
+_IMPORTED = re.compile(r"\|\s*([\w.]+)\s*$", re.M)
+# What @dataclass would load (inspect, through dataclasses) on every call.
+_RECORD_MACHINERY = {"dataclasses", "inspect"}
 
 
 def imported_modules(*argv):
-    """The gerbecalc modules one `python -m gerbecalc.cli` call imports."""
+    """The modules one `python -m gerbecalc.cli` call imports."""
     env = dict(os.environ)
     source = str(Path(cli.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
@@ -411,20 +413,35 @@ def test_only_decompose_and_verify_load_gw(tmp_path):
         gerby={"tail_orders": [4, 4], "edge_orders": [1, 4]},
         degree_data={"vertex_residues": [1, 1], "tail_types": ["1/4", "1/4"]},
     )
-    graph_calls = [
+    counting_calls = [
         ["picard-torsion", "--input", graph],
         ["count-lifts", "--input", graph],
-        ["compatible-graphs", "--input", graph],
         ["fiber-count", "--input", graph],
-        ["enumerate-admissible", "--n", "2", "--r", "4", "--k", "2"],
         ["degree", "--genus", "1", "--r", "2"],
     ]
-    for argv in graph_calls:
+    other_calls = [
+        ["compatible-graphs", "--input", graph],
+        ["enumerate-admissible", "--n", "2", "--r", "4", "--k", "2"],
+    ]
+    for argv in counting_calls + other_calls:
         loaded = imported_modules(*argv)
-        assert {"gerbecalc", "gerbecalc.counting", "gerbecalc.graphs"} <= loaded, argv
-        assert not loaded & {"gerbecalc.gw", "gerbecalc.abelian"}, argv
+        assert {"gerbecalc", "gerbecalc.graphs"} <= loaded, argv
+        # only the commands that count load counting
+        assert ("gerbecalc.counting" in loaded) == (argv in counting_calls), argv
+        assert not loaded & {"gerbecalc.gw", "gerbecalc.abelian", "logging"}, argv
+        assert not loaded & _RECORD_MACHINERY, argv
+    # verify on a full table never warns, so it loads neither logging nor counting
     loaded = imported_modules("verify", "--input", gw_config(tmp_path), "--seed", "7")
     assert {"gerbecalc.gw", "gerbecalc.abelian"} <= loaded
+    assert not loaded & {"logging", "gerbecalc.counting"}
+    assert not loaded & _RECORD_MACHINERY
+    # one entry of six: the first zero-fill warning loads logging
+    record = {"genus": 0, "beta": [0], "insertions": [], "value": "1"}
+    path = gw_config(tmp_path, base_invariants=[record])
+    loaded = imported_modules("decompose", "--input", path)
+    assert {"gerbecalc.gw", "logging"} <= loaded
+    assert "gerbecalc.counting" not in loaded
+    assert not loaded & _RECORD_MACHINERY
 
 
 @pytest.mark.parametrize("command", ["verify", "decompose"])
@@ -562,8 +579,14 @@ def never_enumerate(monkeypatch):
 def test_many_decorations_with_many_tails_are_an_input_error(capsys, tmp_path, monkeypatch, command):
     # one vertex with 12 loops and 100,000 tails at r = 2: 4,096 decorations,
     # each charged 1 + 200,013 // 48 = 4,167 steps (fiber-count ran 16.5 s
-    # when each was charged one)
+    # when each was charged one); the bound reads only the graph and r, so
+    # it is checked before the 100,000 tail types are parsed
     never_enumerate(monkeypatch)
+
+    def never_parse(text):
+        raise AssertionError("the tail types were parsed past the bound")
+
+    monkeypatch.setattr(admissibility.ContactType, "parse", staticmethod(never_parse))
     path = graph_config(
         tmp_path, r=2, vertices=[0], edges=[(0, 0)] * 12, tails=[0] * 100_000,
         degree_data={"vertex_residues": [0], "tail_types": ["0"] * 100_000},
