@@ -9,8 +9,9 @@ embedding or a conjugate, goes through ``_from_powers``, which writes a sum
 of c*zeta^k for any integer exponents k.  Results of the module's own
 arithmetic already hold phi(N) coordinates, so they are stored through
 ``_canonical``, which only normalizes the fraction; the public constructor
-keeps every check.  A product with a factor of at most one nonzero
-coordinate, c*zeta^i (a rational when i = 0), scales and shifts the other
+keeps every check.  A rational factor (order 1) scales the other factor's
+coordinates in that factor's own field.  Any other product with a factor of
+at most one nonzero coordinate, c*zeta^i, scales and shifts the other
 factor in the lcm field instead of convolving, and ``root_of_unity``
 values, which are immutable, are cached.  No descent into subfields is
 attempted: a number built at order 12 stays at order 12 even if its value is
@@ -210,10 +211,14 @@ def _canonical(order: int, numerators: tuple[int, ...], denominator: int) -> "Cy
     # The constructor of this module's own results, whose numerators already
     # hold phi(order) integers: it skips the checks of CyclotomicNumber(...)
     # and only normalizes the fraction, which a denominator of 1 already is.
+    # Fields go through setfield, as the public constructor's do, so on
+    # CPython 3.11+ the number holds no __dict__ of its own.
     if denominator != 1:
         numerators, denominator = _normalized(numerators, denominator)
     number = object.__new__(CyclotomicNumber)
-    number.__dict__.update(order=order, numerators=numerators, denominator=denominator)
+    setfield(number, "order", order)
+    setfield(number, "numerators", numerators)
+    setfield(number, "denominator", denominator)
     return number
 
 
@@ -253,7 +258,7 @@ def _normalized(numerators: Sequence[int], denominator: int) -> tuple[tuple[int,
     if denominator < 0:
         numerators = [-c for c in numerators]
         denominator = -denominator
-    g = reduce(math.gcd, numerators, denominator)
+    g = math.gcd(denominator, *numerators)
     if g > 1:
         numerators = [c // g for c in numerators]
         denominator //= g
@@ -390,8 +395,17 @@ class CyclotomicNumber(Record, eq=False):
             )
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
-        # A factor with at most one nonzero coordinate, such as a rational
-        # or a root of unity below zeta^phi, scales the other factor.
+        # A rational scales the other factor in that factor's own field.
+        number, rational = (other, self) if self.order == 1 else (self, other)
+        if rational.order == 1:
+            scale = rational.numerators[0]
+            return _canonical(
+                number.order,
+                tuple(c * scale for c in number.numerators),
+                number.denominator * rational.denominator,
+            )
+        # A factor with at most one nonzero coordinate, such as a root of
+        # unity below zeta^phi, scales and shifts the other factor.
         for x, y in ((self, other), (other, self)):
             nums = x.numerators
             if len(nums) - nums.count(0) <= 1:
@@ -444,10 +458,12 @@ class CyclotomicNumber(Record, eq=False):
 
     def to_dict(self) -> dict:
         """JSON-ready form: {"order": N, "coeffs": ["p/q" or "p", ...]}."""
-        return {
-            "order": self.order,
-            "coeffs": [format_rational(q) for q in self.coefficients],
-        }
+        d = self.denominator
+        coeffs = []
+        for c in self.numerators:
+            g = math.gcd(c, d)  # c/d in lowest terms, as format_rational writes it
+            coeffs.append(str(c // g) if g == d else f"{c // g}/{d // g}")
+        return {"order": self.order, "coeffs": coeffs}
 
     @classmethod
     def from_dict(cls, data: dict) -> "CyclotomicNumber":

@@ -146,8 +146,13 @@ def _fit(value, shape, path: str, hint: str = ""):
         note = f" ({hint})" if hint else ""
         raise ValueError(f"field {path!r} must be {_KINDS[kind]}, got {value!r}{note}")
     if isinstance(shape, list):
+        # An item of exactly the item kind fits; any other, a bool or a
+        # nested list included (a list shape is never a class), is checked
+        # on its own, with its path.
+        item_shape = shape[0]
         for i, item in enumerate(value):
-            _fit(item, shape[0], f"{path}[{i}]", hint)
+            if item.__class__ is not item_shape:
+                _fit(item, item_shape, f"{path}[{i}]", hint)
     return value
 
 

@@ -556,29 +556,61 @@ def verify_decomposition(
     """Exact check that the gerbe potential decomposes over the characters.
 
     The left side is the gerbe-basis potential built from character-basis
-    invariants.  The right side sums, over every character rho of mu_r, the
-    base potential with Novikov variables twisted by chi_rho and variables
-    relabeled into sector rho, then scales by r^(2g-2).  Both sides are
-    compared coefficient by coefficient over the union of their keys in
-    total key order; the first difference, if any, is reported.
+    invariants.  The right side scales the base potential by r^(2g-2), then
+    sums, over every character rho of mu_r, that series with Novikov
+    variables twisted by chi_rho and variables relabeled into sector rho.
+    Both sides are compared coefficient by coefficient over the union of
+    their keys, a missing key reading as zero.  When every key holds the
+    same stored value on both sides, in one field, they agree.  Otherwise
+    the union is compared in total key order with CyclotomicNumber
+    equality, which crosses fields, and the first difference, if any, is
+    reported.
     """
     r = spec.band_order
-    lhs = build_potential(spec, base, genus, truncation, "gerbe")
+    lhs = build_potential(spec, base, genus, truncation, "gerbe").coefficients
     base_series = build_potential(spec, base, genus, truncation, "base")
     scalar = Fraction(r) ** (2 * genus - 2)
+    scaled = PotentialSeries(
+        "base",
+        genus,
+        truncation,
+        {key: value * scalar for key, value in base_series.coefficients.items()},
+    )
     rhs: dict = {}
     for rho in range(r):
-        for key, value in substitute_novikov(base_series, spec, rho).coefficients.items():
+        for key, value in substitute_novikov(scaled, spec, rho).coefficients.items():
             if key in rhs:
                 rhs[key] = rhs[key] + value
             else:
                 rhs[key] = value
-    rhs = {key: value * scalar for key, value in rhs.items()}
 
-    all_keys = sorted(set(lhs.coefficients) | set(rhs))
+    # Stored values are canonical, so two values of one order are equal
+    # exactly when their fields are.  If every right key matches so and the
+    # left side holds no key of its own, the union is the right side's keys.
+    # Anything else goes to the sorted comparison, which names the first
+    # difference.
+    shared = 0
+    for key, right in rhs.items():
+        left = lhs.get(key)
+        if left is None:
+            if not right.is_zero():
+                break
+        elif (
+            left.order != right.order
+            or left.numerators != right.numerators
+            or left.denominator != right.denominator
+        ):
+            break
+        else:
+            shared += 1
+    else:
+        if shared == len(lhs):
+            return DecompositionReport(True, len(rhs))
+
+    all_keys = sorted(set(lhs) | set(rhs))
     zero = CyclotomicNumber.zero(r)
     for key in all_keys:
-        left = lhs.coefficients.get(key, zero)
+        left = lhs.get(key, zero)
         right = rhs.get(key, zero)
         if left != right:
             return DecompositionReport(False, len(all_keys), key, left, right)

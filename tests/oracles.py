@@ -11,7 +11,9 @@ sum over every sector tuple where it tests one tuple per sum of the
 sectors, every multiset of gerbe
 variables where the gerbe potential enumerates single-character monomials
 only, one gerbe_invariant_rho call per key where the gerbe potential looks
-each base monomial up once for all its character copies, every
+each base monomial up once for all its character copies, the sorted
+union of both sides' keys compared by == where verify compares stored
+fields and sorts only on a difference, every
 assignment of each prescribed edge order where the fiber count solves
 spanning-tree edges, and Ramanujan sums over the divisors of r where it
 splits a banana graph's count over the prime powers of r.
@@ -22,7 +24,12 @@ import math
 from fractions import Fraction
 
 from gerbecalc.exactnum import CyclotomicNumber, cyclotomic_polynomial, root_of_unity
-from gerbecalc.gw import CharacterInsertion, gerbe_invariant_rho
+from gerbecalc.gw import (
+    CharacterInsertion,
+    build_potential,
+    gerbe_invariant_rho,
+    substitute_novikov,
+)
 
 
 def totient_brute(n: int) -> int:
@@ -281,6 +288,33 @@ def per_key_gerbe_potential(spec, base, genus: int, truncation) -> dict:
             if not value.is_zero():
                 coefficients[(beta, monomial)] = value
     return coefficients
+
+
+def sorted_union_decomposition(spec, base, genus: int, truncation) -> tuple:
+    """The comparison of verify_decomposition done the long way.
+
+    The right side sums the twisted base series over every rho and then
+    scales each sum by r^(2g-2); the sorted union of both sides' keys is
+    compared by CyclotomicNumber equality, a missing key reading as zero.
+    Returns (passed, keys compared, first differing key, its left value,
+    its right value), the last three None on a pass.
+    """
+    r = spec.band_order
+    lhs = build_potential(spec, base, genus, truncation, "gerbe").coefficients
+    base_series = build_potential(spec, base, genus, truncation, "base")
+    rhs = {}
+    for rho in range(r):
+        for key, value in substitute_novikov(base_series, spec, rho).coefficients.items():
+            rhs[key] = rhs[key] + value if key in rhs else value
+    scalar = Fraction(r) ** (2 * genus - 2)
+    rhs = {key: value * scalar for key, value in rhs.items()}
+    keys = sorted(set(lhs) | set(rhs))
+    zero = CyclotomicNumber.zero(r)
+    for key in keys:
+        left, right = lhs.get(key, zero), rhs.get(key, zero)
+        if left != right:
+            return False, len(keys), key, left, right
+    return True, len(keys), None, None, None
 
 
 def _multiplicity_factorials(monomial) -> int:

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 
@@ -350,6 +351,57 @@ def test_one_coordinate_products_agree_with_sympy(pair):
     assert _data(x * y) == _data(y * x) == expected
 
 
+RATIONAL_EXAMPLES = [
+    # 3/7 times a root of unity of order 8
+    (CyclotomicNumber(1, (3,), 7), root_of_unity(5, 8)),
+    # a rational whose denominator cancels against the other factor's content
+    (CyclotomicNumber(1, (-5,), 3), CyclotomicNumber(12, (3, 6, 0, -9), 5)),
+    # zero, and a rational times a rational
+    (CyclotomicNumber.zero(), CyclotomicNumber(7, (1, 2, 3, 4, 5, 6), 2)),
+    (CyclotomicNumber(1, (4,), 9), CyclotomicNumber(1, (-3,), 2)),
+]
+
+
+@given(cyclo(st.just(1)), cyclo(st.integers(1, 12)))
+@example(*RATIONAL_EXAMPLES[0])
+@example(*RATIONAL_EXAMPLES[1])
+@example(*RATIONAL_EXAMPLES[2])
+@example(*RATIONAL_EXAMPLES[3])
+def test_rational_products_scale_in_the_other_field(q, y):
+    # a factor of order 1 scales the other factor's coordinates in place
+    expected = _data(exactnum._convolution(*q._aligned(y)))
+    assert expected[0] == y.order
+    assert _data(q * y) == _data(y * q) == expected
+
+
+def _traced_bytes(make, count):
+    tracemalloc.start()
+    try:
+        numbers = [make(i) for i in range(count)]
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(numbers) == count
+    return size
+
+
+def test_canonical_numbers_take_no_more_memory_than_checked_ones():
+    # _canonical stores its fields as the public constructor does, so its
+    # numbers keep no __dict__ of their own
+    def fast(i):
+        return exactnum._canonical(6, (i, 2), 1)
+
+    def checked(i):
+        return CyclotomicNumber(6, (i, 2), 1)
+
+    count = 20_000
+    for make in (fast, checked):  # the first traced run also counts one-off set-up
+        _traced_bytes(make, count)
+    # up to 4 KiB (0.2 B a number) of blocks the interpreter allocates on the
+    # side; a number with a __dict__ of its own takes about 140 B more
+    assert _traced_bytes(fast, count) <= _traced_bytes(checked, count) + 4096
+
+
 @given(
     st.integers(1, 24).flatmap(
         lambda n: st.tuples(
@@ -441,6 +493,26 @@ def test_serialization_shape():
     x = CyclotomicNumber(4, (1, 3), 2)
     assert x.to_dict() == {"order": 4, "coeffs": ["1/2", "3/2"]}
     assert CyclotomicNumber.from_dict(x.to_dict()) == x
+
+
+@given(
+    st.integers(1, 12).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.sampled_from([0, 1, -1]) | st.integers(-10**6, 10**6),
+                min_size=power_basis_size(n),
+                max_size=power_basis_size(n),
+            ),
+            st.sampled_from([1, 2, 6]) | st.integers(1, 10**4),
+        )
+    )
+)
+def test_serialized_coefficients_are_the_formatted_rationals(data):
+    order, nums, den = data
+    x = CyclotomicNumber(order, tuple(nums), den)
+    coeffs = [format_rational(Fraction(c, x.denominator)) for c in x.numerators]
+    assert x.to_dict() == {"order": order, "coeffs": coeffs}
 
 
 @given(cyclo())

@@ -124,6 +124,34 @@ def test_from_config_names_the_first_misfit():
 
 
 @pytest.mark.parametrize(
+    "config, message",
+    [
+        (
+            {"vertices": [{"genus": 0}], "edges": [], "tails": [0] * 99_999 + ["0"]},
+            "field 'tails[99999]' must be an integer, got '0'",
+        ),
+        (
+            {"vertices": [{"genus": 0}, {"genus": 1}],
+             "edges": [[0, 1], [1, 1], [0, 0], [0, True]], "tails": []},
+            "field 'edges[3][1]' must be an integer, got True",
+        ),
+        (
+            {"vertices": [{"genus": 0}, {"genus": 1}],
+             "edges": [[0, 1], [1, 1], [0, 0], True], "tails": []},
+            "field 'edges[3]' must be a list, got True",
+        ),
+    ],
+    ids=["last-of-100000-tails", "true-in-edges-3", "true-as-edges-3"],
+)
+def test_from_config_names_one_misfit_in_a_long_list(config, message):
+    # items of exactly the item kind are passed over in one loop; the misfit
+    # alone is checked with its path, and the message is the per-item one
+    with pytest.raises(ValueError) as error:
+        ModularGraph.from_config(config)
+    assert str(error.value) == message
+
+
+@pytest.mark.parametrize(
     "config, field",
     [
         ({"vertices": [{"genus": True}], "edges": [], "tails": []}, "genus"),

@@ -462,3 +462,145 @@ def test_decomposition_report_failure_shape():
     assert doc["first_differing_key"] == {"beta": [1], "monomial": [[0, 0, 0]]}
     assert doc["lhs_value"] == lhs.to_dict()
     assert doc["rhs_value"] == rhs.to_dict()
+
+
+def _data(x):
+    return x.order, x.numerators, x.denominator
+
+
+def _left_side_with(changes):
+    """build_potential, with the gerbe-basis coefficient at each key of
+    changes set to its value, or removed where the value is None."""
+    build = gw.build_potential
+
+    def patched(spec, base, genus, truncation, basis="gerbe"):
+        series = build(spec, base, genus, truncation, basis)
+        if basis == "gerbe":
+            for key, value in changes.items():
+                if value is None:
+                    del series.coefficients[key]
+                else:
+                    series.coefficients[key] = value
+        return series
+
+    return patched
+
+
+def _counting_equality(monkeypatch):
+    """Count CyclotomicNumber.__eq__ calls from here on (!= calls it too)."""
+    calls = []
+    equal = CyclotomicNumber.__eq__
+
+    def counted(self, other):
+        calls.append(1)
+        return equal(self, other)
+
+    monkeypatch.setattr(CyclotomicNumber, "__eq__", counted)
+    return calls
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+@pytest.mark.parametrize("genus", [0, 1, 2])
+@pytest.mark.parametrize("full", [True, False], ids=["seeded", "half-empty"])
+def test_verify_decides_and_counts_as_the_sorted_union(caplog, r, genus, full):
+    spec = GerbeSpec(r, (1 % r, (r // 2 + 1) % r))
+    truncation = Truncation(2, 1, [(0, 0), (1, 0), (1, 1), (0, 2)])
+    if full:
+        table = BaseTheoryTable.seeded(2, genus, truncation, 10 * r + genus)
+    else:
+        records = half_empty_records(Random(10 * r + genus), 2, genus, truncation)
+        table = BaseTheoryTable.from_records(2, genus, truncation, records)
+    with caplog.at_level(logging.ERROR, logger="gerbecalc.gw"):
+        report = verify_decomposition(spec, table, genus, truncation)
+        expected = oracles.sorted_union_decomposition(spec, table, genus, truncation)
+    assert expected[0]
+    assert (report.passed, report.keys_compared) == expected[:2]
+
+
+@given(st.data())
+def test_verify_names_the_first_changed_left_coefficient(data):
+    r = data.draw(st.integers(1, 8), label="r")
+    genus = data.draw(st.integers(0, 2), label="genus")
+    spec = GerbeSpec(r, (1 % r, (r - 1) % r))
+    truncation = Truncation(2, 1, [(0, 0), (1, 0), (1, 1)])
+    table = BaseTheoryTable.seeded(2, genus, truncation, r + genus)
+    lhs = build_potential(spec, table, genus, truncation, "gerbe").coefficients
+    keys = data.draw(st.lists(st.sampled_from(sorted(lhs)), min_size=1, max_size=2, unique=True))
+    changes = {key: lhs[key] + 1 for key in keys}
+    unchanged = verify_decomposition(spec, table, genus, truncation)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gw, "build_potential", _left_side_with(changes))
+        report = verify_decomposition(spec, table, genus, truncation)
+    first = min(keys)
+    assert unchanged.passed and not report.passed
+    assert report.keys_compared == unchanged.keys_compared
+    assert report.first_differing_key == first
+    assert _data(report.lhs_value) == _data(lhs[first] + 1)
+    assert _data(report.rhs_value) == _data(lhs[first])
+
+
+def ci_theory():
+    # the console-script check of the CI: r = 8, k((1,)) = 3, basis 1, seed 7
+    truncation = Truncation(2, 1, [(0,), (1,)])
+    return GerbeSpec(8, (3,)), BaseTheoryTable.seeded(1, 0, truncation, 7), truncation
+
+
+def test_verify_counts_a_zero_key_of_the_right_side_only(monkeypatch):
+    # the empty monomial of a class with k(beta) != 0 sums to zero over rho
+    # on the right side, and the left side never stores it
+    spec, table, truncation = ci_theory()
+    lhs = build_potential(spec, table, 0, truncation, "gerbe").coefficients
+    assert ((1,), ()) not in lhs and ((0,), ()) in lhs
+    equality = _counting_equality(monkeypatch)
+    report = verify_decomposition(spec, table, 0, truncation)
+    assert report.passed
+    assert report.keys_compared == len(lhs) + 1 == 82
+    assert not equality  # decided on the stored fields, without a sort
+
+
+def test_verify_fails_on_a_nonzero_key_of_the_left_side_only(monkeypatch):
+    spec, table, truncation = ci_theory()
+    mixed = ((1,), ((0, 1, 0), (0, 2, 0)))  # mixes two characters: no side holds it
+    unchanged = verify_decomposition(spec, table, 0, truncation)
+    monkeypatch.setattr(gw, "build_potential", _left_side_with({mixed: root_of_unity(1, 8)}))
+    report = verify_decomposition(spec, table, 0, truncation)
+    assert not report.passed
+    assert report.keys_compared == unchanged.keys_compared + 1
+    assert report.first_differing_key == mixed
+    assert _data(report.lhs_value) == _data(root_of_unity(1, 8))
+    assert _data(report.rhs_value) == _data(CyclotomicNumber.zero(8))
+
+
+def test_verify_fails_on_a_nonzero_key_of_the_right_side_only(monkeypatch):
+    spec, table, truncation = ci_theory()
+    lhs = build_potential(spec, table, 0, truncation, "gerbe").coefficients
+    key = sorted(lhs)[-1]
+    monkeypatch.setattr(gw, "build_potential", _left_side_with({key: None}))
+    report = verify_decomposition(spec, table, 0, truncation)
+    assert not report.passed and report.keys_compared == 82
+    assert report.first_differing_key == key
+    assert _data(report.lhs_value) == _data(CyclotomicNumber.zero(8))
+    assert _data(report.rhs_value) == _data(lhs[key])
+
+
+def test_verify_passes_on_an_equal_value_held_at_twice_the_order(monkeypatch):
+    spec, table, truncation = ci_theory()
+    lhs = build_potential(spec, table, 0, truncation, "gerbe").coefficients
+    key = sorted(lhs)[len(lhs) // 2]
+    monkeypatch.setattr(gw, "build_potential", _left_side_with({key: lhs[key].embedded(16)}))
+    equality = _counting_equality(monkeypatch)
+    report = verify_decomposition(spec, table, 0, truncation)
+    assert report.passed and report.keys_compared == 82
+    assert equality  # the orders differ, so the values went through ==
+
+
+def test_verify_fails_on_the_same_fields_held_in_another_field(monkeypatch):
+    # phi(12) = phi(8) = 4: the same coordinates at order 12 are another number
+    spec, table, truncation = ci_theory()
+    lhs = build_potential(spec, table, 0, truncation, "gerbe").coefficients
+    key = next(key for key in sorted(lhs) if not lhs[key].is_rational())
+    moved = CyclotomicNumber(12, lhs[key].numerators, lhs[key].denominator)
+    monkeypatch.setattr(gw, "build_potential", _left_side_with({key: moved}))
+    report = verify_decomposition(spec, table, 0, truncation)
+    assert not report.passed and report.first_differing_key == key
+    assert _data(report.lhs_value) == _data(moved)
