@@ -386,32 +386,26 @@ class CyclotomicNumber(Record, eq=False):
         return rhs + (-self)
 
     def __mul__(self, other: object) -> "CyclotomicNumber":
+        # An int, a Fraction or a factor of order 1 scales the other factor
+        # in that factor's own field.
         if isinstance(other, (int, Fraction)):
-            scale = other.numerator  # a property of Fraction: read it once
-            return _canonical(
-                self.order,
-                tuple(c * scale for c in self.numerators),
-                self.denominator * other.denominator,
-            )
-        if not isinstance(other, CyclotomicNumber):
+            number, scale, den = self, other.numerator, other.denominator
+        elif not isinstance(other, CyclotomicNumber):
             return NotImplemented
-        # A rational scales the other factor in that factor's own field.
-        number, rational = (other, self) if self.order == 1 else (self, other)
-        if rational.order == 1:
-            scale = rational.numerators[0]
-            return _canonical(
-                number.order,
-                tuple(c * scale for c in number.numerators),
-                number.denominator * rational.denominator,
-            )
-        # A factor with at most one nonzero coordinate, such as a root of
-        # unity below zeta^phi, scales and shifts the other factor.
-        for x, y in ((self, other), (other, self)):
-            nums = x.numerators
-            if len(nums) - nums.count(0) <= 1:
-                index = next((i for i, c in enumerate(nums) if c), 0)
-                return _monomial_times(x.order, index, nums[index], x.denominator, y)
-        return _convolution(*self._aligned(other))
+        elif self.order == 1 or other.order == 1:
+            number, rational = (other, self) if self.order == 1 else (self, other)
+            scale, den = rational.numerators[0], rational.denominator
+        else:
+            # A factor with at most one nonzero coordinate, such as a root of
+            # unity below zeta^phi, scales and shifts the other factor.
+            for x, y in ((self, other), (other, self)):
+                nums = x.numerators
+                if len(nums) - nums.count(0) <= 1:
+                    index = next((i for i, c in enumerate(nums) if c), 0)
+                    return _monomial_times(x.order, index, nums[index], x.denominator, y)
+            return _convolution(*self._aligned(other))
+        nums = tuple(c * scale for c in number.numerators)
+        return _canonical(number.order, nums, number.denominator * den)
 
     __rmul__ = __mul__
 

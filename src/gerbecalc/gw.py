@@ -559,12 +559,10 @@ def verify_decomposition(
     invariants.  The right side scales the base potential by r^(2g-2), then
     sums, over every character rho of mu_r, that series with Novikov
     variables twisted by chi_rho and variables relabeled into sector rho.
-    Both sides are compared coefficient by coefficient over the union of
-    their keys, a missing key reading as zero.  When every key holds the
-    same stored value on both sides, in one field, they agree.  Otherwise
-    the union is compared in total key order with CyclotomicNumber
-    equality, which crosses fields, and the first difference, if any, is
-    reported.
+    Both sides are compared coefficient by coefficient with
+    CyclotomicNumber equality, which crosses fields, over the union of
+    their keys, a missing key reading as zero.  The keys are not sorted:
+    the first difference reported, if any, is the smallest differing key.
     """
     r = spec.band_order
     lhs = build_potential(spec, base, genus, truncation, "gerbe").coefficients
@@ -584,34 +582,20 @@ def verify_decomposition(
             else:
                 rhs[key] = value
 
-    # Stored values are canonical, so two values of one order are equal
-    # exactly when their fields are.  If every right key matches so and the
-    # left side holds no key of its own, the union is the right side's keys.
-    # Anything else goes to the sorted comparison, which names the first
-    # difference.
-    shared = 0
-    for key, right in rhs.items():
-        left = lhs.get(key)
-        if left is None:
-            if not right.is_zero():
-                break
-        elif (
-            left.order != right.order
-            or left.numerators != right.numerators
-            or left.denominator != right.denominator
-        ):
-            break
-        else:
-            shared += 1
-    else:
-        if shared == len(lhs):
-            return DecompositionReport(True, len(rhs))
-
-    all_keys = sorted(set(lhs) | set(rhs))
+    # The right side's keys, then those only the left side holds.
     zero = CyclotomicNumber.zero(r)
-    for key in all_keys:
-        left = lhs.get(key, zero)
-        right = rhs.get(key, zero)
-        if left != right:
-            return DecompositionReport(False, len(all_keys), key, left, right)
-    return DecompositionReport(True, len(all_keys))
+    keys_compared = len(rhs)
+    first = None
+    for key, right in rhs.items():
+        if lhs.get(key, zero) != right and (first is None or key < first):
+            first = key
+    for key, left in lhs.items():
+        if key not in rhs:
+            keys_compared += 1
+            if left != zero and (first is None or key < first):
+                first = key
+    if first is None:
+        return DecompositionReport(True, keys_compared)
+    return DecompositionReport(
+        False, keys_compared, first, lhs.get(first, zero), rhs.get(first, zero)
+    )

@@ -12,8 +12,8 @@ sectors, every multiset of gerbe
 variables where the gerbe potential enumerates single-character monomials
 only, one gerbe_invariant_rho call per key where the gerbe potential looks
 each base monomial up once for all its character copies, the sorted
-union of both sides' keys compared by == where verify compares stored
-fields and sorts only on a difference, every
+union of both sides' keys, scaled after the sum over rho, where verify
+scales the base series and takes the smallest differing key unsorted, every
 assignment of each prescribed edge order where the fiber count solves
 spanning-tree edges, and Ramanujan sums over the divisors of r where it
 splits a banana graph's count over the prime powers of r.
