@@ -9,8 +9,10 @@ gerbecalc); nothing is written to stdout on exit 2 or 3.
 
 The document is written by _write_json, only after its command has
 returned: the bytes of json.dumps(document, indent=2, sort_keys=True) plus
-a newline, in pieces, from a walk that encodes strings with the stdlib's C
-encoder.  Only decompose and verify import gw (and through it abelian);
+a newline, in pieces, from a column encoder, _texts, that encodes the ints
+or strs of a list by one map over a C function, the dicts that share a key
+tuple by one column per key, and the items of many lists as one column.
+Only decompose and verify import gw (and through it abelian);
 the other commands never load it.  Likewise only the commands that count,
 picard-torsion, count-lifts, fiber-count and degree, import counting, and
 compatible-graphs and fiber-count check their work bound before they parse
@@ -46,6 +48,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import chain, islice, repeat
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import admissibility
@@ -76,10 +79,10 @@ if TYPE_CHECKING:
 #   fiber count's tables, each charged 1 + (V + E + 2T) // 48 steps for the
 #   graph and tails it reads.  One more decoration costs fiber-count about
 #   4 us plus 0.07 us per vertex or edge, and compatible-graphs, which
-#   writes each one out, about 14 us plus 0.3 us (measured at 14 and 970
+#   writes each one out, about 7 us plus 0.16 us (measured at 14 and 970
 #   vertices and edges); a tail costs fiber-count about 0.1 us and
-#   compatible-graphs 0.5 to 0.7 us, about twice a vertex or edge (measured
-#   at 0, 2,000 and 8,000 tails on a vertex with 8 loops);
+#   compatible-graphs about 0.4 us, two to three times a vertex or edge
+#   (measured at 0, 2,000 and 8,000 tails on a vertex with 8 loops);
 # - fiber-count's peel steps: q^(free edges) assignments mod each prime
 #   power q of r, each solving the V - 1 edges of the spanning tree, with a
 #   table of q element orders only when some edge is free;
@@ -91,10 +94,10 @@ if TYPE_CHECKING:
 #   coefficients and class entries of its sector records.
 # At the bound a call takes from under a second (trial division) to about
 # 5 s and 130 MB (enumerate-admissible --n 2 --r 500000, measured on a
-# 2-vCPU VM, Python 3.11).  compatible-graphs, which holds every decoration
-# until it writes, would take about 480 MB on one vertex with 19 loops at
-# r = 2 (524,288 decorations charged one step each; extrapolated from
-# 129 MB at 17 loops, not run).  The largest benchmark call peels
+# 2-vCPU VM, Python 3.11).  compatible-graphs, which holds the two order
+# tuples of every decoration until it writes, would take about 210 MB on
+# one vertex with 19 loops at r = 2 (524,288 decorations charged one step
+# each; extrapolated from 41.6 and 65.3 MB at 16 and 17 loops, not run).  The largest benchmark call peels
 # 4^4 + 3^4 cycle assignments (a 5-edge banana at r = 12).
 _WORK_BOUND = 10**6
 
@@ -342,11 +345,13 @@ def _run_compatible_graphs(args) -> tuple[dict, dict, int]:
     config, graph, r = _graph_common(args.input)
     _bound_graph_work(graph, r, cycles=False)
     data = _degree_data_from(config)
-    decorated = list(admissibility.enumerate_compatible_gerby(graph, data, r))
-    result = {
-        "count": len(decorated),
-        "gerby_graphs": [g.to_config() for g in decorated],
-    }
+    # only the two order tuples are kept per decoration, which _write_json
+    # writes as lists, as GerbyGraph.to_config would give them
+    decorations = [
+        {"tail_orders": g.tail_orders(), "edge_orders": g.edge_orders()}
+        for g in admissibility.enumerate_compatible_gerby(graph, data, r)
+    ]
+    result = {"count": len(decorations), "gerby_graphs": decorations}
     return {"input": args.input, "config": config}, result, 0
 
 
@@ -485,14 +490,17 @@ _HANDLERS = {
 # The C string encoder that json.dumps uses by default (ensure_ascii).
 _encode_string = json.encoder.encode_basestring_ascii
 _CONTAINERS = (dict, list, tuple)
-# The writer hands its text to write() whenever it holds more parts than
-# this, so a document with millions of list items never exists in one piece.
-_FLUSH_PARTS = 4096
+# The exact types that _texts encodes a column at a time.
+_COLUMNS = frozenset((str, int) + _CONTAINERS)
+# The writer hands a list of more items than this to write() in pieces of
+# this many, so a document with millions of list items never exists in one
+# piece.
+_FLUSH_PARTS = 1024
 
 
-def _scalar(value) -> str | None:
+def _scalar(value) -> str:
     """The JSON text of a str, bool, None, int or finite float, as json.dumps
-    writes it; None for anything else."""
+    writes it; TypeError for anything else."""
     if isinstance(value, str):
         return _encode_string(value)
     if value is None:
@@ -505,58 +513,120 @@ def _scalar(value) -> str | None:
         return int.__repr__(value)
     if isinstance(value, float):
         return float.__repr__(value)
-    return None
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _texts(values: list, indent: str) -> list[str]:
+    """The text of each value of a nonempty list, as json.dumps(value,
+    indent=2, sort_keys=True) writes it on a line indented by indent.
+
+    The values are split into groups of one shape, each encoded as a
+    column: ints and strs by one map over a C function; dicts of one key
+    tuple by one column of values per sorted key, put back together through
+    one template; lists and tuples by one column of all their items,
+    regrouped by length; anything else (bool, float, None, subclasses of
+    the container types, as plain copies) one value at a time through
+    _scalar.  Only the columns of a group's items recurse, so values nested
+    n deep take n frames.
+    """
+    inner = indent + "  "
+    kinds = list(map(type, values))
+    if kinds.count(kinds[0]) == len(kinds) and kinds[0] in _COLUMNS:
+        shapes = list(map(tuple, values)) if kinds[0] is dict else kinds
+    else:
+        values = [
+            v if type(v) in _COLUMNS or not isinstance(v, _CONTAINERS)
+            else dict(v) if isinstance(v, dict) else list(v)
+            for v in values
+        ]
+        shapes = [
+            tuple(v) if type(v) is dict else type(v) if type(v) in _COLUMNS else None
+            for v in values
+        ]
+    groups: dict = {shapes[0]: values}
+    if shapes.count(shapes[0]) != len(shapes):
+        groups = {}
+        for shape, value in zip(shapes, values):
+            groups.setdefault(shape, []).append(value)
+    for shape, column in groups.items():
+        if shape is str:
+            texts = list(map(_encode_string, column))
+        elif shape is int:
+            texts = list(map(int.__repr__, column))
+        elif shape == ():
+            texts = ["{}"] * len(column)
+        elif type(shape) is tuple:  # dicts with these keys
+            keys = sorted(shape)
+            template = (
+                "{\n" + inner
+                + (",\n" + inner).join(_encode_string(k).replace("%", "%%") + ": %s" for k in keys)
+                + "\n" + indent + "}"
+            )
+            cells = []
+            for key in keys:  # a loop, as a comprehension would add a frame
+                cells.append(_texts(list(map(dict.__getitem__, column, repeat(key))), inner))
+            texts = list(map(template.__mod__, zip(*cells)))
+        elif shape is list or shape is tuple:
+            lengths = list(map(len, column))
+            items = list(chain.from_iterable(column))
+            texts = ["[]"] * len(column)
+            if items:
+                rest = iter(_texts(items, inner))
+                joined = map((",\n" + inner).join, map(islice, repeat(rest), lengths))
+                texts = list(map(("[\n" + inner + "%s\n" + indent + "]").__mod__, joined))
+                if 0 in lengths:
+                    texts = [text if n else "[]" for text, n in zip(texts, lengths)]
+        else:
+            texts = list(map(_scalar, column))
+        groups[shape] = texts
+    if len(groups) == 1:
+        return texts
+    rows = {shape: iter(texts) for shape, texts in groups.items()}
+    return [next(rows[shape]) for shape in shapes]
 
 
 def _write_json(document, write) -> None:
     """Write json.dumps(document, indent=2, sort_keys=True) + "\n" through write.
 
-    With an indent the stdlib encodes in pure Python; this walk gives the
-    same bytes in about half the time.  Dicts (str keys, in sorted order),
-    lists and tuples are walked here, and a list of scalars is joined in one
-    piece.  Scalars go through _scalar: floats are finite, since _load_json
-    rejects the rest, and a value of any other type makes a join raise
-    TypeError.  The text reaches write in one piece per _FLUSH_PARTS parts.
+    With an indent the stdlib encodes in pure Python; _texts gives the same
+    bytes a column at a time, in C for the most part.  Dicts (str keys, in
+    sorted order) are written a key at a time, and a list of more than
+    _FLUSH_PARTS items in pieces of _FLUSH_PARTS items; every other value
+    is written as one text from _texts.  Floats are finite, since
+    _load_json rejects the rest, and a value of any other type raises
+    TypeError.
     """
-    parts: list[str] = []
 
-    def walk(value, indent: str) -> None:
+    def put(value, indent: str) -> None:
         inner = indent + "  "
-        if isinstance(value, dict):
-            if not value:
-                parts.append("{}")
-                return
+        if type(value) is dict and value:
             opener = "{\n" + inner
             for key in sorted(value):
-                parts.append(opener + _encode_string(key) + ": ")
-                walk(value[key], inner)
+                write(opener + _encode_string(key) + ": ")
+                put(value[key], inner)
                 opener = ",\n" + inner
-            parts.append("\n" + indent + "}")
-        elif isinstance(value, (list, tuple)):
-            if not value:
-                parts.append("[]")
-                return
-            separator = ",\n" + inner
-            if not isinstance(value[0], _CONTAINERS):
-                texts = [_scalar(item) for item in value]
-                if None not in texts:
-                    parts.append("[\n" + inner + separator.join(texts) + "\n" + indent + "]")
-                    return
+            write("\n" + indent + "}")
+        elif type(value) in (list, tuple) and len(value) > _FLUSH_PARTS:
             opener = "[\n" + inner
-            for item in value:
-                parts.append(opener)
-                walk(item, inner)
-                opener = separator
-                if len(parts) > _FLUSH_PARTS:
-                    write("".join(parts))
-                    parts.clear()
-            parts.append("\n" + indent + "]")
+            for start in range(0, len(value), _FLUSH_PARTS):
+                write(opener + (",\n" + inner).join(_texts(value[start:start + _FLUSH_PARTS], inner)))
+                opener = ",\n" + inner
+            write("\n" + indent + "]")
         else:
-            parts.append(_scalar(value))
+            write(_texts([value], indent)[0])
 
-    walk(document, "")
-    parts.append("\n")
-    write("".join(parts))
+    # From Python 3.12 on, json reads documents as deep as the C recursion
+    # limit allows (about 1,500 levels on 3.12, 10,000 on 3.13), past the
+    # Python limit that counts the frames of put and _texts, one a level;
+    # from 3.11 on those frames take no C stack, and 3.10 reads no deeper
+    # than its Python limit.  So the limit is lifted while the writer runs.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 20_000)
+    try:
+        put(document, "")
+    finally:
+        sys.setrecursionlimit(limit)
+    write("\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

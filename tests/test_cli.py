@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -91,6 +92,26 @@ def test_compatible_graphs(capsys, tmp_path):
     assert result["count"] == 4
     assert sorted(g["edge_orders"][0] for g in result["gerby_graphs"]) == [1, 2, 3, 6]
 
+
+
+def test_compatible_graphs_holds_two_order_tuples_per_decoration(tmp_path):
+    # 4,096 decorations of one vertex with 12 loops at r = 2; a GerbyGraph
+    # held beside its to_config() dict took about 800 B a decoration
+    loops = 12
+    path = graph_config(
+        tmp_path, r=2, vertices=[0], edges=[(0, 0)] * loops,
+        degree_data={"vertex_residues": [0], "tail_types": []},
+    )
+    args = cli.build_parser().parse_args(["compatible-graphs", "--input", path])
+    tracemalloc.start()
+    try:
+        _, result, _ = cli._run_compatible_graphs(args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result["count"] == 2**loops
+    assert result["gerby_graphs"][-1] == {"tail_orders": (), "edge_orders": (2,) * loops}
+    assert peak < 500 * 2**loops
 
 def test_count_lifts_modes(capsys, tmp_path):
     path = graph_config(
@@ -526,6 +547,84 @@ def test_writer_matches_the_stdlib_encoder(document):
     assert "".join(pieces) == expected
 
 
+
+# Lists of dicts that share their keys, the columns of _texts: keys that a
+# template must escape, one key set in several insertion orders, and cells
+# that mix 1, True and 1.0, empty containers, lists with tuples, and ints
+# past the 4,300 digits that int-to-str converts by default.
+_KEYS = st.sampled_from(["a", "b", "%", "%s", "%%(x)s", "{", "{0}", "\ud800", "\u00e9", ""])
+_CELLS = st.sampled_from([1, True, 1.0, 0, False, -0.0, None, "1", [], (), {}])
+_INTS = st.integers() | st.builds(
+    lambda n, sign: sign * (10**4300 + n), st.integers(0, 9), st.sampled_from([1, -1])
+)
+
+
+def _shared_key_rows(cells):
+    @st.composite
+    def rows(draw):
+        keys = draw(st.lists(_KEYS, unique=True, max_size=4))
+        return [
+            {key: draw(cells) for key in draw(st.permutations(keys))}
+            for _ in range(draw(st.integers(1, 5)))
+        ]
+
+    return rows()
+
+
+_RECORD_COLUMNS = st.recursive(
+    _CELLS | _INTS | _JSON_TEXT,
+    lambda children: (
+        _shared_key_rows(children)
+        | st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+    ),
+    max_leaves=30,
+)
+
+
+@given(st.lists(_RECORD_COLUMNS, min_size=1, max_size=4))
+def test_writer_matches_the_stdlib_encoder_on_columns(document):
+    pieces = []
+    with no_int_digit_limit():
+        expected = json.dumps(document, indent=2, sort_keys=True) + "\n"
+        cli._write_json(document, pieces.append)
+    assert "".join(pieces) == expected
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+def test_writer_encodes_subclasses_as_their_base_types():
+    document = [
+        {"a": _Str("x"), "b": [_Int(3), 3, True, _Float(0.5)]},
+        {"a": "y", "b": _List([1, (2,)])},
+        _Dict(b=[], a={}),
+        _List(),
+        [_Dict(), _Dict(z=1)],
+    ]
+    pieces = []
+    cli._write_json(document, pieces.append)
+    assert "".join(pieces) == json.dumps(document, indent=2, sort_keys=True) + "\n"
+    with pytest.raises(TypeError, match="Fraction is not JSON serializable"):
+        cli._write_json([{"a": 1}, {"a": Fraction(1, 2)}], pieces.append)
+
 def test_writer_hands_long_lists_over_in_pieces():
     document = {"vectors": [("1/2", "1/3")] * 10_000, "count": 10_000}
     pieces = []
@@ -942,6 +1041,40 @@ def test_deeply_nested_json_is_an_input_error(capsys, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "nested too deeply" in err
 
+
+
+def test_the_deepest_list_the_loader_accepts_is_echoed(capsys, tmp_path):
+    # a mixed list nested as deep as _load_json reads it (about 980 levels
+    # on Python 3.10 and 3.11, 1,490 on 3.12) must be written back.  Python
+    # 3.13 reads about 10,000, whose echo is some 200 MB, so the search
+    # stops at 3,000 levels.
+    path = tmp_path / "deep.json"
+    deepest = 3_000
+
+    def echo(depth):
+        note = "[1, " * depth + "1" + "]" * depth
+        graph = '{"vertices": [{"genus": 1}], "edges": [[0, 0]], "tails": []}'
+        path.write_text(f'{{"r": 2, "graph": {graph}, "note": {note}}}', encoding="utf-8")
+        return run(capsys, "picard-torsion", "--input", str(path))
+
+    low, high = 1, deepest
+    while low < high:
+        depth = (low + high + 1) // 2
+        if "nested too deeply" in echo(depth)[2]:
+            high = depth - 1
+        else:
+            low = depth
+    assert low == deepest or "nested too deeply" in echo(low + 1)[2]
+    code, out, err = echo(low)
+    assert code == 0 and err == ""
+    assert low > sys.getrecursionlimit() // 2
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 10 * low)
+    try:
+        expected = json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    finally:
+        sys.setrecursionlimit(limit)
+    assert out == expected
 
 @pytest.mark.parametrize("command", ["degree", "fiber-count", "picard-torsion"])
 def test_results_past_the_int_string_limit(capsys, tmp_path, command):
