@@ -9,11 +9,12 @@ gerbecalc); nothing is written to stdout on exit 2 or 3.
 
 The document is written by _write_json, only after its command has
 returned: the bytes of json.dumps(document, indent=2, sort_keys=True) plus
-a newline, in pieces, from a column encoder, _texts, that encodes the ints
-or strs of a list by one map over a C function, the dicts that share a key
-tuple by one column per key, and the items of many lists as one column.
-Only decompose and verify import gw (and through it abelian);
-the other commands never load it.  Likewise only the commands that count,
+a newline, in pieces, from a column encoder, _texts, that encodes the
+strs, ints or floats of a list by one map over a C function, the dicts
+that share a key tuple by one column per key, and the items of many lists
+as one column; a list nested too deeply for it goes an item at a time.
+Only decompose and verify import gw (and through it abelian); the other
+commands never load it.  Likewise only the commands that count,
 picard-torsion, count-lifts, fiber-count and degree, import counting, and
 compatible-graphs and fiber-count check their work bound before they parse
 the tail types of the degree data.
@@ -97,8 +98,9 @@ if TYPE_CHECKING:
 # 2-vCPU VM, Python 3.11).  compatible-graphs, which holds the two order
 # tuples of every decoration until it writes, would take about 210 MB on
 # one vertex with 19 loops at r = 2 (524,288 decorations charged one step
-# each; extrapolated from 41.6 and 65.3 MB at 16 and 17 loops, not run).  The largest benchmark call peels
-# 4^4 + 3^4 cycle assignments (a 5-edge banana at r = 12).
+# each; extrapolated from 41.6 and 65.3 MB at 16 and 17 loops, not run).
+# The largest benchmark call peels 4^4 + 3^4 cycle assignments (a 5-edge
+# banana at r = 12).
 _WORK_BOUND = 10**6
 
 
@@ -487,97 +489,99 @@ _HANDLERS = {
 }
 
 
-# The C string encoder that json.dumps uses by default (ensure_ascii).
-_encode_string = json.encoder.encode_basestring_ascii
-_CONTAINERS = (dict, list, tuple)
-# The exact types that _texts encodes a column at a time.
-_COLUMNS = frozenset((str, int) + _CONTAINERS)
-# The writer hands a list of more items than this to write() in pieces of
-# this many, so a document with millions of list items never exists in one
-# piece.
+# The C encoders that json.dumps uses for these exact types (ensure_ascii;
+# floats are finite, since _load_json rejects the rest).
+_ENCODERS = {str: json.encoder.encode_basestring_ascii, int: int.__repr__, float: float.__repr__}
+_encode_string = _ENCODERS[str]
+# The writer encodes a list in pieces of at most _FLUSH_PARTS items.  It
+# hands its text to write() after a piece longer than _FLUSH_CHARS, as a
+# full piece always is (each item takes a character at least, and each
+# separator four), and when it holds more than _FLUSH_PARTS parts; so a
+# document with millions of list items never exists in one piece, and a
+# small one takes one write, which is one system call on an unbuffered
+# stdout.
 _FLUSH_PARTS = 1024
+_FLUSH_CHARS = 4096
+# Each level of _texts copies the texts of the levels below it, so it takes
+# values at most this many levels deep, and _write_json writes a list that
+# holds a deeper one an item at a time, and all below it.  The benchmark's
+# documents are 8 levels deep.
+_COLUMN_DEPTH = 16
 
 
-def _scalar(value) -> str:
-    """The JSON text of a str, bool, None, int or finite float, as json.dumps
-    writes it; TypeError for anything else."""
-    if isinstance(value, str):
-        return _encode_string(value)
+class _TooDeep(Exception):
+    """Raised by _texts for a value nested past _COLUMN_DEPTH levels."""
+
+
+def _scalar(value, indent: str, depth: int) -> str:
+    """The JSON text of True, False, None or a subclass of a JSON type, as
+    json.dumps writes it; TypeError for anything else."""
     if value is None:
         return "null"
     if value is True:
         return "true"
     if value is False:
         return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return float.__repr__(value)
+    for kind, encode in _ENCODERS.items():
+        if isinstance(value, kind):
+            return encode(value)
+    if isinstance(value, (dict, list, tuple)):  # written as its base type
+        return _texts([dict(value) if isinstance(value, dict) else list(value)], indent, depth)[0]
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _texts(values: list, indent: str) -> list[str]:
+def _texts(values: list, indent: str, depth: int = 0) -> list[str]:
     """The text of each value of a nonempty list, as json.dumps(value,
     indent=2, sort_keys=True) writes it on a line indented by indent.
 
-    The values are split into groups of one shape, each encoded as a
-    column: ints and strs by one map over a C function; dicts of one key
-    tuple by one column of values per sorted key, put back together through
-    one template; lists and tuples by one column of all their items,
-    regrouped by length; anything else (bool, float, None, subclasses of
-    the container types, as plain copies) one value at a time through
-    _scalar.  Only the columns of a group's items recurse, so values nested
-    n deep take n frames.
+    The values are split into columns of one exact type, and dicts into
+    columns of one key tuple.  A column of strs, ints or floats is encoded
+    by one map over a C function; one of dicts as one column per sorted
+    key, whose texts are joined row by row; one of lists and tuples as one
+    column of all their items, regrouped by length; anything else one value
+    at a time through _scalar.  Only the columns of items recurse, so
+    values nested n deep take n frames; past _COLUMN_DEPTH levels below
+    the first call, _TooDeep is raised.
     """
+    if depth > _COLUMN_DEPTH:
+        raise _TooDeep
     inner = indent + "  "
-    kinds = list(map(type, values))
-    if kinds.count(kinds[0]) == len(kinds) and kinds[0] in _COLUMNS:
-        shapes = list(map(tuple, values)) if kinds[0] is dict else kinds
-    else:
-        values = [
-            v if type(v) in _COLUMNS or not isinstance(v, _CONTAINERS)
-            else dict(v) if isinstance(v, dict) else list(v)
-            for v in values
-        ]
-        shapes = [
-            tuple(v) if type(v) is dict else type(v) if type(v) in _COLUMNS else None
-            for v in values
-        ]
-    groups: dict = {shapes[0]: values}
+    shapes = list(map(type, values))
+    if shapes.count(dict) == len(shapes):
+        shapes = list(map(tuple, values))
+    elif dict in shapes:
+        shapes = [tuple(v) if type(v) is dict else type(v) for v in values]
+    groups = {shapes[0]: values}
     if shapes.count(shapes[0]) != len(shapes):
         groups = {}
         for shape, value in zip(shapes, values):
             groups.setdefault(shape, []).append(value)
     for shape, column in groups.items():
-        if shape is str:
-            texts = list(map(_encode_string, column))
-        elif shape is int:
-            texts = list(map(int.__repr__, column))
-        elif shape == ():
+        if shape == ():
             texts = ["{}"] * len(column)
         elif type(shape) is tuple:  # dicts with these keys
-            keys = sorted(shape)
-            template = (
-                "{\n" + inner
-                + (",\n" + inner).join(_encode_string(k).replace("%", "%%") + ": %s" for k in keys)
-                + "\n" + indent + "}"
-            )
-            cells = []
-            for key in keys:  # a loop, as a comprehension would add a frame
-                cells.append(_texts(list(map(dict.__getitem__, column, repeat(key))), inner))
-            texts = list(map(template.__mod__, zip(*cells)))
+            parts = []
+            opener = "{\n" + inner
+            for key in sorted(shape):  # a loop, as a comprehension would add a frame
+                cells = _texts(list(map(dict.__getitem__, column, repeat(key))), inner, depth + 1)
+                parts += repeat(opener + _encode_string(key) + ": "), cells
+                opener = ",\n" + inner
+            parts.append(repeat("\n" + indent + "}"))
+            texts = list(map("".join, zip(*parts)))
         elif shape is list or shape is tuple:
             lengths = list(map(len, column))
             items = list(chain.from_iterable(column))
             texts = ["[]"] * len(column)
             if items:
-                rest = iter(_texts(items, inner))
+                rest = iter(_texts(items, inner, depth + 1))
                 joined = map((",\n" + inner).join, map(islice, repeat(rest), lengths))
-                texts = list(map(("[\n" + inner + "%s\n" + indent + "]").__mod__, joined))
+                texts = list(map("".join, zip(repeat("[\n" + inner), joined, repeat("\n" + indent + "]"))))
                 if 0 in lengths:
                     texts = [text if n else "[]" for text, n in zip(texts, lengths)]
+        elif shape in _ENCODERS:
+            texts = list(map(_ENCODERS[shape], column))
         else:
-            texts = list(map(_scalar, column))
+            texts = list(map(_scalar, column, repeat(indent), repeat(depth)))
         groups[shape] = texts
     if len(groups) == 1:
         return texts
@@ -590,30 +594,50 @@ def _write_json(document, write) -> None:
 
     With an indent the stdlib encodes in pure Python; _texts gives the same
     bytes a column at a time, in C for the most part.  Dicts (str keys, in
-    sorted order) are written a key at a time, and a list of more than
-    _FLUSH_PARTS items in pieces of _FLUSH_PARTS items; every other value
-    is written as one text from _texts.  Floats are finite, since
-    _load_json rejects the rest, and a value of any other type raises
-    TypeError.
+    sorted order) are walked a key at a time, and lists in pieces of at
+    most _FLUSH_PARTS items, each piece as the texts of its items from
+    _texts, or, in a list nested too deeply for _texts, an item at a time.
+    A value of a type json.dumps does not write raises TypeError.
     """
+    parts: list[str] = []
 
-    def put(value, indent: str) -> None:
+    def flush() -> None:
+        write("".join(parts))
+        parts.clear()
+
+    def put(value, indent: str, columns: bool) -> None:
         inner = indent + "  "
-        if type(value) is dict and value:
+        separator = ",\n" + inner
+        if isinstance(value, dict) and value:
             opener = "{\n" + inner
             for key in sorted(value):
-                write(opener + _encode_string(key) + ": ")
-                put(value[key], inner)
-                opener = ",\n" + inner
-            write("\n" + indent + "}")
-        elif type(value) in (list, tuple) and len(value) > _FLUSH_PARTS:
+                parts.append(opener + _encode_string(key) + ": ")
+                put(value[key], inner, columns)
+                opener = separator
+            parts.append("\n" + indent + "}")
+        elif isinstance(value, (list, tuple)) and value:
             opener = "[\n" + inner
             for start in range(0, len(value), _FLUSH_PARTS):
-                write(opener + (",\n" + inner).join(_texts(value[start:start + _FLUSH_PARTS], inner)))
-                opener = ",\n" + inner
-            write("\n" + indent + "]")
+                items = value[start:start + _FLUSH_PARTS]
+                try:
+                    texts = _texts(items, inner) if columns else None
+                except _TooDeep:  # so the rest goes an item at a time
+                    texts, columns = None, False
+                if texts:
+                    parts.append(opener + separator.join(texts))
+                    if len(parts[-1]) > _FLUSH_CHARS:
+                        flush()
+                else:
+                    for item in items:
+                        parts.append(opener)
+                        put(item, inner, False)
+                        opener = separator
+                        if len(parts) > _FLUSH_PARTS:
+                            flush()
+                opener = separator
+            parts.append("\n" + indent + "]")
         else:
-            write(_texts([value], indent)[0])
+            parts.append(_texts([value], indent)[0])
 
     # From Python 3.12 on, json reads documents as deep as the C recursion
     # limit allows (about 1,500 levels on 3.12, 10,000 on 3.13), past the
@@ -623,10 +647,11 @@ def _write_json(document, write) -> None:
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + 20_000)
     try:
-        put(document, "")
+        put(document, "", True)
     finally:
         sys.setrecursionlimit(limit)
-    write("\n")
+    parts.append("\n")
+    flush()
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -93,7 +93,6 @@ def test_compatible_graphs(capsys, tmp_path):
     assert sorted(g["edge_orders"][0] for g in result["gerby_graphs"]) == [1, 2, 3, 6]
 
 
-
 def test_compatible_graphs_holds_two_order_tuples_per_decoration(tmp_path):
     # 4,096 decorations of one vertex with 12 loops at r = 2; a GerbyGraph
     # held beside its to_config() dict took about 800 B a decoration
@@ -112,6 +111,7 @@ def test_compatible_graphs_holds_two_order_tuples_per_decoration(tmp_path):
     assert result["count"] == 2**loops
     assert result["gerby_graphs"][-1] == {"tail_orders": (), "edge_orders": (2,) * loops}
     assert peak < 500 * 2**loops
+
 
 def test_count_lifts_modes(capsys, tmp_path):
     path = graph_config(
@@ -547,11 +547,10 @@ def test_writer_matches_the_stdlib_encoder(document):
     assert "".join(pieces) == expected
 
 
-
 # Lists of dicts that share their keys, the columns of _texts: keys that a
-# template must escape, one key set in several insertion orders, and cells
-# that mix 1, True and 1.0, empty containers, lists with tuples, and ints
-# past the 4,300 digits that int-to-str converts by default.
+# format string would read as fields, one key set in several insertion
+# orders, and cells that mix 1, True and 1.0, empty containers, lists with
+# tuples, and ints past the 4,300 digits that int-to-str converts by default.
 _KEYS = st.sampled_from(["a", "b", "%", "%s", "%%(x)s", "{", "{0}", "\ud800", "\u00e9", ""])
 _CELLS = st.sampled_from([1, True, 1.0, 0, False, -0.0, None, "1", [], (), {}])
 _INTS = st.integers() | st.builds(
@@ -625,6 +624,33 @@ def test_writer_encodes_subclasses_as_their_base_types():
     with pytest.raises(TypeError, match="Fraction is not JSON serializable"):
         cli._write_json([{"a": 1}, {"a": Fraction(1, 2)}], pieces.append)
 
+
+def test_writer_copies_a_deep_list_a_bounded_number_of_times(monkeypatch):
+    # each level of _texts joins the texts of the levels below it, so a list
+    # nested d deep encoded by _texts alone would copy about d / 3 times its
+    # text; past _COLUMN_DEPTH levels it is written an item at a time
+    document = 1
+    for _ in range(300):
+        document = [1, document]
+    records = [{"a": [[1, 2], []], "deep": document}, {"a": [], "deep": 0}]
+    # the second piece of _FLUSH_PARTS items holds the deep list
+    document = [[1, (2,)]] * 1_100 + records + [[3]] * 1_100
+    texts = cli._texts
+    encoded = []
+
+    def counted(values, indent, depth=0):
+        result = texts(values, indent, depth)
+        encoded.append(sum(map(len, result)))
+        return result
+
+    monkeypatch.setattr(cli, "_texts", counted)
+    pieces = []
+    cli._write_json(document, pieces.append)
+    out = "".join(pieces)
+    assert out == json.dumps(document, indent=2, sort_keys=True) + "\n"
+    assert sum(encoded) < len(out)
+
+
 def test_writer_hands_long_lists_over_in_pieces():
     document = {"vectors": [("1/2", "1/3")] * 10_000, "count": 10_000}
     pieces = []
@@ -632,6 +658,13 @@ def test_writer_hands_long_lists_over_in_pieces():
     assert len(pieces) > 2
     assert "".join(pieces) == json.dumps(document, indent=2, sort_keys=True) + "\n"
 
+
+def test_writer_hands_a_small_document_over_in_one_write():
+    # on an unbuffered stdout each write is a system call
+    document = {"graph": {"edges": [[0, 1]] * 100, "tails": []}, "r": 2, "note": [1, [2, "x"]]}
+    pieces = []
+    cli._write_json(document, pieces.append)
+    assert pieces == [json.dumps(document, indent=2, sort_keys=True) + "\n"]
 
 
 @pytest.mark.parametrize("n, r", [(2, 10**12), (1_000_001, 1)])
@@ -1042,7 +1075,6 @@ def test_deeply_nested_json_is_an_input_error(capsys, tmp_path):
     assert "nested too deeply" in err
 
 
-
 def test_the_deepest_list_the_loader_accepts_is_echoed(capsys, tmp_path):
     # a mixed list nested as deep as _load_json reads it (about 980 levels
     # on Python 3.10 and 3.11, 1,490 on 3.12) must be written back.  Python
@@ -1075,6 +1107,7 @@ def test_the_deepest_list_the_loader_accepts_is_echoed(capsys, tmp_path):
     finally:
         sys.setrecursionlimit(limit)
     assert out == expected
+
 
 @pytest.mark.parametrize("command", ["degree", "fiber-count", "picard-torsion"])
 def test_results_past_the_int_string_limit(capsys, tmp_path, command):
