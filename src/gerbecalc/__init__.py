@@ -3,7 +3,8 @@
 Submodules load on first use (PEP 562): ``import gerbecalc`` loads none of
 them, ``gerbecalc.count_lifts`` loads ``counting`` and what it imports, and
 ``gerbecalc.gw`` loads ``gw``.  So a command-line call that only counts
-never loads the potential code in ``gw``.
+never loads the potential code in ``gw``, and ``gerbecalc.divisors`` loads
+only the integer and input helpers in ``_arith``.
 """
 
 import sys
@@ -12,6 +13,7 @@ __version__ = "0.1.0"
 
 # The one list of public names, by the submodule that defines each.
 _EXPORTS = {
+    "_arith": ("divisors", "euler_totient", "format_rational", "parse_rational"),
     "abelian": (
         "Character",
         "FiniteAbelianGroup",
@@ -43,10 +45,6 @@ _EXPORTS = {
     "exactnum": (
         "CyclotomicNumber",
         "cyclotomic_polynomial",
-        "divisors",
-        "euler_totient",
-        "format_rational",
-        "parse_rational",
         "power_basis_size",
         "root_of_unity",
     ),

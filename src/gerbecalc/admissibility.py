@@ -13,11 +13,21 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
+from ._arith import divisors, parse_rational
 from ._record import Record, setfield
-from .exactnum import divisors, parse_rational
-from .graphs import GerbyGraph, ModularGraph, classify_edges, split_at_edge
+
+if TYPE_CHECKING:
+    from .graphs import GerbyGraph, ModularGraph
+
+
+def __getattr__(name: str):
+    # graphs loads on first use, never with gw; its names still resolve here
+    if name in ("GerbyGraph", "ModularGraph", "classify_edges", "split_at_edge"):
+        from . import graphs
+        return getattr(graphs, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ContactType(Record):
@@ -217,6 +227,7 @@ def separating_node_order(
     order whenever the data is globally admissible.  By default the side
     containing the edge's lower flag is used.
     """
+    from .graphs import split_at_edge
     data = data.validated_for(graph, r)
     side_a, side_b = split_at_edge(graph, edge_index)
     if side is None:
@@ -259,6 +270,7 @@ def enumerate_compatible_gerby(
     is then one tuple built by indexing, wrapped without re-checking that
     both flags of an edge agree, since that holds by construction.
     """
+    from .graphs import GerbyGraph, classify_edges
     data = data.validated_for(graph, r)
     if not is_admissible(data.tail_types, r, data.total_residue(r)):
         raise ValueError(

@@ -13,17 +13,17 @@ a newline, in pieces, from a column encoder, _texts, that encodes the
 strs, ints or floats of a list by one map over a C function, the dicts
 that share a key tuple by one column per key, and the items of many lists
 as one column; a list nested too deeply for it goes an item at a time.
-Only decompose and verify import gw (and through it abelian); the other
-commands never load it.  Likewise only the commands that count,
-picard-torsion, count-lifts, fiber-count and degree, import counting, and
+Each handler imports only the modules it runs, as a call compiles each one
+when no bytecode is cached: only decompose and verify load gw, and never
+graphs; only the commands that count load counting.  No module imports cli.
 compatible-graphs and fiber-count check their work bound before they parse
 the tail types of the degree data.
 
-Configuration fields are read only through graphs._field, which checks
+Configuration fields are read only through _arith._field, which checks
 each against a shape and names the path of the first misfit, such as
 edges[0]; JSON true/false never pass as integers.  An optional "format"
 must be the integer 1.  Rationals in a document, base values and tail
-types, follow the grammar of exactnum.parse_rational: a sign, digits and
+types, follow the grammar of _arith.parse_rational: a sign, digits and
 an optional /digits, with no exponent or decimal point.  A document may
 hold other numbers in fields no command reads, which are echoed back, but
 NaN, Infinity and -Infinity, which are not JSON, and number literals past
@@ -37,7 +37,7 @@ listed where _WORK_BOUND is defined.
 degree, picard-torsion, count-lifts, fiber-count, decompose and verify
 also estimate the digits of their powers of r before computing them, and
 picard-torsion --quotient the sum of log10 of its edge and tail orders
-before multiplying them; each exits 2 past exactnum._DIGIT_BOUND digits,
+before multiplying them; each exits 2 past _arith._DIGIT_BOUND digits,
 as does an integer literal in a JSON document or a digit group of a
 rational that is longer.
 """
@@ -52,20 +52,20 @@ from fractions import Fraction
 from itertools import chain, islice, repeat
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from . import admissibility
-from .admissibility import ContactType, DegreeData
-from .exactnum import (
+from ._arith import (
     _DIGIT_BOUND,
+    _field,
     _prime_powers,
     divisors,
     euler_totient,
     format_rational,
     parse_rational,
 )
-from .graphs import GerbyGraph, ModularGraph, _field, betti1, classify_edges, total_genus
 
 if TYPE_CHECKING:
     from . import gw
+    from .admissibility import DegreeData
+    from .graphs import GerbyGraph, ModularGraph
 
 # The most steps of any one kind a call may enumerate.  Each estimate is
 # made before enumerating, and past the bound the call exits 2:
@@ -133,6 +133,7 @@ def _bound_digits(what: str, r: int, exponent: int) -> None:
 
 def _bound_mark_work(graph: ModularGraph) -> None:
     """Check the V * (E - V + 1) bits that classify_edges' marks may hold."""
+    from .graphs import betti1
     what = "the V * (E - V + 1) mark bits of the edge classification"
     _bound_work(what, graph.num_vertices, 1, betti1(graph))
 
@@ -140,6 +141,7 @@ def _bound_mark_work(graph: ModularGraph) -> None:
 def _bound_graph_work(graph: ModularGraph, r: int, cycles: bool) -> None:
     """Check the graph size, the decorations with the graph and tails each
     one reads, and with cycles the fiber count's peel steps."""
+    from .graphs import classify_edges
     if r < 1:
         return  # the commands themselves reject a non-positive r
     _bound_work("the sqrt(r) trial divisions of r", math.isqrt(r), 1)
@@ -253,6 +255,7 @@ def _load_json(path: str) -> dict:
 
 
 def _graph_common(path: str) -> tuple[dict, ModularGraph, int]:
+    from .graphs import ModularGraph
     config = _load_json(path)
     graph = ModularGraph.from_config(_field(config, "graph", dict))
     r = _field(config, "r", int)
@@ -260,6 +263,7 @@ def _graph_common(path: str) -> tuple[dict, ModularGraph, int]:
 
 
 def _gerby_from(config: Mapping, graph: ModularGraph) -> GerbyGraph:
+    from .graphs import GerbyGraph
     section = _field(config, "gerby", dict)
     tail_orders = _field(section, "tail_orders", [int], "gerby")
     edge_orders = _field(section, "edge_orders", [int], "gerby")
@@ -267,6 +271,7 @@ def _gerby_from(config: Mapping, graph: ModularGraph) -> GerbyGraph:
 
 
 def _degree_data_from(config: Mapping) -> DegreeData:
+    from .admissibility import ContactType, DegreeData
     section = _field(config, "degree_data", dict)
     residues = _field(section, "vertex_residues", [int], "degree_data")
     hint = 'tail types must be strings like "m/b"'
@@ -331,6 +336,7 @@ def _gw_common(args) -> tuple[gw.GerbeSpec, gw.BaseTheoryTable, int, gw.Truncati
 
 
 def _run_enumerate_admissible(args) -> tuple[dict, dict, int]:
+    from . import admissibility
     if args.n >= 1 and args.r >= 1:
         _bound_work("the n * r^(n-1) contact types of the vectors", args.r, args.n - 1, args.n)
     # only a tuple of entry strings is kept per vector, which _write_json
@@ -344,6 +350,7 @@ def _run_enumerate_admissible(args) -> tuple[dict, dict, int]:
 
 
 def _run_compatible_graphs(args) -> tuple[dict, dict, int]:
+    from . import admissibility
     config, graph, r = _graph_common(args.input)
     _bound_graph_work(graph, r, cycles=False)
     data = _degree_data_from(config)
@@ -359,6 +366,7 @@ def _run_compatible_graphs(args) -> tuple[dict, dict, int]:
 
 def _run_count_lifts(args) -> tuple[dict, dict, int]:
     from . import counting
+    from .graphs import betti1, total_genus
 
     config, graph, r = _graph_common(args.input)
     gerby = _gerby_from(config, graph)
@@ -379,6 +387,7 @@ def _run_count_lifts(args) -> tuple[dict, dict, int]:
 
 def _run_picard_torsion(args) -> tuple[dict, dict, int]:
     from . import counting
+    from .graphs import total_genus
 
     config, graph, r = _graph_common(args.input)
     if not args.quotient:
@@ -409,6 +418,7 @@ def _run_picard_torsion(args) -> tuple[dict, dict, int]:
 
 def _run_fiber_count(args) -> tuple[dict, dict, int]:
     from . import counting
+    from .graphs import total_genus
 
     config, graph, r = _graph_common(args.input)
     _bound_graph_work(graph, r, cycles=True)
@@ -493,13 +503,12 @@ _HANDLERS = {
 # floats are finite, since _load_json rejects the rest).
 _ENCODERS = {str: json.encoder.encode_basestring_ascii, int: int.__repr__, float: float.__repr__}
 _encode_string = _ENCODERS[str]
-# The writer encodes a list in pieces of at most _FLUSH_PARTS items.  It
-# hands its text to write() after a piece longer than _FLUSH_CHARS, as a
-# full piece always is (each item takes a character at least, and each
-# separator four), and when it holds more than _FLUSH_PARTS parts; so a
+# The writer encodes a list in pieces of at most _FLUSH_PARTS items.  A
+# piece longer than _FLUSH_CHARS, as a full piece always is (an item takes
+# a character at least, a separator four), goes to write() by itself, after
+# the text held before it, which also goes past _FLUSH_PARTS parts; so a
 # document with millions of list items never exists in one piece, and a
-# small one takes one write, which is one system call on an unbuffered
-# stdout.
+# small one takes one write, one system call on an unbuffered stdout.
 _FLUSH_PARTS = 1024
 _FLUSH_CHARS = 4096
 # Each level of _texts copies the texts of the levels below it, so it takes
@@ -624,9 +633,12 @@ def _write_json(document, write) -> None:
                 except _TooDeep:  # so the rest goes an item at a time
                     texts, columns = None, False
                 if texts:
-                    parts.append(opener + separator.join(texts))
-                    if len(parts[-1]) > _FLUSH_CHARS:
+                    piece, texts = opener + separator.join(texts), None
+                    if len(piece) <= _FLUSH_CHARS:
+                        parts.append(piece)
+                    else:  # by itself, with no copy of its items held
                         flush()
+                        write(piece)
                 else:
                     for item in items:
                         parts.append(opener)

@@ -11,12 +11,15 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
+from ._arith import _prime_powers, _totient, divisors
+from ._arith import euler_totient  # noqa: F401  (defined in _arith, importable here)
 from ._record import Record, setfield
-from .admissibility import DegreeData, enumerate_compatible_gerby
-from .exactnum import _prime_powers, _totient, divisors
-from .exactnum import euler_totient  # noqa: F401  (defined in exactnum, importable here)
 from .graphs import GerbyGraph, ModularGraph, betti1, classify_edges, total_genus
+
+if TYPE_CHECKING:
+    from .admissibility import DegreeData
 
 
 def prestable_picard_torsion(graph: ModularGraph, r: int) -> int:
@@ -236,6 +239,7 @@ def fiber_point_count(graph: ModularGraph, data: DegreeData, r: int) -> int:
     divisor-sum identity are checked before returning, and a failure raises
     AssertionError.
     """
+    from .admissibility import enumerate_compatible_gerby
     data = data.validated_for(graph, r)
     _, nonseparating = classify_edges(graph)
 

@@ -11,8 +11,9 @@ Each graph is searched once, by _spanning_forest, when built; classify_edges,
 split_at_edge, admissibility._cut_orders and counting._cycle_order_counts
 read the spanning tree it keeps.
 
-_field is the one reader of configuration fields, here so that from_config
-and the command line share it without an import cycle.
+from_config reads its fields through _arith._field, the one reader of
+configuration fields, which the command line shares without loading this
+module; decompose, verify and enumerate-admissible never load it.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Mapping, Sequence
 
+from ._arith import _field
+from ._arith import _KINDS, _fit  # noqa: F401  (re-exported)
 from ._record import Record, setfield
 
 
@@ -132,36 +135,6 @@ class ModularGraph(Record):
             "edges": [[self.attachment[f1], self.attachment[f2]] for f1, f2 in self.edges()],
             "tails": [self.attachment[f] for f in self.tails()],
         }
-
-
-_KINDS = {int: "an integer", str: "a string", dict: "an object", list: "a list"}
-
-
-def _fit(value, shape, path: str, hint: str = ""):
-    """value if it fits shape: int, str, dict or list, or [shape] for a list
-    of such values; JSON true/false never fit int.  Else ValueError naming
-    the path of the first misfit, ending with hint when one is given."""
-    kind = list if isinstance(shape, list) else shape
-    if not isinstance(value, kind) or isinstance(value, bool):
-        note = f" ({hint})" if hint else ""
-        raise ValueError(f"field {path!r} must be {_KINDS[kind]}, got {value!r}{note}")
-    if isinstance(shape, list):
-        # An item of exactly the item kind fits; any other, a bool or a
-        # nested list included (a list shape is never a class), is checked
-        # on its own, with its path.
-        item_shape = shape[0]
-        for i, item in enumerate(value):
-            if item.__class__ is not item_shape:
-                _fit(item, item_shape, f"{path}[{i}]", hint)
-    return value
-
-
-def _field(section: Mapping, key: str, shape, path: str = "", hint: str = ""):
-    """section[key] checked by _fit; path locates section in its document."""
-    path = f"{path}.{key}" if path else key
-    if key not in section:
-        raise ValueError(f"the configuration is missing the field {path!r}")
-    return _fit(section[key], shape, path, hint)
 
 
 def _spanning_forest(

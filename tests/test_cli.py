@@ -1,6 +1,7 @@
 """End-to-end tests for the command line interface."""
 
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
@@ -327,7 +328,9 @@ def test_graph_searches_past_the_bound_are_input_errors(capsys, tmp_path, monkey
     def never(*args):
         raise AssertionError("the edges were classified before the bound was checked")
 
-    for module in (cli, counting, admissibility):
+    # cli and admissibility import it from graphs when they run; counting
+    # binds it at import
+    for module in (graphs, counting):
         monkeypatch.setattr(module, "classify_edges", never)
     code, out, err = run(capsys, command, "--input", hub_config(tmp_path, 2000))
     assert code == 2 and out == ""
@@ -348,13 +351,19 @@ def test_trees_classify_without_mark_bits(capsys, tmp_path, command):
         assert code == 0 and json.loads(out)["result"]["value"] == "1"
 
 
-def test_each_graph_is_searched_once(capsys, tmp_path, monkeypatch):
-    # the benchmark's graph-trees tree: 150 vertices, 2 loops, 2 cycles
+def perfbench_inputs():
+    """The benchmark's input generators, perfbench/inputs.py."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_inputs", Path(__file__).parents[1] / "perfbench" / "inputs.py"
     )
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
+    return inputs
+
+
+def test_each_graph_is_searched_once(capsys, tmp_path, monkeypatch):
+    # the benchmark's graph-trees tree: 150 vertices, 2 loops, 2 cycles
+    inputs = perfbench_inputs()
     path = write_json(tmp_path, "tree.json", inputs.tree_with_cycles(Random(201), 3, 150, 2, [2, 3]))
     seen = {"graphs": 0, "searches": 0}
     search, init = graphs._spanning_forest, graphs.ModularGraph.__init__
@@ -428,41 +437,51 @@ def imported_modules(*argv):
     return set(_IMPORTED.findall(proc.stderr))
 
 
+# The package modules each command loads besides gerbecalc itself and the
+# integer, input and record helpers: a call compiles every module it loads
+# when no bytecode is cached, so none loads code it does not run.
+_HELPERS = {"gerbecalc", "gerbecalc._arith", "gerbecalc._record"}
+_COMMAND_MODULES = {
+    "enumerate-admissible": {"admissibility"},
+    "compatible-graphs": {"graphs", "admissibility"},
+    "count-lifts": {"graphs", "counting"},
+    "picard-torsion": {"graphs", "counting"},
+    "fiber-count": {"graphs", "counting", "admissibility"},
+    "degree": {"graphs", "counting"},
+    "decompose": {"exactnum", "abelian", "admissibility", "gw"},
+    "verify": {"exactnum", "abelian", "admissibility", "gw"},
+}
+
+
 def test_only_decompose_and_verify_load_gw(tmp_path):
     graph = graph_config(
         tmp_path, r=4, vertices=[0, 1], edges=[(0, 1), (1, 1)], tails=[0, 1],
         gerby={"tail_orders": [4, 4], "edge_orders": [1, 4]},
         degree_data={"vertex_residues": [1, 1], "tail_types": ["1/4", "1/4"]},
     )
-    counting_calls = [
-        ["picard-torsion", "--input", graph],
-        ["count-lifts", "--input", graph],
-        ["fiber-count", "--input", graph],
-        ["degree", "--genus", "1", "--r", "2"],
-    ]
-    other_calls = [
-        ["compatible-graphs", "--input", graph],
-        ["enumerate-admissible", "--n", "2", "--r", "4", "--k", "2"],
-    ]
-    for argv in counting_calls + other_calls:
-        loaded = imported_modules(*argv)
-        assert {"gerbecalc", "gerbecalc.graphs"} <= loaded, argv
-        # only the commands that count load counting
-        assert ("gerbecalc.counting" in loaded) == (argv in counting_calls), argv
-        assert not loaded & {"gerbecalc.gw", "gerbecalc.abelian", "logging"}, argv
-        assert not loaded & _RECORD_MACHINERY, argv
-    # verify on a full table never warns, so it loads neither logging nor counting
-    loaded = imported_modules("verify", "--input", gw_config(tmp_path), "--seed", "7")
-    assert {"gerbecalc.gw", "gerbecalc.abelian"} <= loaded
-    assert not loaded & {"logging", "gerbecalc.counting"}
-    assert not loaded & _RECORD_MACHINERY
-    # one entry of six: the first zero-fill warning loads logging
+    # one entry of six: decompose's first zero-fill warning loads logging
     record = {"genus": 0, "beta": [0], "insertions": [], "value": "1"}
-    path = gw_config(tmp_path, base_invariants=[record])
-    loaded = imported_modules("decompose", "--input", path)
-    assert {"gerbecalc.gw", "logging"} <= loaded
-    assert "gerbecalc.counting" not in loaded
-    assert not loaded & _RECORD_MACHINERY
+    sparse = Path(gw_config(tmp_path, base_invariants=[record])).rename(tmp_path / "sparse.json")
+    calls = {
+        "enumerate-admissible": ["--n", "2", "--r", "4", "--k", "2"],
+        "compatible-graphs": ["--input", graph],
+        "count-lifts": ["--input", graph],
+        "picard-torsion": ["--input", graph],
+        "fiber-count": ["--input", graph],
+        "degree": ["--genus", "1", "--r", "2"],
+        "decompose": ["--input", str(sparse)],
+        # on a full table verify never warns, so it loads no logging
+        "verify": ["--input", gw_config(tmp_path), "--seed", "7"],
+    }
+    assert set(calls) == set(_COMMAND_MODULES) == set(cli._HANDLERS)
+    for command, argv in calls.items():
+        loaded = imported_modules(command, *argv)
+        package = {m for m in loaded if m == "gerbecalc" or m.startswith("gerbecalc.")}
+        assert package == _HELPERS | {f"gerbecalc.{m}" for m in _COMMAND_MODULES[command]}, command
+        # run as __main__, cli would compile a second time if it were imported
+        assert "gerbecalc.cli" not in loaded, command
+        assert ("logging" in loaded) == (command == "decompose"), command
+        assert not loaded & _RECORD_MACHINERY, command
 
 
 @pytest.mark.parametrize("command", ["verify", "decompose"])
@@ -659,6 +678,38 @@ def test_writer_hands_long_lists_over_in_pieces():
     assert "".join(pieces) == json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
+def test_writer_holds_a_long_piece_in_one_copy(tmp_path):
+    # the benchmark's decompose table at r = 6 (seed 7301), whose sectors
+    # list of about 0.4 MB of text is one piece: written by itself once its
+    # column texts are dropped, the piece and the bytes write encodes are
+    # the copies the writer holds; joined to the pending parts, with its
+    # texts still held, the peak was four times the piece
+    inputs = perfbench_inputs()
+    rng = Random(7301)
+    for r, classes in ((3, 4), (4, 4), (6, 3)):
+        config = inputs.gw_theory(rng, r, classes, Fraction(1, 2))
+    args = cli.build_parser().parse_args(["decompose", "--input", write_json(tmp_path, "r6.json", config)])
+    with contextlib.redirect_stderr(io.StringIO()):  # the zero-fill warnings
+        echoed, result, _ = cli._run_decompose(args)
+    document = {"format": 1, "command": "decompose", "inputs": echoed, "result": result}
+    digest, longest = hashlib.sha256(), [0]
+
+    def write(text):
+        digest.update(text.encode())
+        longest[0] = max(longest[0], len(text))
+
+    tracemalloc.start()
+    try:
+        cli._write_json(document, write)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    expected = (json.dumps(document, indent=2, sort_keys=True) + "\n").encode()
+    assert digest.digest() == hashlib.sha256(expected).digest()
+    assert longest[0] > 300_000
+    assert peak < 3.5 * longest[0]
+
+
 def test_writer_hands_a_small_document_over_in_one_write():
     # on an unbuffered stdout each write is a system call
     document = {"graph": {"edges": [[0, 1]] * 100, "tails": []}, "r": 2, "note": [1, [2, "x"]]}
@@ -703,8 +754,8 @@ def never_enumerate(monkeypatch):
     def never(*args):
         raise AssertionError("the decorations were enumerated past the bound")
 
-    for module in (admissibility, counting):
-        monkeypatch.setattr(module, "enumerate_compatible_gerby", never)
+    # cli and counting import it from admissibility when they run
+    monkeypatch.setattr(admissibility, "enumerate_compatible_gerby", never)
 
 
 @pytest.mark.parametrize("command", ["fiber-count", "compatible-graphs"])

@@ -44,9 +44,12 @@ def test_submodules_load_on_first_use():
         "import sys, gerbecalc\n"
         "loaded = lambda: sorted(m for m in sys.modules if m.startswith('gerbecalc.'))\n"
         "assert loaded() == [], loaded()\n"
+        "assert gerbecalc.divisors(12) == (1, 2, 3, 4, 6, 12)\n"
+        "assert loaded() == ['gerbecalc._arith'], loaded()\n"
         "gerbecalc.count_lifts\n"
         "assert 'gerbecalc.counting' in loaded() and 'gerbecalc.gw' not in loaded(), loaded()\n"
         "assert gerbecalc.gw.Truncation is gerbecalc.Truncation\n"
+        "assert gerbecalc.exactnum.divisors is gerbecalc.divisors\n"
         "assert gerbecalc.cli.main\n"
         "namespace = {}\n"
         "exec('from gerbecalc import *', namespace)\n"
