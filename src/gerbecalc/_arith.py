@@ -1,7 +1,8 @@
 """What every command reads: the one factoriser and its totients and
 divisors, the one grammar for rationals, and _field, the one reader of
-configuration fields.  exactnum and graphs re-export these names, so that
-a command loads neither just to read them."""
+configuration fields.  They live here so that a command loads neither
+exactnum nor graphs just to read them, and code that reads a private one,
+such as _prime_powers, imports it from here."""
 
 import math
 import re

@@ -4,8 +4,11 @@ Every subcommand emits a single JSON document of the shape
 {"format": 1, "command": ..., "inputs": ..., "result": ...} with keys
 sorted, so output is byte-identical across runs.  Exit status is 0 on
 success or a passing verification, 1 when a verification fails, 2 on any
-input problem, and 3 when an internal consistency check fails (a bug in
-gerbecalc); nothing is written to stdout on exit 2 or 3.
+input problem (a ValueError, as InputError and gw.CoverageError are) or a
+failed write, and 3 on any other exception, such as a failed internal
+consistency check (a bug in gerbecalc).  Nothing is written to stdout on
+exit 2 or 3 but the part of a document before a failed write, after which
+stdout's file descriptor, if it has one, is pointed at the null device.
 
 The document is written by _write_json, only after its command has
 returned: the bytes of json.dumps(document, indent=2, sort_keys=True) plus
@@ -47,6 +50,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from itertools import chain, islice, repeat
@@ -104,7 +108,7 @@ if TYPE_CHECKING:
 _WORK_BOUND = 10**6
 
 
-class InputError(Exception):
+class InputError(ValueError):
     """A flag or configuration problem; reported on stderr with exit 2."""
 
 
@@ -757,36 +761,48 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def _main(argv: Sequence[str] | None) -> int:
     args = build_parser().parse_args(argv)
-    input_errors: tuple[type[Exception], ...] = (InputError, ValueError)
-    if args.command in ("decompose", "verify"):
-        from . import gw  # the only commands that load it
-
-        input_errors += (gw.CoverageError,)
     try:
         inputs, result, status = _HANDLERS[args.command](args)
-    except input_errors as exc:
+        document = {
+            "format": 1,
+            "command": args.command,
+            "inputs": inputs,
+            "result": result,
+        }
+        try:
+            if args.output:
+                with open(args.output, "w", encoding="utf-8") as fh:
+                    _write_json(document, fh.write)
+            else:
+                _write_json(document, sys.stdout.write)
+                sys.stdout.flush()
+        except OSError as exc:
+            if not args.output:
+                _detach_stdout()  # so the interpreter's exit flush cannot fail again
+            print(f"error: {args.output or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
-        detail = " ".join(str(exc).split()) or "a consistency check failed"
-        print(f"internal error: {detail}", file=sys.stderr)
+    except Exception as exc:  # a bug in gerbecalc
+        detail = " ".join(str(exc).split())
+        if not isinstance(exc, AssertionError):
+            detail = ": ".join(filter(None, (type(exc).__name__, detail)))
+        print(f"internal error: {detail or 'a consistency check failed'}", file=sys.stderr)
         return 3
-    document = {
-        "format": 1,
-        "command": args.command,
-        "inputs": inputs,
-        "result": result,
-    }
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                _write_json(document, fh.write)
-        except OSError as exc:
-            print(f"error: {args.output}: {exc.strerror or exc}", file=sys.stderr)
-            return 2
-    else:
-        _write_json(document, sys.stdout.write)
     return status
+
+
+def _detach_stdout() -> None:
+    """Point stdout's file descriptor at the null device, when it has one:
+    an in-process caller may have put a stream without one in its place."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError):  # io.UnsupportedOperation is a ValueError
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 if __name__ == "__main__":

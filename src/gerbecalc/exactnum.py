@@ -10,16 +10,14 @@ of c*zeta^k for any integer exponents k.  Results of the module's own
 arithmetic already hold phi(N) coordinates, so they are stored through
 ``_canonical``, which only normalizes the fraction; the public constructor
 keeps every check.  A rational factor (order 1) scales the other factor's
-coordinates in that factor's own field.  Any other product with a factor of
-at most one nonzero coordinate, c*zeta^i, scales and shifts the other
-factor in the lcm field instead of convolving, and ``root_of_unity``
-values, which are immutable, are cached.  No descent into subfields is
-attempted: a number built at order 12 stays at order 12 even if its value is
-rational, and equality across orders goes through the least-common-multiple
+coordinates in that factor's own field; any other product is the
+convolution of both factors in the lcm field.  ``root_of_unity`` values,
+which are immutable, are cached.  No descent into subfields is attempted: a
+number built at order 12 stays at order 12 even if its value is rational,
+and equality across orders goes through the least-common-multiple
 embedding.
 
-Rationals are stdlib ``fractions.Fraction`` throughout, re-exported here as
-``Rational``.
+Rationals are stdlib ``fractions.Fraction`` throughout.
 """
 
 from __future__ import annotations
@@ -28,15 +26,11 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from ._arith import divisors, format_rational, parse_rational
-from ._arith import _DIGIT_BOUND, _prime_powers, _totient, euler_totient  # noqa: F401  (re-exported)
+from ._arith import euler_totient  # noqa: F401  (defined in _arith, importable here)
 from ._record import Record, setfield
-
-Rational = Fraction
-
-RationalLike = Union[int, Fraction]
 
 
 def _poly_div_exact(num: Sequence[int], den: Sequence[int]) -> list[int]:
@@ -140,22 +134,6 @@ def _canonical(order: int, numerators: tuple[int, ...], denominator: int) -> "Cy
     return number
 
 
-def _monomial_times(
-    order: int, index: int, coefficient: int, denominator: int, other: "CyclotomicNumber"
-) -> "CyclotomicNumber":
-    # (coefficient / denominator) * zeta_order^index times other, in the lcm
-    # field, without a convolution: other's coordinates are scaled, O(phi),
-    # and for index > 0 shifted, each exponent past phi adding one row.
-    m = math.lcm(order, other.order)
-    y = other.embedded(m)
-    den = denominator * y.denominator
-    shift = index * (m // order)
-    if shift == 0:
-        return _canonical(m, tuple(coefficient * c for c in y.numerators), den)
-    terms = ((j + shift, coefficient * c) for j, c in enumerate(y.numerators))
-    return _from_powers(m, terms, den)
-
-
 def _convolution(a: "CyclotomicNumber", b: "CyclotomicNumber") -> "CyclotomicNumber":
     # The general product of two numbers of one order: the convolution of
     # their coordinates, reduced into the power basis.
@@ -221,7 +199,7 @@ class CyclotomicNumber(Record, eq=False):
     __hash__ = None  # type: ignore[assignment]
 
     @classmethod
-    def from_rational(cls, value: RationalLike, order: int = 1) -> "CyclotomicNumber":
+    def from_rational(cls, value: int | Fraction, order: int = 1) -> "CyclotomicNumber":
         value = Fraction(value)
         phi = power_basis_size(order)
         nums = (value.numerator,) + (0,) * (phi - 1)
@@ -314,13 +292,6 @@ class CyclotomicNumber(Record, eq=False):
             number, rational = (other, self) if self.order == 1 else (self, other)
             scale, den = rational.numerators[0], rational.denominator
         else:
-            # A factor with at most one nonzero coordinate, such as a root of
-            # unity below zeta^phi, scales and shifts the other factor.
-            for x, y in ((self, other), (other, self)):
-                nums = x.numerators
-                if len(nums) - nums.count(0) <= 1:
-                    index = next((i for i, c in enumerate(nums) if c), 0)
-                    return _monomial_times(x.order, index, nums[index], x.denominator, y)
             return _convolution(*self._aligned(other))
         nums = tuple(c * scale for c in number.numerators)
         return _canonical(number.order, nums, number.denominator * den)

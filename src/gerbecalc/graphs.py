@@ -22,7 +22,6 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from ._arith import _field
-from ._arith import _KINDS, _fit  # noqa: F401  (re-exported)
 from ._record import Record, setfield
 
 

@@ -40,13 +40,14 @@ from typing import Iterable, Mapping, Sequence
 from ._record import Record, setfield
 from .abelian import FiniteAbelianGroup, evaluate_character
 from .admissibility import ContactType, is_admissible
-from .exactnum import CyclotomicNumber, Rational, root_of_unity
+from .exactnum import CyclotomicNumber, root_of_unity
 
 CurveClass = tuple[int, ...]
 
 
-class CoverageError(LookupError):
-    """A base-table key outside the declared truncation was requested."""
+class CoverageError(LookupError, ValueError):
+    """A base-table key outside the declared truncation was requested; a
+    ValueError too, so the command line reports it as an input problem."""
 
 
 class GerbeSpec(Record):
@@ -329,7 +330,7 @@ def gerbe_invariant_sector(
     genus: int,
     beta,
     insertions: Sequence[SectorInsertion],
-) -> Rational:
+) -> Fraction:
     """Gerbe invariant with sector-basis insertions.
 
     r^(2g-1) times the underlying base invariant when the sector tuple is

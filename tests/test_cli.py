@@ -1,6 +1,7 @@
 """End-to-end tests for the command line interface."""
 
 import contextlib
+import errno
 import hashlib
 import importlib.util
 import io
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graph_of
-from gerbecalc import admissibility, cli, counting, exactnum, graphs, gw
+from gerbecalc import _arith, admissibility, cli, counting, graphs, gw
 from gerbecalc.exactnum import CyclotomicNumber, root_of_unity
 
 
@@ -424,14 +425,20 @@ _IMPORTED = re.compile(r"\|\s*([\w.]+)\s*$", re.M)
 _RECORD_MACHINERY = {"dataclasses", "inspect"}
 
 
-def imported_modules(*argv):
-    """The modules one `python -m gerbecalc.cli` call imports."""
-    env = dict(os.environ)
+def cli_env():
+    """The environment of a `python -m gerbecalc.cli` call on this source
+    tree, with stdout buffered as it is by default."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     source = str(Path(cli.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+    return env
+
+
+def imported_modules(*argv):
+    """The modules one `python -m gerbecalc.cli` call imports."""
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "gerbecalc.cli", *argv],
-        env=env, capture_output=True, text=True,
+        env=cli_env(), capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     return set(_IMPORTED.findall(proc.stderr))
@@ -490,6 +497,9 @@ def test_coverage_errors_are_input_errors(capsys, tmp_path, command):
     path = gw_config(tmp_path, base_invariants=[record])
     code, out, err = run(capsys, command, "--input", path)
     assert (code, out, err) == (2, "", "error: class index 3 outside the basis of size 1\n")
+    # cli catches input problems as ValueError alone
+    assert issubclass(gw.CoverageError, LookupError) and issubclass(gw.CoverageError, ValueError)
+    assert issubclass(cli.InputError, ValueError)
 
 
 @pytest.mark.parametrize(
@@ -829,7 +839,7 @@ def test_each_call_factors_r_once(capsys, tmp_path, command, edges):
     # prime powers and the totients of the divisors of r = 60 all read one
     # factorisation; count-lifts takes the totients of its edge orders 60,
     # 4 and 6 from it too
-    exactnum._prime_powers.cache_clear()
+    _arith._prime_powers.cache_clear()
     gerby = {"tail_orders": [], "edge_orders": [60, 4, 6]} if command == "count-lifts" else None
     path = graph_config(
         tmp_path, r=60, vertices=[0, 0], edges=edges, gerby=gerby,
@@ -837,7 +847,7 @@ def test_each_call_factors_r_once(capsys, tmp_path, command, edges):
     )
     code, _, _ = run(capsys, command, "--input", path)
     assert code == 0
-    info = exactnum._prime_powers.cache_info()
+    info = _arith._prime_powers.cache_info()
     assert info.misses == 1 and info.hits >= 1
 
 
@@ -870,7 +880,7 @@ def test_work_at_the_bound_still_runs(capsys, tmp_path):
 def test_overlong_integer_literals_are_an_input_error(capsys, tmp_path):
     # a digit group past the bound is rejected before int() converts it,
     # which takes seconds at 10^6 digits once the digit limit is lifted
-    bound = exactnum._DIGIT_BOUND
+    bound = _arith._DIGIT_BOUND
 
     def picard_config(digits):
         path = tmp_path / "picard.json"
@@ -923,6 +933,64 @@ def test_wrong_bridge_order_exits_three(capsys, tmp_path, monkeypatch):
     code, out, err = run(capsys, "fiber-count", "--input", path)
     assert code == 3 and out == ""
     assert err.startswith("internal error: ") and "closed form" in err
+
+
+def test_other_exceptions_exit_three(capsys, monkeypatch):
+    def broken(args):
+        raise KeyError("missing")
+
+    monkeypatch.setitem(cli._HANDLERS, "degree", broken)
+    code, out, err = run(capsys, "degree", "--genus", "1", "--r", "2")
+    assert (code, out, err) == (3, "", "internal error: KeyError: 'missing'\n")
+
+
+def cli_into(stdout, *argv):
+    """One `python -m gerbecalc.cli` call writing to the given stdout, whose
+    buffer leaves bytes for the interpreter's exit flush."""
+    return subprocess.run(
+        [sys.executable, "-m", "gerbecalc.cli", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, env=cli_env(), text=True,
+    )
+
+
+# a document written at the final flush, and one that fails in the writer
+_WRITE_CALLS = [
+    ["degree", "--genus", "1", "--r", "2"],
+    ["enumerate-admissible", "--n", "4", "--r", "9", "--k", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", _WRITE_CALLS)
+def test_a_closed_pipe_exits_two(argv):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = cli_into(write, *argv)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (2, f"error: stdout: {os.strerror(errno.EPIPE)}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", _WRITE_CALLS)
+def test_a_full_device_exits_two(argv):
+    with open("/dev/full", "w") as full:
+        proc = cli_into(full, *argv)
+    assert (proc.returncode, proc.stderr) == (2, f"error: stdout: {os.strerror(errno.ENOSPC)}\n")
+
+
+def test_a_failed_write_in_process_leaves_file_descriptors_alone(capsys, monkeypatch):
+    # a stream without a file descriptor in place of stdout: fd 1 is not the
+    # stream that failed, so it is not pointed at the null device
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    before = os.fstat(1)
+    assert cli.main(["degree", "--genus", "1", "--r", "2"]) == 2
+    assert os.path.samestat(os.fstat(1), before)
+    assert capsys.readouterr().err == f"error: stdout: {os.strerror(errno.ENOSPC)}\n"
 
 
 def test_help_lists_exit_codes(capsys):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import prime_products
-from gerbecalc import exactnum
+from gerbecalc import _arith, exactnum
 from gerbecalc.exactnum import (
     CyclotomicNumber,
     cyclotomic_polynomial,
@@ -72,7 +72,7 @@ def test_rational_grammar_edges():
 
 
 def test_rational_digit_groups_past_the_bound_are_rejected():
-    bound = exactnum._DIGIT_BOUND
+    bound = _arith._DIGIT_BOUND
     for text in ("1" * (bound + 1), "-" + "9" * (bound + 1), "1/" + "1" * (bound + 1)):
         with pytest.raises(ValueError, match="past the bound"):
             parse_rational(text)
@@ -116,7 +116,7 @@ def test_factoriser_on_prime_products(case):
     # increasing order, and every product of powers of them as a divisor
     n, exponents = case
     primes = sorted(exponents)
-    assert exactnum._prime_powers(n) == tuple((p, p ** exponents[p]) for p in primes)
+    assert _arith._prime_powers(n) == tuple((p, p ** exponents[p]) for p in primes)
     expected = sorted(
         math.prod(p**e for p, e in zip(primes, chosen))
         for chosen in itertools.product(*(range(exponents[p] + 1) for p in primes))

@@ -60,3 +60,17 @@ def test_submodules_load_on_first_use():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_private_helpers_are_bound_only_where_they_are_used():
+    # exactnum and graphs import from _arith only what they call; the
+    # public paths of the totient and divisors are _arith's own objects
+    from gerbecalc import _arith, counting, exactnum, graphs
+
+    for module in (exactnum, graphs):
+        for name in ("_prime_powers", "_totient", "_DIGIT_BOUND", "_KINDS", "_fit",
+                     "Rational", "RationalLike"):
+            assert not hasattr(module, name), (module.__name__, name)
+    assert exactnum.divisors is _arith.divisors
+    assert exactnum.euler_totient is _arith.euler_totient
+    assert counting.euler_totient is _arith.euler_totient
