@@ -7,7 +7,9 @@ class's checks.  Subclassing ``Record`` adds, from ``_fields``:
 - ``__eq__`` and ``__hash__`` on the tuple of field values, unless the class
   is declared with ``eq=False``, as a class that defines its own equality
   must be (it keeps what it defines, or the identity comparison of
-  ``object``); records of different classes never compare equal;
+  ``object``); records of different classes never compare equal; a class
+  that defines its own ``__hash__`` keeps it, which must then equal the hash
+  of its field tuple (``ModularGraph`` stores that hash when built);
 - with ``order=True``, ``<``, ``<=``, ``>`` and ``>=`` on that tuple;
 - ``__repr__`` as ``Name(field=value, ...)``, unless the class defines one;
 - ``__setattr__`` and ``__delattr__`` that raise AttributeError.
@@ -61,7 +63,8 @@ class Record:
             method = _comparison(values, getattr(operator, name))
             method.__name__, method.__qualname__ = name, f"{cls.__qualname__}.{name}"
             setattr(cls, name, method)
-        if eq:
+        # A class body with __eq__ and no __hash__ holds __hash__ = None.
+        if eq and cls.__dict__.get("__hash__") is None:
             cls.__hash__ = lambda self: hash(values(self))
         cls.__match_args__ = cls._fields
 

@@ -266,11 +266,12 @@ def enumerate_compatible_gerby(
 
     The data is validated, the edges classified and the cut formula solved
     once per call, together with the slot of (tail orders, separating
-    orders, non-separating orders) that each flag reads.  Each decoration
-    is then one tuple built by indexing, wrapped without re-checking that
-    both flags of an edge agree, since that holds by construction.
+    orders, non-separating orders) that each flag reads, made into one
+    itemgetter.  Each decoration is then one tuple picked in C from those
+    orders, wrapped without re-checking that both flags of an edge agree,
+    since that holds by construction.
     """
-    from .graphs import GerbyGraph, classify_edges
+    from .graphs import GerbyGraph, _picker, classify_edges
     data = data.validated_for(graph, r)
     if not is_admissible(data.tail_types, r, data.total_residue(r)):
         raise ValueError(
@@ -287,6 +288,6 @@ def enumerate_compatible_gerby(
     for i, e in enumerate(separating + nonseparating, start=len(graph.tails())):
         f1, f2 = edges[e]
         slot[f1] = slot[f2] = i
+    pick = _picker(slot)
     for assignment in itertools.product(divisors(r), repeat=len(nonseparating)):
-        values = fixed + assignment
-        yield GerbyGraph._trusted(graph, tuple([values[s] for s in slot]))
+        yield GerbyGraph._trusted(graph, pick(fixed + assignment))

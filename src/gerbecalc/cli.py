@@ -83,11 +83,13 @@ if TYPE_CHECKING:
 #   separating edges) gerby decorations, which also bound the merge of the
 #   fiber count's tables, each charged 1 + (V + E + 2T) // 48 steps for the
 #   graph and tails it reads.  One more decoration costs fiber-count about
-#   4 us plus 0.07 us per vertex or edge, and compatible-graphs, which
-#   writes each one out, about 7 us plus 0.16 us (measured at 14 and 970
-#   vertices and edges); a tail costs fiber-count about 0.1 us and
-#   compatible-graphs about 0.4 us, two to three times a vertex or edge
-#   (measured at 0, 2,000 and 8,000 tails on a vertex with 8 loops);
+#   2.5 us plus 0.024 us per vertex or edge, and compatible-graphs, which
+#   writes each one out, about 6 us plus 0.14 us (measured at 12 and 970
+#   vertices and edges: 11 and 13 loops at r = 2 on one vertex and on the
+#   end of a 480-vertex path, best of 7 cold calls each); a tail costs
+#   fiber-count about 0.04 us and compatible-graphs about 0.33 us, one and
+#   a half to two and a half times a vertex or edge (measured at 0 and 8,000
+#   tails on a vertex with 8 loops);
 # - fiber-count's peel steps: q^(free edges) assignments mod each prime
 #   power q of r, each solving the V - 1 edges of the spanning tree, with a
 #   table of q element orders only when some edge is free;

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 from ._arith import _prime_powers, _totient, divisors
 from ._arith import euler_totient  # noqa: F401  (defined in _arith, importable here)
 from ._record import Record, setfield
-from .graphs import GerbyGraph, ModularGraph, betti1, classify_edges, total_genus
+from .graphs import GerbyGraph, ModularGraph, _picker, betti1, classify_edges, total_genus
 
 if TYPE_CHECKING:
     from .admissibility import DegreeData
@@ -232,12 +232,14 @@ def fiber_point_count(graph: ModularGraph, data: DegreeData, r: int) -> int:
     once per call and prime power q of r, over the values mod q of the cycle
     edges outside the graph's spanning tree, bucketed by their edge orders
     and merged into one table for r, so each decoration looks its count up
-    (see _cycle_order_counts).  Each decoration's orders are read from its
-    flag_orders through the first flags of the self-loops, cycle edges and
-    non-separating edges, found once per call.  The result always equals
-    r^(2g), independent of the graph; that closed form and the totient
-    divisor-sum identity are checked before returning, and a failure raises
-    AssertionError.
+    (see _cycle_order_counts).  Each decoration's orders are picked in C
+    from its flag_orders by itemgetters over the first flags of the cycle
+    edges, self-loops and non-separating edges, made once per call, and
+    the totient products are math.prod over a map of the totient table.
+    Every summand shares the factor r^(2g - b1), so the sum is multiplied
+    by it once.  The result always equals r^(2g), independent of the graph;
+    that closed form and the totient divisor-sum identity are checked before
+    returning, and a failure raises AssertionError.
     """
     from .admissibility import enumerate_compatible_gerby
     data = data.validated_for(graph, r)
@@ -247,27 +249,20 @@ def fiber_point_count(graph: ModularGraph, data: DegreeData, r: int) -> int:
 
     pairs = [graph.vertices_of_edge(e) for e in range(graph.num_edges)]
     first_flag = [f1 for f1, _ in graph.edges()]
-    cycle_flags = [first_flag[e] for e, (u, v) in enumerate(pairs) if u != v]
-    loop_flags = [first_flag[e] for e, (u, v) in enumerate(pairs) if u == v]
-    nonseparating_flags = [first_flag[e] for e in nonseparating]
+    cycle_orders = _picker([first_flag[e] for e, (u, v) in enumerate(pairs) if u != v])
+    loop_orders = _picker([first_flag[e] for e, (u, v) in enumerate(pairs) if u == v])
+    nonseparating_orders = _picker([first_flag[e] for e in nonseparating])
 
-    base = prestable_picard_torsion(graph, r)
-    phi = {d: _totient(d, r) for d in divisors(r)}
+    totient = {d: _totient(d, r) for d in divisors(r)}.__getitem__
     total = 0
     totient_sum = 0
     for gerby in enumerate_compatible_gerby(graph, data, r):
         flags = gerby.flag_orders
-        loop_factor = 1
-        for f in loop_flags:
-            loop_factor *= phi[flags[f]]
-        matched = _cycle_assignment_count(
-            graph, tuple([flags[f] for f in cycle_flags]), residuals, r
-        )
-        total += base * loop_factor * matched
-        factor = 1
-        for f in nonseparating_flags:
-            factor *= phi[flags[f]]
-        totient_sum += factor
+        matched = _cycle_assignment_count(graph, cycle_orders(flags), residuals, r)
+        if matched:
+            total += math.prod(map(totient, loop_orders(flags))) * matched
+        totient_sum += math.prod(map(totient, nonseparating_orders(flags)))
+    total *= prestable_picard_torsion(graph, r)
 
     if totient_sum != r ** len(nonseparating):
         raise AssertionError("totient divisor-sum identity failed; this indicates a bug")

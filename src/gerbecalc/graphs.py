@@ -19,7 +19,8 @@ module; decompose, verify and enumerate-admissible never load it.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Mapping, Sequence
+from operator import itemgetter
+from typing import Callable, Mapping, Sequence
 
 from ._arith import _field
 from ._record import Record, setfield
@@ -60,6 +61,9 @@ class ModularGraph(Record):
             if not 0 <= attachment[f] < n_vertices:
                 raise ValueError(f"flag {f} attached to missing vertex {attachment[f]}")
         # Derived once: not in _fields, so hash and equality ignore them.
+        # The hash is the field tuple's, as Record gives, made once here:
+        # the fiber count's caches hash the graph once per decoration.
+        setfield(self, "_hash", hash((involution, attachment, vertex_genus)))
         edges = tuple((f, j) for f, j in enumerate(involution) if j > f)
         setfield(self, "_edges", edges)
         setfield(self, "_tails", tuple(f for f, j in enumerate(involution) if j == f))
@@ -68,6 +72,9 @@ class ModularGraph(Record):
         if len(steps) != n_vertices - 1:
             raise ValueError("graph is not connected")
         setfield(self, "_forest", tuple(steps))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def num_flags(self) -> int:
@@ -164,6 +171,21 @@ def _spanning_forest(
                 steps.append((e, w, v))
                 stack.append(w)
     return steps
+
+
+def _picker(indices: Sequence[int]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """The itemgetter that gives the items of a tuple at indices, as a tuple.
+
+    An itemgetter of several indices gives a tuple, but one of a single
+    index gives the bare item and one of none cannot be made; a slice of a
+    tuple is a tuple, so those two sizes get one of length 1 or 0.
+    """
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        (i,) = indices
+        return itemgetter(slice(i, i + 1))
+    return itemgetter(slice(0, 0))
 
 
 def betti1(graph: ModularGraph) -> int:

@@ -31,7 +31,7 @@ from gerbecalc.counting import (
     twisted_picard_torsion,
 )
 from gerbecalc.exactnum import divisors
-from gerbecalc.graphs import GerbyGraph, total_genus
+from gerbecalc.graphs import GerbyGraph, classify_edges, total_genus
 
 
 def test_totient_examples():
@@ -156,6 +156,34 @@ def test_fiber_count_examples():
     assert fiber_point_count(loop, DegreeData((0,), ()), 2) == 4
     two_loops = graph_of([0], [(0, 0), (0, 0)])
     assert fiber_point_count(two_loops, DegreeData((0,), ()), 2) == 16
+
+
+# Graphs whose flag, cycle, self-loop and non-separating picks have 0 or 1
+# entries: no flag; one tail; one self-loop; one cycle edge, a bridge.
+SMALL_PICKS = {
+    "no-flags": (graph_of([2], []), DegreeData((0,), ()), 5),
+    "one-tail": (graph_of([1], [], tails=[0]), DegreeData((3,), (ContactType(1, 2),)), 6),
+    "one-loop": (graph_of([0], [(0, 0)]), DegreeData((0,), ()), 6),
+    "one-cycle-edge": (graph_of([0, 1], [(0, 1)]), DegreeData((1, 3), ()), 4),
+}
+
+
+@pytest.mark.parametrize("case", list(SMALL_PICKS))
+def test_fiber_count_and_decorations_on_zero_and_one_picks(case):
+    graph, data, r = SMALL_PICKS[case]
+    assert fiber_point_count(graph, data, r) == r ** (2 * total_genus(graph))
+    separating, nonseparating = classify_edges(graph)
+    orders = [0] * graph.num_edges
+    for e in separating:
+        orders[e] = separating_node_order(graph, data, e, r).order
+    expected = []
+    for assignment in itertools.product(divisors(r), repeat=len(nonseparating)):
+        for e, d in zip(nonseparating, assignment):
+            orders[e] = d
+        tail_orders = [t.order for t in data.tail_types]
+        expected.append(GerbyGraph.from_orders(graph, tail_orders, orders).flag_orders)
+    decorations = enumerate_compatible_gerby(graph, data, r)
+    assert [gerby.flag_orders for gerby in decorations] == expected
 
 
 def test_fiber_count_on_cyclic_graphs():

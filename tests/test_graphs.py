@@ -11,6 +11,7 @@ from conftest import graph_of
 from gerbecalc.graphs import (
     GerbyGraph,
     ModularGraph,
+    _picker,
     _spanning_forest,
     betti1,
     classify_edges,
@@ -172,6 +173,24 @@ def test_config_round_trip():
     again = ModularGraph.from_config(g.to_config())
     assert again == g and hash(again) == hash(g)
     assert again.to_config() == g.to_config()
+
+
+def test_hash_is_the_field_tuples_made_once_per_graph():
+    g = graph_of([1, 0], [(0, 1), (1, 1)], tails=[0])
+    fields = (g.involution, g.attachment, g.vertex_genus)
+    assert hash(g) == hash(fields) == g._hash
+    assert "__hash__" in vars(ModularGraph) and "_hash" not in ModularGraph._fields
+    # built apart, from lists and from a configuration, they are one key
+    apart = ModularGraph(*map(list, fields))
+    assert apart is not g and apart == g and hash(apart) == hash(g)
+    assert {g: 1}[apart] == 1
+
+
+def test_picker_gives_a_tuple_for_any_number_of_indices():
+    items = (5, 6, 7)
+    assert _picker([])(items) == ()
+    assert _picker([1])(items) == (6,)
+    assert _picker([2, 0, 2])(items) == (7, 5, 7)
 
 
 def test_edges_are_computed_once_per_graph():

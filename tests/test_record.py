@@ -104,6 +104,29 @@ def test_records_take_their_fields_by_position_and_keyword(cls):
         cls(*args, no_such_field=None)
 
 
+def test_a_class_keeps_the_hash_it_defines():
+    class Kept(_record.Record):
+        _fields = ("x",)
+
+        def __init__(self, x):
+            _record.setfield(self, "x", x)
+
+        def __hash__(self):
+            return 7
+
+    class Given(_record.Record):
+        _fields = ("x",)
+
+        def __init__(self, x):
+            _record.setfield(self, "x", x)
+
+        def __eq__(self, other):  # replaced; its __hash__ = None is not kept
+            return NotImplemented
+
+    assert hash(Kept(1)) == 7 and Kept(1) == Kept(1) != Kept(2)
+    assert hash(Given(1)) == hash((1,)) and Given(1) == Given(1) != Given(2)
+
+
 def test_records_of_different_classes_are_never_equal():
     assert SectorInsertion(3, 1, 2) != CharacterInsertion(3, 1, 2)
     assert GroupElement((1, 2)) != Character((1, 2))
