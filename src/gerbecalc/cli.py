@@ -12,10 +12,13 @@ stdout's file descriptor, if it has one, is pointed at the null device.
 
 The document is written by _write_json, only after its command has
 returned: the bytes of json.dumps(document, indent=2, sort_keys=True) plus
-a newline, in pieces, from a column encoder, _texts, that encodes the
-strs, ints or floats of a list by one map over a C function, the dicts
-that share a key tuple by one column per key, and the items of many lists
-as one column; a list nested too deeply for it goes an item at a time.
+a newline, in pieces.  A document holds only what json.load returns and
+what the handlers build, each of its exact type: dicts, lists, tuples,
+strs, ints, floats, bools and None; any other type raises TypeError.  The
+column encoder, _texts, encodes the scalars of one type in a list by one
+map over a C function, the dicts that share a key tuple by one column per
+key, and the items of many lists as one column; a column of mixed shapes
+goes one value at a time, and a list nested too deeply an item at a time.
 Each handler imports only the modules it runs, as a call compiles each one
 when no bytecode is cached: only decompose and verify load gw, and never
 graphs; only the commands that count load counting.  No module imports cli.
@@ -166,13 +169,11 @@ def _bound_graph_work(graph: ModularGraph, r: int, cycles: bool) -> None:
     )
     if not cycles:
         return
-    pairs = [graph.vertices_of_edge(e) for e in range(graph.num_edges)]
-    linking = sum(1 for u, v in pairs if u != v)
-    if linking:
+    if graph._links:
         # a spanning tree of a connected graph has |V| - 1 edges, none a
         # loop; each of the q^free assignments mod each prime power q of r
         # peels all of them
-        free = linking - (graph.num_vertices - 1)
+        free = len(graph._links) - (graph.num_vertices - 1)
         assignments = sum(_steps(q, free) for _, q in _prime_powers(r))
         _bound_work(
             "the cycle-count steps, q^(free edges) * max(1, V - 1) summed over the "
@@ -505,9 +506,13 @@ _HANDLERS = {
 }
 
 
-# The C encoders that json.dumps uses for these exact types (ensure_ascii;
-# floats are finite, since _load_json rejects the rest).
-_ENCODERS = {str: json.encoder.encode_basestring_ascii, int: int.__repr__, float: float.__repr__}
+# The text of each type a document holds, by exact type: the C encoders
+# that json.dumps uses (ensure_ascii; floats are finite, since _load_json
+# rejects the rest), and the literals of bools and None.
+_ENCODERS = {
+    str: json.encoder.encode_basestring_ascii, int: int.__repr__, float: float.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__, type(None): {None: "null"}.__getitem__,
+}
 _encode_string = _ENCODERS[str]
 # The writer encodes a list in pieces of at most _FLUSH_PARTS items.  A
 # piece longer than _FLUSH_CHARS, as a full piece always is (an item takes
@@ -528,35 +533,21 @@ class _TooDeep(Exception):
     """Raised by _texts for a value nested past _COLUMN_DEPTH levels."""
 
 
-def _scalar(value, indent: str, depth: int) -> str:
-    """The JSON text of True, False, None or a subclass of a JSON type, as
-    json.dumps writes it; TypeError for anything else."""
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    for kind, encode in _ENCODERS.items():
-        if isinstance(value, kind):
-            return encode(value)
-    if isinstance(value, (dict, list, tuple)):  # written as its base type
-        return _texts([dict(value) if isinstance(value, dict) else list(value)], indent, depth)[0]
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def _texts(values: list, indent: str, depth: int = 0) -> list[str]:
     """The text of each value of a nonempty list, as json.dumps(value,
     indent=2, sort_keys=True) writes it on a line indented by indent.
 
-    The values are split into columns of one exact type, and dicts into
-    columns of one key tuple.  A column of strs, ints or floats is encoded
-    by one map over a C function; one of dicts as one column per sorted
-    key, whose texts are joined row by row; one of lists and tuples as one
-    column of all their items, regrouped by length; anything else one value
-    at a time through _scalar.  Only the columns of items recurse, so
-    values nested n deep take n frames; past _COLUMN_DEPTH levels below
-    the first call, _TooDeep is raised.
+    A document holds what json.load returns and what the handlers build:
+    dicts with str keys, lists, tuples, strs, ints, floats, bools and None,
+    each of that exact type; any other type, a subclass of one included,
+    raises TypeError.  A column whose values share one shape (one type, and
+    for dicts one key tuple) is encoded at once: scalars by one map over
+    their C encoder in _ENCODERS, dicts as one column per sorted key, whose
+    texts are joined row by row, and lists or tuples as one column of all
+    their items, regrouped by length.  A column of mixed shapes is encoded
+    one value at a time.  Only the columns of items go a level deeper, so
+    the frames taken grow with the nesting alone; past _COLUMN_DEPTH levels
+    below the first call, _TooDeep is raised.
     """
     if depth > _COLUMN_DEPTH:
         raise _TooDeep
@@ -564,44 +555,34 @@ def _texts(values: list, indent: str, depth: int = 0) -> list[str]:
     shapes = list(map(type, values))
     if shapes.count(dict) == len(shapes):
         shapes = list(map(tuple, values))
-    elif dict in shapes:
-        shapes = [tuple(v) if type(v) is dict else type(v) for v in values]
-    groups = {shapes[0]: values}
-    if shapes.count(shapes[0]) != len(shapes):
-        groups = {}
-        for shape, value in zip(shapes, values):
-            groups.setdefault(shape, []).append(value)
-    for shape, column in groups.items():
-        if shape == ():
-            texts = ["{}"] * len(column)
-        elif type(shape) is tuple:  # dicts with these keys
-            parts = []
-            opener = "{\n" + inner
-            for key in sorted(shape):  # a loop, as a comprehension would add a frame
-                cells = _texts(list(map(dict.__getitem__, column, repeat(key))), inner, depth + 1)
-                parts += repeat(opener + _encode_string(key) + ": "), cells
-                opener = ",\n" + inner
-            parts.append(repeat("\n" + indent + "}"))
-            texts = list(map("".join, zip(*parts)))
-        elif shape is list or shape is tuple:
-            lengths = list(map(len, column))
-            items = list(chain.from_iterable(column))
-            texts = ["[]"] * len(column)
-            if items:
-                rest = iter(_texts(items, inner, depth + 1))
-                joined = map((",\n" + inner).join, map(islice, repeat(rest), lengths))
-                texts = list(map("".join, zip(repeat("[\n" + inner), joined, repeat("\n" + indent + "]"))))
-                if 0 in lengths:
-                    texts = [text if n else "[]" for text, n in zip(texts, lengths)]
-        elif shape in _ENCODERS:
-            texts = list(map(_ENCODERS[shape], column))
-        else:
-            texts = list(map(_scalar, column, repeat(indent), repeat(depth)))
-        groups[shape] = texts
-    if len(groups) == 1:
+    shape = shapes[0]
+    if shapes.count(shape) != len(shapes):
+        return [_texts([value], indent, depth)[0] for value in values]
+    if shape == ():
+        return ["{}"] * len(values)
+    if type(shape) is tuple:  # dicts with these keys
+        parts = []
+        opener = "{\n" + inner
+        for key in sorted(shape):  # a loop, as a comprehension would add a frame
+            cells = _texts(list(map(dict.__getitem__, values, repeat(key))), inner, depth + 1)
+            parts += repeat(opener + _encode_string(key) + ": "), cells
+            opener = ",\n" + inner
+        parts.append(repeat("\n" + indent + "}"))
+        return list(map("".join, zip(*parts)))
+    if shape is list or shape is tuple:
+        lengths = list(map(len, values))
+        items = list(chain.from_iterable(values))
+        if not items:
+            return ["[]"] * len(values)
+        rest = iter(_texts(items, inner, depth + 1))
+        joined = map((",\n" + inner).join, map(islice, repeat(rest), lengths))
+        texts = list(map("".join, zip(repeat("[\n" + inner), joined, repeat("\n" + indent + "]"))))
+        if 0 in lengths:
+            texts = [text if n else "[]" for text, n in zip(texts, lengths)]
         return texts
-    rows = {shape: iter(texts) for shape, texts in groups.items()}
-    return [next(rows[shape]) for shape in shapes]
+    if shape in _ENCODERS:
+        return list(map(_ENCODERS[shape], values))
+    raise TypeError(f"Object of type {shape.__name__} is not JSON serializable")
 
 
 def _write_json(document, write) -> None:
@@ -612,7 +593,7 @@ def _write_json(document, write) -> None:
     sorted order) are walked a key at a time, and lists in pieces of at
     most _FLUSH_PARTS items, each piece as the texts of its items from
     _texts, or, in a list nested too deeply for _texts, an item at a time.
-    A value of a type json.dumps does not write raises TypeError.
+    A value of a type outside _ENCODERS, dict, list and tuple raises TypeError.
     """
     parts: list[str] = []
 
@@ -623,14 +604,14 @@ def _write_json(document, write) -> None:
     def put(value, indent: str, columns: bool) -> None:
         inner = indent + "  "
         separator = ",\n" + inner
-        if isinstance(value, dict) and value:
+        if type(value) is dict and value:
             opener = "{\n" + inner
             for key in sorted(value):
                 parts.append(opener + _encode_string(key) + ": ")
                 put(value[key], inner, columns)
                 opener = separator
             parts.append("\n" + indent + "}")
-        elif isinstance(value, (list, tuple)) and value:
+        elif type(value) in (list, tuple) and value:
             opener = "[\n" + inner
             for start in range(0, len(value), _FLUSH_PARTS):
                 items = value[start:start + _FLUSH_PARTS]
@@ -684,9 +665,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, config: str = "") -> argparse.ArgumentParser:
+        # a subcommand; one that reads a configuration of this kind takes --input
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.add_argument("--output", metavar="FILE", help="write the report here instead of stdout")
+        if config:
+            p.add_argument(
+                "--input", required=True, metavar="FILE", help=f"{config} configuration (JSON)"
+            )
         return p
 
     p = add("enumerate-admissible", "List the admissible contact-type vectors for (n, r, k).")
@@ -694,11 +680,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True, help="band order")
     p.add_argument("--k", type=int, required=True, help="degree residue mod r")
 
-    p = add("compatible-graphs", "Enumerate gerby decorations compatible with degree data.")
-    p.add_argument("--input", required=True, metavar="FILE", help="graph configuration (JSON)")
+    add("compatible-graphs", "Enumerate gerby decorations compatible with degree data.", "graph")
 
-    p = add("count-lifts", "Count lifts of a prestable curve along a gerby graph.")
-    p.add_argument("--input", required=True, metavar="FILE", help="graph configuration (JSON)")
+    p = add("count-lifts", "Count lifts of a prestable curve along a gerby graph.", "graph")
     p.add_argument(
         "--mode",
         choices=("loop-only", "all-edges"),
@@ -706,16 +690,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="which edges contribute totient factors (default: loop-only)",
     )
 
-    p = add("picard-torsion", "Order of the r-torsion of the Picard group of a dual graph.")
-    p.add_argument("--input", required=True, metavar="FILE", help="graph configuration (JSON)")
+    p = add(
+        "picard-torsion", "Order of the r-torsion of the Picard group of a dual graph.", "graph"
+    )
     p.add_argument(
         "--quotient",
         action="store_true",
         help="order of the twisted/coarse torsion quotient instead",
     )
 
-    p = add("fiber-count", "Count the fiber of the root-gerbe map moduli over a point.")
-    p.add_argument("--input", required=True, metavar="FILE", help="graph configuration (JSON)")
+    add("fiber-count", "Count the fiber of the root-gerbe map moduli over a point.", "graph")
 
     p = add("degree", "Pushforward degree r^(2g-1), or a stack-map degree from deltas.")
     p.add_argument("--genus", type=int, help="genus (with --r)")
@@ -728,8 +712,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("decompose", "Emit the gerbe potential and its character-sector decomposition."),
         ("verify", "Check the decomposition identity termwise; exit 1 on failure."),
     ):
-        p = add(name, help_text)
-        p.add_argument("--input", required=True, metavar="FILE", help="theory configuration (JSON)")
+        p = add(name, help_text, "theory")
         p.add_argument(
             "--seed",
             type=int,

@@ -176,10 +176,8 @@ def _cycle_order_counts(
     if sum(residuals) % r:
         return {}
     # Each cycle edge's position in the key, found once for all assignments.
-    ends = [graph.vertices_of_edge(e) for e in range(graph.num_edges)]
-    slot = {e: k for k, e in enumerate(e for e, (a, b) in enumerate(ends) if a != b)}
-    tree = {e for e, _, _ in graph._forest}
-    free = [(slot[e], *ends[e]) for e in slot if e not in tree]
+    slot = {e: k for k, e in enumerate(graph._links)}
+    free = [(slot[e], *graph._ends[e]) for e in graph._chords if e in slot]
     # Reversed, every tree edge comes after all edges further from vertex 0.
     steps = [(slot[e], child, parent) for e, child, parent in reversed(graph._forest)]
 
@@ -247,10 +245,9 @@ def fiber_point_count(graph: ModularGraph, data: DegreeData, r: int) -> int:
 
     residuals = tuple(data._residuals(graph, r))
 
-    pairs = [graph.vertices_of_edge(e) for e in range(graph.num_edges)]
     first_flag = [f1 for f1, _ in graph.edges()]
-    cycle_orders = _picker([first_flag[e] for e, (u, v) in enumerate(pairs) if u != v])
-    loop_orders = _picker([first_flag[e] for e, (u, v) in enumerate(pairs) if u == v])
+    cycle_orders = _picker([first_flag[e] for e in graph._links])
+    loop_orders = _picker([first_flag[e] for e, (u, v) in enumerate(graph._ends) if u == v])
     nonseparating_orders = _picker([first_flag[e] for e in nonseparating])
 
     totient = {d: _totient(d, r) for d in divisors(r)}.__getitem__

@@ -7,9 +7,13 @@ derived views, so there are no special cases for self-loops, parallel edges,
 or marked points.
 
 Graphs must be connected; disconnected input is a construction error.
-Each graph is searched once, by _spanning_forest, when built; classify_edges,
-split_at_edge, admissibility._cut_orders and counting._cycle_order_counts
-read the spanning tree it keeps.
+A graph derives its layout once, when built, and keeps it: each edge's
+endpoints (_ends); the tree of its one search by _spanning_forest (_forest);
+in edge order, the edges between distinct vertices, bridges included
+(_links), and the edges outside the tree (_chords).  classify_edges,
+split_at_edge, admissibility and counting read these; _cycle_order_counts
+keys its table by _links, fiber_point_count picks its cycle orders by it,
+and cli's work bound counts it.
 
 from_config reads its fields through _arith._field, the one reader of
 configuration fields, which the command line shares without loading this
@@ -67,11 +71,15 @@ class ModularGraph(Record):
         edges = tuple((f, j) for f, j in enumerate(involution) if j > f)
         setfield(self, "_edges", edges)
         setfield(self, "_tails", tuple(f for f, j in enumerate(involution) if j == f))
-        pairs = [(attachment[f1], attachment[f2]) for f1, f2 in edges]
-        steps = _spanning_forest(n_vertices, pairs)
+        ends = tuple((attachment[f1], attachment[f2]) for f1, f2 in edges)
+        setfield(self, "_ends", ends)
+        setfield(self, "_links", tuple(e for e, (a, b) in enumerate(ends) if a != b))
+        steps = _spanning_forest(n_vertices, ends)
         if len(steps) != n_vertices - 1:
             raise ValueError("graph is not connected")
         setfield(self, "_forest", tuple(steps))
+        tree = {e for e, _, _ in steps}
+        setfield(self, "_chords", tuple(e for e in range(len(edges)) if e not in tree))
 
     def __hash__(self) -> int:
         return self._hash
@@ -97,8 +105,7 @@ class ModularGraph(Record):
         return len(self._edges)
 
     def vertices_of_edge(self, edge_index: int) -> tuple[int, int]:
-        f1, f2 = self._edges[edge_index]
-        return self.attachment[f1], self.attachment[f2]
+        return self._ends[edge_index]
 
     def tails_at(self, vertex: int) -> tuple[int, ...]:
         return tuple(f for f in self.tails() if self.attachment[f] == vertex)
@@ -138,7 +145,7 @@ class ModularGraph(Record):
     def to_config(self) -> dict:
         return {
             "vertices": [{"genus": g} for g in self.vertex_genus],
-            "edges": [[self.attachment[f1], self.attachment[f2]] for f1, f2 in self.edges()],
+            "edges": [list(ends) for ends in self._ends],
             "tails": [self.attachment[f] for f in self.tails()],
         }
 
@@ -208,10 +215,9 @@ def classify_edges(graph: ModularGraph) -> tuple[tuple[int, ...], tuple[int, ...
     forest edge separates when the marks XOR-summed below it cancel.  The
     marks hold at most V * (E - V + 1) bits, none on a tree.
     """
-    tree = {e for e, _, _ in graph._forest}
     marks = [0] * graph.num_vertices
-    for bit, e in enumerate(e for e in range(graph.num_edges) if e not in tree):
-        for v in graph.vertices_of_edge(e):
+    for bit, e in enumerate(graph._chords):
+        for v in graph._ends[e]:
             marks[v] ^= 1 << bit
     for _e, child, parent in reversed(graph._forest):
         marks[parent] ^= marks[child]
@@ -231,7 +237,7 @@ def split_at_edge(graph: ModularGraph, edge_index: int) -> tuple[frozenset, froz
     # One side is the vertices below the edge; steps mark a parent before its child.
     for e, child, parent in graph._forest:
         below[child] = e == edge_index or below[parent]
-    lower = below[graph.attachment[graph.edges()[edge_index][0]]]
+    lower = below[graph._ends[edge_index][0]]
     side = frozenset(v for v in range(graph.num_vertices) if below[v] == lower)
     return side, frozenset(range(graph.num_vertices)) - side
 

@@ -171,6 +171,22 @@ def _canonical_insertions(insertions: Iterable[Insertion]) -> tuple[Insertion, .
     return tuple(sorted(insertions))
 
 
+def _monomials(basis_size: int, truncation: Truncation) -> list[tuple]:
+    """The base monomials of a truncation, as sorted tuples of (class_index,
+    psi_power) variables: by size n = 0, ..., n_max, then in the order of
+    itertools.combinations_with_replacement.  The keys of the potentials and
+    the draws of a seeded table, per curve class, follow this order."""
+    variables = [(i, j) for i in range(basis_size) for j in range(truncation.j_max + 1)]
+    sizes = range(truncation.n_max + 1)
+    return [m for n in sizes for m in itertools.combinations_with_replacement(variables, n)]
+
+
+def _key_record(key: tuple, **fields) -> dict:
+    """A potential key (curve class, monomial) as a record of lists, plus fields."""
+    beta, monomial = key
+    return {"beta": list(beta), "monomial": [list(v) for v in monomial], **fields}
+
+
 class BaseTheoryTable:
     """Finite table of base-theory descendant invariants at a fixed genus.
 
@@ -225,18 +241,11 @@ class BaseTheoryTable:
     ) -> "BaseTheoryTable":
         """Deterministic pseudo-random table covering the whole truncation."""
         rng = Random(seed)
-        variables = [
-            Insertion(i, j)
-            for i in range(basis_size)
-            for j in range(truncation.j_max + 1)
-        ]
+        monomials = [tuple(Insertion(*v) for v in m) for m in _monomials(basis_size, truncation)]
         entries = {}
         for beta in truncation.betas:
-            for n in range(truncation.n_max + 1):
-                for combo in itertools.combinations_with_replacement(variables, n):
-                    entries[(beta, combo)] = Fraction(
-                        rng.randint(-99, 99), rng.randint(1, 12)
-                    )
+            for monomial in monomials:
+                entries[(beta, monomial)] = Fraction(rng.randint(-99, 99), rng.randint(1, 12))
         return cls(basis_size, genus, truncation, entries)
 
     def _require_inside(
@@ -391,16 +400,7 @@ class PotentialSeries(Record, eq=False):
         return sorted(self.coefficients.items())
 
     def to_records(self) -> list[dict]:
-        records = []
-        for (beta, monomial), coeff in self.sorted_items():
-            records.append(
-                {
-                    "beta": list(beta),
-                    "monomial": [list(v) for v in monomial],
-                    "coefficient": coeff.to_dict(),
-                }
-            )
-        return records
+        return [_key_record(key, coefficient=c.to_dict()) for key, c in self.sorted_items()]
 
 
 def _monomial_weight(monomial: tuple) -> Fraction:
@@ -441,14 +441,7 @@ def build_potential(
     """
     if basis not in ("gerbe", "base"):
         raise ValueError(f"unknown basis {basis!r}")
-    variables = [
-        (i, j) for i in range(base.basis_size) for j in range(truncation.j_max + 1)
-    ]
-    monomials = [
-        combo
-        for n in range(truncation.n_max + 1)
-        for combo in itertools.combinations_with_replacement(variables, n)
-    ]
+    monomials = _monomials(base.basis_size, truncation)
     coefficients = {}
     for beta in truncation.betas:
         if basis == "gerbe":
@@ -528,11 +521,6 @@ class DecompositionReport(Record, eq=False):
         setfield(self, "lhs_value", lhs_value)
         setfield(self, "rhs_value", rhs_value)
 
-    @staticmethod
-    def _encode_key(key: tuple) -> dict:
-        beta, monomial = key
-        return {"beta": list(beta), "monomial": [list(v) for v in monomial]}
-
     def to_dict(self) -> dict:
         out = {
             "status": "pass" if self.passed else "fail",
@@ -542,7 +530,7 @@ class DecompositionReport(Record, eq=False):
             "rhs_value": None,
         }
         if not self.passed and self.first_differing_key is not None:
-            out["first_differing_key"] = self._encode_key(self.first_differing_key)
+            out["first_differing_key"] = _key_record(self.first_differing_key)
             out["lhs_value"] = self.lhs_value.to_dict()
             out["rhs_value"] = self.rhs_value.to_dict()
         return out

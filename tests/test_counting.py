@@ -186,6 +186,25 @@ def test_fiber_count_and_decorations_on_zero_and_one_picks(case):
     assert [gerby.flag_orders for gerby in decorations] == expected
 
 
+# Self-loops and edges between the two vertices interleaved in edge order,
+# with a tail of type 1/2 at vertex 0 and g = 3.  The fiber table's key slots
+# and the cycle picks read graph._links; the loop picks read the self-loops
+# of graph._ends.  A layout whose links kept the loops would count each loop
+# twice, and the closed form r^(2g) would fail.
+INTERLEAVED = graph_of([0, 0], [(0, 0), (0, 1), (1, 1), (0, 1)], tails=[0])
+
+
+@pytest.mark.parametrize("r", [6, 12])
+def test_fiber_count_reads_one_edge_layout(r):
+    graph = INTERLEAVED
+    data = DegreeData((r // 2, 0), (ContactType(1, 2),))
+    assert fiber_point_count(graph, data, r) == r ** (2 * total_genus(graph)) == r**6
+    flags = enumerate(graph.involution)
+    ends = tuple((graph.attachment[f], graph.attachment[j]) for f, j in flags if f < j)
+    assert graph._ends == ends == ((0, 0), (0, 1), (1, 1), (0, 1))
+    assert graph._links == tuple(e for e, (a, b) in enumerate(ends) if a != b) == (1, 3)
+
+
 def test_fiber_count_on_cyclic_graphs():
     # parallel edges and cycles share their numerators across vertices, so
     # the count stays r^(2g) rather than the larger free-loop product

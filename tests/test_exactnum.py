@@ -419,11 +419,15 @@ def test_canonical_constructor_matches_the_checked_one(data):
 
 @given(cyclo(st.integers(1, 24)), cyclo(st.integers(1, 24)), rationals, st.integers(-30, 30))
 def test_results_are_stored_canonically(x, y, q, k):
-    # checking a result again changes none of its stored data
+    # checking a result again changes none of its stored data; an int or a
+    # Fraction minus x (the reflected subtraction) is the value that x
+    # subtracted from that rational held as a number gives
     results = [x + y, x * y, y * x, x * q, x - y, x.conjugate(), x.embedded(2 * x.order),
-               root_of_unity(k, y.order)]
+               root_of_unity(k, y.order), 3 - x, q - x]
     for z in results:
         assert _data(CyclotomicNumber(*_data(z))) == _data(z)
+    assert 3 - x == CyclotomicNumber.from_rational(3) - x
+    assert q - x == CyclotomicNumber.from_rational(q, x.order) - x
 
 
 def test_roots_of_unity_are_cached():
