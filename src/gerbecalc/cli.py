@@ -18,7 +18,7 @@ strs, ints, floats, bools and None; any other type raises TypeError.  The
 column encoder, _texts, encodes the scalars of one type in a list by one
 map over a C function, the dicts that share a key tuple by one column per
 key, and the items of many lists as one column; a column of mixed shapes
-goes one value at a time, and a list nested too deeply an item at a time.
+goes one value at a time.
 Each handler imports only the modules it runs, as a call compiles each one
 when no bytecode is cached: only decompose and verify load gw, and never
 graphs; only the commands that count load counting.  No module imports cli.
@@ -33,7 +33,8 @@ types, follow the grammar of _arith.parse_rational: a sign, digits and
 an optional /digits, with no exponent or decimal point.  A document may
 hold other numbers in fields no command reads, which are echoed back, but
 NaN, Infinity and -Infinity, which are not JSON, and number literals past
-the range of a float exit 2.
+the range of a float exit 2, as does a configuration nested more than
+_NESTING_BOUND levels deep, on every Python.
 
 Before enumerating, enumerate-admissible, compatible-graphs, count-lifts,
 fiber-count, decompose and verify estimate their work from their inputs,
@@ -111,6 +112,9 @@ if TYPE_CHECKING:
 # The largest benchmark call peels 4^4 + 3^4 cycle assignments (a 5-edge
 # banana at r = 12).
 _WORK_BOUND = 10**6
+# The most levels a configuration nests, the object itself being level 1
+# (RFC 8259 lets a parser limit nesting); the commands read 5 at most.
+_NESTING_BOUND = 16
 
 
 class InputError(ValueError):
@@ -252,10 +256,16 @@ def _load_json(path: str) -> dict:
         raise InputError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         )
-    except RecursionError:
+    except RecursionError:  # deeper than json itself parses
         raise InputError(f"{path}: JSON nested too deeply")
     if not isinstance(document, dict):
         raise InputError(f"{path}: configuration must be a JSON object")
+    level = [document]  # the containers at one level, from level 1 down
+    for _ in range(_NESTING_BOUND):
+        level = [v for c in level for v in (c.values() if type(c) is dict else c)
+                 if type(v) is dict or type(v) is list]
+    if level:
+        raise InputError(f"{path}: JSON nested too deeply")
     if "format" in document and _field(document, "format", int) != 1:
         raise InputError(f"{path}: unsupported configuration format {document['format']!r}")
     return document
@@ -397,9 +407,6 @@ def _run_picard_torsion(args) -> tuple[dict, dict, int]:
     from .graphs import total_genus
 
     config, graph, r = _graph_common(args.input)
-    if not args.quotient:
-        # r^(2g-b1) times gcd(gamma_e, r) <= r for each of the b1 loop edges
-        _bound_digits("the torsion order r^(2g)", r, 2 * total_genus(graph))
     if args.quotient:
         if "gerby" not in config:
             raise InputError("--quotient needs a 'gerby' section in the configuration")
@@ -409,16 +416,21 @@ def _run_picard_torsion(args) -> tuple[dict, dict, int]:
             raise InputError(
                 f"the product of the orders is past the result bound of {_DIGIT_BOUND:,} digits"
             )
+        if r < 1:  # the product does not read r, but the other modes reject it
+            raise InputError(f"band order must be positive, got {r}")
         value = counting.twisted_pic_quotient_order(gerby)
         formula = "prod(gamma_e : e any edge) * prod(gamma_t : t any tail)"
-    elif "gerby" in config:
-        gerby = _gerby_from(config, graph)
-        _bound_mark_work(graph)
-        value = counting.twisted_picard_torsion(gerby, r)
-        formula = "r^(2g-b1) * prod(gcd(gamma_e, r) : e non-separating)"
     else:
-        value = counting.prestable_picard_torsion(graph, r)
-        formula = "r^(2g-b1)"
+        # r^(2g-b1) times gcd(gamma_e, r) <= r for each of the b1 loop edges
+        _bound_digits("the torsion order r^(2g)", r, 2 * total_genus(graph))
+        if "gerby" in config:
+            gerby = _gerby_from(config, graph)
+            _bound_mark_work(graph)
+            value = counting.twisted_picard_torsion(gerby, r)
+            formula = "r^(2g-b1) * prod(gcd(gamma_e, r) : e non-separating)"
+        else:
+            value = counting.prestable_picard_torsion(graph, r)
+            formula = "r^(2g-b1)"
     result = {"value": str(value), "formula": formula}
     return {"input": args.input, "config": config, "quotient": args.quotient}, result, 0
 
@@ -517,23 +529,14 @@ _encode_string = _ENCODERS[str]
 # The writer encodes a list in pieces of at most _FLUSH_PARTS items.  A
 # piece longer than _FLUSH_CHARS, as a full piece always is (an item takes
 # a character at least, a separator four), goes to write() by itself, after
-# the text held before it, which also goes past _FLUSH_PARTS parts; so a
-# document with millions of list items never exists in one piece, and a
-# small one takes one write, one system call on an unbuffered stdout.
+# the text held before it; so a document with millions of list items never
+# exists in one piece, and a small one takes one write, one system call on
+# an unbuffered stdout.
 _FLUSH_PARTS = 1024
 _FLUSH_CHARS = 4096
-# Each level of _texts copies the texts of the levels below it, so it takes
-# values at most this many levels deep, and _write_json writes a list that
-# holds a deeper one an item at a time, and all below it.  The benchmark's
-# documents are 8 levels deep.
-_COLUMN_DEPTH = 16
 
 
-class _TooDeep(Exception):
-    """Raised by _texts for a value nested past _COLUMN_DEPTH levels."""
-
-
-def _texts(values: list, indent: str, depth: int = 0) -> list[str]:
+def _texts(values: list, indent: str) -> list[str]:
     """The text of each value of a nonempty list, as json.dumps(value,
     indent=2, sort_keys=True) writes it on a line indented by indent.
 
@@ -546,25 +549,23 @@ def _texts(values: list, indent: str, depth: int = 0) -> list[str]:
     texts are joined row by row, and lists or tuples as one column of all
     their items, regrouped by length.  A column of mixed shapes is encoded
     one value at a time.  Only the columns of items go a level deeper, so
-    the frames taken grow with the nesting alone; past _COLUMN_DEPTH levels
-    below the first call, _TooDeep is raised.
+    the frames taken, and the copies of each text, grow with the nesting
+    alone, which _load_json bounds.
     """
-    if depth > _COLUMN_DEPTH:
-        raise _TooDeep
     inner = indent + "  "
     shapes = list(map(type, values))
     if shapes.count(dict) == len(shapes):
         shapes = list(map(tuple, values))
     shape = shapes[0]
     if shapes.count(shape) != len(shapes):
-        return [_texts([value], indent, depth)[0] for value in values]
+        return [_texts([value], indent)[0] for value in values]
     if shape == ():
         return ["{}"] * len(values)
     if type(shape) is tuple:  # dicts with these keys
         parts = []
         opener = "{\n" + inner
         for key in sorted(shape):  # a loop, as a comprehension would add a frame
-            cells = _texts(list(map(dict.__getitem__, values, repeat(key))), inner, depth + 1)
+            cells = _texts(list(map(dict.__getitem__, values, repeat(key))), inner)
             parts += repeat(opener + _encode_string(key) + ": "), cells
             opener = ",\n" + inner
         parts.append(repeat("\n" + indent + "}"))
@@ -574,7 +575,7 @@ def _texts(values: list, indent: str, depth: int = 0) -> list[str]:
         items = list(chain.from_iterable(values))
         if not items:
             return ["[]"] * len(values)
-        rest = iter(_texts(items, inner, depth + 1))
+        rest = iter(_texts(items, inner))
         joined = map((",\n" + inner).join, map(islice, repeat(rest), lengths))
         texts = list(map("".join, zip(repeat("[\n" + inner), joined, repeat("\n" + indent + "]"))))
         if 0 in lengths:
@@ -592,8 +593,8 @@ def _write_json(document, write) -> None:
     bytes a column at a time, in C for the most part.  Dicts (str keys, in
     sorted order) are walked a key at a time, and lists in pieces of at
     most _FLUSH_PARTS items, each piece as the texts of its items from
-    _texts, or, in a list nested too deeply for _texts, an item at a time.
-    A value of a type outside _ENCODERS, dict, list and tuple raises TypeError.
+    _texts.  A value of a type outside _ENCODERS, dict, list and tuple
+    raises TypeError.
     """
     parts: list[str] = []
 
@@ -601,54 +602,32 @@ def _write_json(document, write) -> None:
         write("".join(parts))
         parts.clear()
 
-    def put(value, indent: str, columns: bool) -> None:
+    def put(value, indent: str) -> None:
         inner = indent + "  "
         separator = ",\n" + inner
         if type(value) is dict and value:
             opener = "{\n" + inner
             for key in sorted(value):
                 parts.append(opener + _encode_string(key) + ": ")
-                put(value[key], inner, columns)
+                put(value[key], inner)
                 opener = separator
             parts.append("\n" + indent + "}")
         elif type(value) in (list, tuple) and value:
             opener = "[\n" + inner
             for start in range(0, len(value), _FLUSH_PARTS):
-                items = value[start:start + _FLUSH_PARTS]
-                try:
-                    texts = _texts(items, inner) if columns else None
-                except _TooDeep:  # so the rest goes an item at a time
-                    texts, columns = None, False
-                if texts:
-                    piece, texts = opener + separator.join(texts), None
-                    if len(piece) <= _FLUSH_CHARS:
-                        parts.append(piece)
-                    else:  # by itself, with no copy of its items held
-                        flush()
-                        write(piece)
-                else:
-                    for item in items:
-                        parts.append(opener)
-                        put(item, inner, False)
-                        opener = separator
-                        if len(parts) > _FLUSH_PARTS:
-                            flush()
+                # the column texts are dropped once joined
+                piece = opener + separator.join(_texts(value[start:start + _FLUSH_PARTS], inner))
+                if len(piece) <= _FLUSH_CHARS:
+                    parts.append(piece)
+                else:  # by itself, with no copy of its items held
+                    flush()
+                    write(piece)
                 opener = separator
             parts.append("\n" + indent + "]")
         else:
             parts.append(_texts([value], indent)[0])
 
-    # From Python 3.12 on, json reads documents as deep as the C recursion
-    # limit allows (about 1,500 levels on 3.12, 10,000 on 3.13), past the
-    # Python limit that counts the frames of put and _texts, one a level;
-    # from 3.11 on those frames take no C stack, and 3.10 reads no deeper
-    # than its Python limit.  So the limit is lifted while the writer runs.
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit + 20_000)
-    try:
-        put(document, "", True)
-    finally:
-        sys.setrecursionlimit(limit)
+    put(document, "")
     parts.append("\n")
     flush()
 

@@ -54,15 +54,17 @@ def graph_config(tmp_path, *, r, vertices, edges, tails=(), gerby=None,
     return write_json(tmp_path, name, payload)
 
 
+_THEORY = {
+    "r": 2,
+    "pairing": [1],
+    "basis_size": 1,
+    "genus": 0,
+    "truncation": {"n_max": 1, "j_max": 0, "betas": [[0], [1]]},
+}
+
+
 def gw_config(tmp_path, extra=None, **overrides):
-    payload = {
-        "r": 2,
-        "pairing": [1],
-        "basis_size": 1,
-        "genus": 0,
-        "truncation": {"n_max": 1, "j_max": 0, "betas": [[0], [1]]},
-    }
-    payload.update(overrides)
+    payload = {**_THEORY, **overrides}
     if extra:
         payload.update(extra)
     return write_json(tmp_path, "theory.json", payload)
@@ -647,32 +649,6 @@ def test_writer_rejects_every_other_type(value):
             cli._write_json(document, [].append)
 
 
-def test_writer_copies_a_deep_list_a_bounded_number_of_times(monkeypatch):
-    # each level of _texts joins the texts of the levels below it, so a list
-    # nested d deep encoded by _texts alone would copy about d / 3 times its
-    # text; past _COLUMN_DEPTH levels it is written an item at a time
-    document = 1
-    for _ in range(300):
-        document = [1, document]
-    records = [{"a": [[1, 2], []], "deep": document}, {"a": [], "deep": 0}]
-    # the second piece of _FLUSH_PARTS items holds the deep list
-    document = [[1, (2,)]] * 1_100 + records + [[3]] * 1_100
-    texts = cli._texts
-    encoded = []
-
-    def counted(values, indent, depth=0):
-        result = texts(values, indent, depth)
-        encoded.append(sum(map(len, result)))
-        return result
-
-    monkeypatch.setattr(cli, "_texts", counted)
-    pieces = []
-    cli._write_json(document, pieces.append)
-    out = "".join(pieces)
-    assert out == json.dumps(document, indent=2, sort_keys=True) + "\n"
-    assert sum(encoded) < len(out)
-
-
 def test_writer_hands_long_lists_over_in_pieces():
     document = {"vectors": [("1/2", "1/3")] * 10_000, "count": 10_000}
     pieces = []
@@ -913,6 +889,19 @@ def test_internal_check_failure_exits_three(capsys, tmp_path, monkeypatch):
     assert code == 3 and out == ""
     assert err.startswith("internal error: ") and err.count("\n") == 1
     assert "closed form" in err
+
+
+def test_a_wrong_totient_fails_the_divisor_sum_check(capsys, tmp_path, monkeypatch):
+    exact = counting._totient
+    monkeypatch.setattr(counting, "_totient", lambda d, n: exact(d, n) + (d == n))
+    path = graph_config(
+        tmp_path, r=2, vertices=[0, 0], edges=[(0, 1), (0, 1), (0, 1)],
+        degree_data={"vertex_residues": [0, 0], "tail_types": []},
+    )
+    code, out, err = run(capsys, "fiber-count", "--input", path)
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: ") and err.count("\n") == 1
+    assert "totient divisor-sum identity failed" in err
 
 
 def test_wrong_bridge_order_exits_three(capsys, tmp_path, monkeypatch):
@@ -1187,38 +1176,79 @@ def test_deeply_nested_json_is_an_input_error(capsys, tmp_path):
     assert "nested too deeply" in err
 
 
-def test_the_deepest_list_the_loader_accepts_is_echoed(capsys, tmp_path):
-    # a mixed list nested as deep as _load_json reads it (about 980 levels
-    # on Python 3.10 and 3.11, 1,490 on 3.12) must be written back.  Python
-    # 3.13 reads about 10,000, whose echo is some 200 MB, so the search
-    # stops at 3,000 levels.
-    path = tmp_path / "deep.json"
-    deepest = 3_000
+def _nested(kind, levels):
+    """A value nested this many levels deep: a list or an object at each."""
+    value = 1
+    for _ in range(levels):
+        value = [1, value] if kind == "list" else {"a": 1, "b": value}
+    return value
 
-    def echo(depth):
-        note = "[1, " * depth + "1" + "]" * depth
-        graph = '{"vertices": [{"genus": 1}], "edges": [[0, 0]], "tails": []}'
-        path.write_text(f'{{"r": 2, "graph": {graph}, "note": {note}}}', encoding="utf-8")
-        return run(capsys, "picard-torsion", "--input", str(path))
 
-    low, high = 1, deepest
-    while low < high:
-        depth = (low + high + 1) // 2
-        if "nested too deeply" in echo(depth)[2]:
-            high = depth - 1
+@pytest.mark.parametrize("kind", ["list", "object"])
+@pytest.mark.parametrize("command", ["picard-torsion", "verify"])
+def test_configurations_nest_at_most_the_bound(capsys, tmp_path, command, kind):
+    # the same bound on every Python: the configuration is level 1 and its
+    # note level 2, so a note nested _NESTING_BOUND - 1 levels deep is as
+    # deep as the loader reads
+    def call(levels):
+        note = _nested(kind, levels)
+        if command == "verify":
+            path, argv = gw_config(tmp_path, note=note), ["verify", "--seed", "7"]
         else:
-            low = depth
-    assert low == deepest or "nested too deeply" in echo(low + 1)[2]
-    code, out, err = echo(low)
+            graph = {"vertices": [{"genus": 1}], "edges": [[0, 0]], "tails": []}
+            path = write_json(tmp_path, "graph.json", {"r": 2, "graph": graph, "note": note})
+            argv = ["picard-torsion"]
+        return path, run(capsys, *argv, "--input", path)
+
+    path, (code, out, err) = call(cli._NESTING_BOUND - 1)
     assert code == 0 and err == ""
-    assert low > sys.getrecursionlimit() // 2
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit + 10 * low)
-    try:
-        expected = json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
-    finally:
-        sys.setrecursionlimit(limit)
-    assert out == expected
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    assert json.loads(out)["inputs"]["config"] == json.loads(Path(path).read_text())
+    path, result = call(cli._NESTING_BOUND)
+    assert result == (2, "", f"error: {path}: JSON nested too deeply\n")
+
+
+_TWO_EDGES = {"vertices": [{"genus": 0}, {"genus": 0}], "edges": [[0, 1], [0, 1]], "tails": []}
+_DEGREE_DATA = {"degree_data": {"vertex_residues": [0, 0], "tail_types": []}}
+_GERBY = {"gerby": {"tail_orders": [], "edge_orders": [1, 1]}}
+# (id, argv, configuration or None, message): the guards on r, the basis
+# size and the genus that the work bounds pass by, so the commands' own
+# checks give the message
+_GUARDS = [
+    *(
+        (
+            f"{label}-r{r}", argv, {"r": r, "graph": _TWO_EDGES, **section},
+            f"{order} order must be positive, got {r}",
+        )
+        for r in (0, -3)
+        for label, argv, section, order in (
+            ("compatible-graphs", ["compatible-graphs"], _DEGREE_DATA, "ambient"),
+            ("fiber-count", ["fiber-count"], _DEGREE_DATA, "ambient"),
+            ("picard-torsion", ["picard-torsion"], {}, "band"),
+            ("picard-torsion-gerby", ["picard-torsion"], _GERBY, "band"),
+            ("picard-torsion-quotient", ["picard-torsion", "--quotient"], _GERBY, "band"),
+        )
+    ),
+    ("enumerate-admissible-r0", ["enumerate-admissible", "--n", "2", "--r", "0", "--k", "0"], None,
+     "ambient order must be positive, got 0"),
+    *(
+        (f"{command}-{label}", [command, "--seed", "7"], {**_THEORY, **change}, message)
+        for command in ("verify", "decompose")
+        for label, change, message in (
+            ("basis0", {"basis_size": 0}, "basis size must be positive, got 0"),
+            ("genus-1", {"genus": -1}, "genus must be nonnegative, got -1"),
+        )
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, config, message", [pytest.param(*case[1:], id=case[0]) for case in _GUARDS]
+)
+def test_input_guards_exit_two(capsys, tmp_path, argv, config, message):
+    if config is not None:
+        argv = [*argv, "--input", write_json(tmp_path, "config.json", config)]
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("command", ["degree", "fiber-count", "picard-torsion"])
