@@ -265,11 +265,11 @@ def enumerate_compatible_gerby(
     admissible for (r, sum of k_v).
 
     The data is validated, the edges classified and the cut formula solved
-    once per call, together with the slot of (tail orders, separating
-    orders, non-separating orders) that each flag reads, made into one
-    itemgetter.  Each decoration is then one tuple picked in C from those
-    orders, wrapped without re-checking that both flags of an edge agree,
-    since that holds by construction.
+    once per call, together with the slot of (separating orders,
+    non-separating orders) that each edge reads, made into one itemgetter.
+    Every decoration shares one tuple of tail orders, and its edge orders
+    are one tuple picked in C, wrapped without re-checking, since one
+    positive order per tail and per edge holds by construction.
     """
     from .graphs import GerbyGraph, _picker, classify_edges
     data = data.validated_for(graph, r)
@@ -280,14 +280,11 @@ def enumerate_compatible_gerby(
         )
     separating, nonseparating = classify_edges(graph)
     cut = _cut_orders(graph, data, r)
-    fixed = tuple(t.order for t in data.tail_types) + tuple(cut[e] for e in separating)
-    slot = [0] * graph.num_flags
-    for i, f in enumerate(graph.tails()):
-        slot[f] = i
-    edges = graph.edges()
-    for i, e in enumerate(separating + nonseparating, start=len(graph.tails())):
-        f1, f2 = edges[e]
-        slot[f1] = slot[f2] = i
+    tail_orders = tuple(t.order for t in data.tail_types)
+    fixed = tuple(cut[e] for e in separating)
+    slot = [0] * graph.num_edges
+    for i, e in enumerate(separating + nonseparating):
+        slot[e] = i
     pick = _picker(slot)
     for assignment in itertools.product(divisors(r), repeat=len(nonseparating)):
-        yield GerbyGraph._trusted(graph, pick(fixed + assignment))
+        yield GerbyGraph._trusted(graph, tail_orders, pick(fixed + assignment))

@@ -87,13 +87,13 @@ if TYPE_CHECKING:
 #   separating edges) gerby decorations, which also bound the merge of the
 #   fiber count's tables, each charged 1 + (V + E + 2T) // 48 steps for the
 #   graph and tails it reads.  One more decoration costs fiber-count about
-#   2.5 us plus 0.024 us per vertex or edge, and compatible-graphs, which
-#   writes each one out, about 6 us plus 0.14 us (measured at 12 and 970
+#   2 us plus 0.017 us per vertex or edge, and compatible-graphs, which
+#   writes each one out, about 3.5 us plus 0.1 us (measured at 12 and 970
 #   vertices and edges: 11 and 13 loops at r = 2 on one vertex and on the
 #   end of a 480-vertex path, best of 7 cold calls each); a tail costs
-#   fiber-count about 0.04 us and compatible-graphs about 0.33 us, one and
-#   a half to two and a half times a vertex or edge (measured at 0 and 8,000
-#   tails on a vertex with 8 loops);
+#   fiber-count about 0.02 us and compatible-graphs about 0.24 us, one to
+#   two and a half times a vertex or edge (measured at 0 and 8,000 tails on
+#   a vertex with 8 loops; two runs on a 2-vCPU VM, Python 3.11);
 # - fiber-count's peel steps: q^(free edges) assignments mod each prime
 #   power q of r, each solving the V - 1 edges of the spanning tree, with a
 #   table of q element orders only when some edge is free;
@@ -284,7 +284,7 @@ def _gerby_from(config: Mapping, graph: ModularGraph) -> GerbyGraph:
     section = _field(config, "gerby", dict)
     tail_orders = _field(section, "tail_orders", [int], "gerby")
     edge_orders = _field(section, "edge_orders", [int], "gerby")
-    return GerbyGraph.from_orders(graph, tail_orders, edge_orders)
+    return GerbyGraph(graph, tail_orders, edge_orders)
 
 
 def _degree_data_from(config: Mapping) -> DegreeData:
@@ -374,7 +374,7 @@ def _run_compatible_graphs(args) -> tuple[dict, dict, int]:
     # only the two order tuples are kept per decoration, which _write_json
     # writes as lists, as GerbyGraph.to_config would give them
     decorations = [
-        {"tail_orders": g.tail_orders(), "edge_orders": g.edge_orders()}
+        {"tail_orders": g.tail_orders, "edge_orders": g.edge_orders}
         for g in admissibility.enumerate_compatible_gerby(graph, data, r)
     ]
     result = {"count": len(decorations), "gerby_graphs": decorations}
@@ -412,7 +412,7 @@ def _run_picard_torsion(args) -> tuple[dict, dict, int]:
             raise InputError("--quotient needs a 'gerby' section in the configuration")
         gerby = _gerby_from(config, graph)
         # the product has about sum(log10(order)) digits
-        if sum(map(math.log10, gerby.edge_orders() + gerby.tail_orders())) > _DIGIT_BOUND:
+        if sum(map(math.log10, gerby.edge_orders + gerby.tail_orders)) > _DIGIT_BOUND:
             raise InputError(
                 f"the product of the orders is past the result bound of {_DIGIT_BOUND:,} digits"
             )

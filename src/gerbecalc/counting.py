@@ -46,7 +46,7 @@ def twisted_picard_torsion(gerby: GerbyGraph, r: int) -> int:
     if r < 1:
         raise ValueError(f"band order must be positive, got {r}")
     _, nonseparating = classify_edges(gerby.base)
-    orders = gerby.edge_orders()
+    orders = gerby.edge_orders
     factor = math.prod(math.gcd(orders[e], r) for e in nonseparating)
     return prestable_picard_torsion(gerby.base, r) * factor
 
@@ -56,7 +56,7 @@ def twisted_pic_quotient_order(gerby: GerbyGraph) -> int:
 
     The product of all edge orders times all tail orders.
     """
-    return math.prod(gerby.edge_orders()) * math.prod(gerby.tail_orders())
+    return math.prod(gerby.edge_orders) * math.prod(gerby.tail_orders)
 
 
 class LiftCount(Record):
@@ -88,11 +88,11 @@ def count_lifts(gerby: GerbyGraph, r: int, mode: str = "loop-only") -> LiftCount
         raise ValueError(f"unknown mode {mode!r}")
     if r < 1:
         raise ValueError(f"band order must be positive, got {r}")
-    for gamma in gerby.flag_orders:
+    orders = gerby.edge_orders
+    for gamma in gerby.tail_orders + orders:
         if r % gamma != 0:
             raise ValueError(f"isotropy order {gamma} does not divide r={r}")
     _, nonseparating = classify_edges(gerby.base)
-    orders = gerby.edge_orders()
     if mode == "loop-only":
         chosen = [orders[e] for e in nonseparating]
     else:
@@ -231,7 +231,7 @@ def fiber_point_count(graph: ModularGraph, data: DegreeData, r: int) -> int:
     edges outside the graph's spanning tree, bucketed by their edge orders
     and merged into one table for r, so each decoration looks its count up
     (see _cycle_order_counts).  Each decoration's orders are picked in C
-    from its flag_orders by itemgetters over the first flags of the cycle
+    from its edge_orders by itemgetters over the indices of the cycle
     edges, self-loops and non-separating edges, made once per call, and
     the totient products are math.prod over a map of the totient table.
     Every summand shares the factor r^(2g - b1), so the sum is multiplied
@@ -245,20 +245,19 @@ def fiber_point_count(graph: ModularGraph, data: DegreeData, r: int) -> int:
 
     residuals = tuple(data._residuals(graph, r))
 
-    first_flag = [f1 for f1, _ in graph.edges()]
-    cycle_orders = _picker([first_flag[e] for e in graph._links])
-    loop_orders = _picker([first_flag[e] for e, (u, v) in enumerate(graph._ends) if u == v])
-    nonseparating_orders = _picker([first_flag[e] for e in nonseparating])
+    cycle_orders = _picker(graph._links)
+    loop_orders = _picker([e for e, (u, v) in enumerate(graph._ends) if u == v])
+    nonseparating_orders = _picker(nonseparating)
 
     totient = {d: _totient(d, r) for d in divisors(r)}.__getitem__
     total = 0
     totient_sum = 0
     for gerby in enumerate_compatible_gerby(graph, data, r):
-        flags = gerby.flag_orders
-        matched = _cycle_assignment_count(graph, cycle_orders(flags), residuals, r)
+        orders = gerby.edge_orders
+        matched = _cycle_assignment_count(graph, cycle_orders(orders), residuals, r)
         if matched:
-            total += math.prod(map(totient, loop_orders(flags))) * matched
-        totient_sum += math.prod(map(totient, nonseparating_orders(flags)))
+            total += math.prod(map(totient, loop_orders(orders))) * matched
+        totient_sum += math.prod(map(totient, nonseparating_orders(orders)))
     total *= prestable_picard_torsion(graph, r)
 
     if totient_sum != r ** len(nonseparating):

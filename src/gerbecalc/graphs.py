@@ -6,14 +6,19 @@ flags of the involution, edges are its 2-orbits.  Vertices and edges are
 derived views, so there are no special cases for self-loops, parallel edges,
 or marked points.
 
+A gerby graph decorates a graph with an isotropy order per tail and one per
+edge, in the order of tails() and edges(): a node of a twisted curve is
+balanced, its two branches carrying one order, and the command line reads
+and writes decorations in this layout.
+
 Graphs must be connected; disconnected input is a construction error.
 A graph derives its layout once, when built, and keeps it: each edge's
 endpoints (_ends); the tree of its one search by _spanning_forest (_forest);
 in edge order, the edges between distinct vertices, bridges included
 (_links), and the edges outside the tree (_chords).  classify_edges,
 split_at_edge, admissibility and counting read these; _cycle_order_counts
-keys its table by _links, fiber_point_count picks its cycle orders by it,
-and cli's work bound counts it.
+keys its table by _links, fiber_point_count picks each decoration's cycle
+orders from its edge orders by it, and cli's work bound counts it.
 
 from_config reads its fields through _arith._field, the one reader of
 configuration fields, which the command line shares without loading this
@@ -243,67 +248,37 @@ def split_at_edge(graph: ModularGraph, edge_index: int) -> tuple[frozenset, froz
 
 
 class GerbyGraph(Record):
-    """A dual graph with an isotropy order per flag, constant across each edge."""
+    """A dual graph with an isotropy order per tail and one per edge."""
 
-    _fields = ("base", "flag_orders")
+    _fields = ("base", "tail_orders", "edge_orders")
     base: ModularGraph
-    flag_orders: tuple[int, ...]
+    tail_orders: tuple[int, ...]
+    edge_orders: tuple[int, ...]
 
-    def __init__(self, base: ModularGraph, flag_orders: tuple[int, ...]) -> None:
+    def __init__(self, base: ModularGraph, tail_orders, edge_orders) -> None:
         setfield(self, "base", base)
-        flag_orders = tuple(flag_orders)
-        setfield(self, "flag_orders", flag_orders)
-        if len(flag_orders) != base.num_flags:
-            raise ValueError("need one isotropy order per flag")
-        if any(gamma < 1 for gamma in flag_orders):
-            raise ValueError(f"isotropy orders must be positive, got {flag_orders}")
-        for f1, f2 in base.edges():
-            if flag_orders[f1] != flag_orders[f2]:
-                raise ValueError(
-                    f"edge flags {f1},{f2} carry different orders "
-                    f"{flag_orders[f1]} != {flag_orders[f2]}"
-                )
-
-    def tail_orders(self) -> tuple[int, ...]:
-        return tuple(self.flag_orders[f] for f in self.base.tails())
-
-    def edge_orders(self) -> tuple[int, ...]:
-        return tuple(self.flag_orders[f1] for f1, _ in self.base.edges())
-
-    @classmethod
-    def from_orders(
-        cls, base: ModularGraph, tail_orders, edge_orders
-    ) -> "GerbyGraph":
-        """Assemble from order lists parallel to base.tails() and base.edges()."""
         tail_orders = tuple(tail_orders)
+        setfield(self, "tail_orders", tail_orders)
         edge_orders = tuple(edge_orders)
+        setfield(self, "edge_orders", edge_orders)
         if len(tail_orders) != len(base.tails()):
             raise ValueError("need one order per tail")
         if len(edge_orders) != base.num_edges:
             raise ValueError("need one order per edge")
-        orders = [0] * base.num_flags
-        for f, gamma in zip(base.tails(), tail_orders):
-            orders[f] = gamma
-        for (f1, f2), gamma in zip(base.edges(), edge_orders):
-            orders[f1] = gamma
-            orders[f2] = gamma
-        return cls(base, tuple(orders))
+        if any(gamma < 1 for gamma in tail_orders + edge_orders):
+            orders = f"tail orders {tail_orders} and edge orders {edge_orders}"
+            raise ValueError(f"isotropy orders must be positive, got {orders}")
 
     @classmethod
-    def _trusted(cls, base: ModularGraph, flag_orders: tuple[int, ...]) -> "GerbyGraph":
-        """Wrap orders that are valid by construction, skipping the checks of
-        __init__.
-
-        The caller guarantees one positive order per flag, equal on the two
-        flags of every edge; user data goes through the checked constructors.
-        """
+    def _trusted(cls, base: ModularGraph, tail_orders: tuple, edge_orders: tuple) -> "GerbyGraph":
+        """Wrap tuples of orders that are valid by construction, one positive
+        order per tail and per edge, skipping the checks of __init__; user
+        data goes through the checked constructor."""
         gerby = object.__new__(cls)
         setfield(gerby, "base", base)
-        setfield(gerby, "flag_orders", flag_orders)
+        setfield(gerby, "tail_orders", tail_orders)
+        setfield(gerby, "edge_orders", edge_orders)
         return gerby
 
     def to_config(self) -> dict:
-        return {
-            "tail_orders": list(self.tail_orders()),
-            "edge_orders": list(self.edge_orders()),
-        }
+        return {"tail_orders": list(self.tail_orders), "edge_orders": list(self.edge_orders)}

@@ -11,22 +11,23 @@ Curve classes live in the free monoid Z^m >= 0 and enter only through the
 Novikov exponent and a mod-r pairing residue.  Cohomology of the base is an
 abstract indexed basis with no grading or products.
 
-Each invariant has one formula.  A sector-basis invariant is the base
-value times r^(2g-1) when its sector tuple is admissible for k(beta), and 0
-otherwise (_sector_factor).  A character-basis invariant is by definition
-the character transform of the sector invariants, (1/r)^n times the sum
-over sector tuples g of prod chi_rho(g_i^-1) times the sector invariant,
-with the characters evaluated by abelian.evaluate_character
-(_character_factors).  It vanishes by definition unless all of its
-insertions carry one character, so the gerbe potential never enumerates a
-monomial that mixes characters: per curve class it holds the r
-single-character copies of each base monomial, the empty monomial
-included, instead of every multiset of the b*r*(j+1) gerbe variables.
-gerbe_invariant_rho and the gerbe-basis build both read the transform,
-which is never written in closed form here; the Novikov twist
+Each invariant has one formula.  A sector-basis invariant is the base value
+times r^(2g-1) when its sector tuple is admissible for k(beta), and 0
+otherwise (_sector_factor).  A sector s is zeta_r^s, whose order divides r,
+so the tuple is admissible exactly when its sectors sum to k(beta) mod r;
+the rule tests that sum and needs no contact types.  A character-basis
+invariant is by definition the character transform of the sector
+invariants, (1/r)^n times the sum over sector tuples g of prod
+chi_rho(g_i^-1) times the sector invariant, with the characters evaluated
+by abelian.evaluate_character (_character_factors).  It vanishes by
+definition unless all of its insertions carry one character, so the gerbe
+potential never enumerates a monomial that mixes characters: per curve
+class it holds the r single-character copies of each base monomial, the
+empty monomial included, instead of every multiset of the b*r*(j+1) gerbe
+variables.  gerbe_invariant_rho and the gerbe-basis build both read the
+transform, which is never written in closed form here; the Novikov twist
 character_twist is used only by substitute_novikov, on the right side of
-verify_decomposition, so that check compares two independent
-computations.
+verify_decomposition, so that check compares two independent computations.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from typing import Iterable, Mapping, Sequence
 
 from ._record import Record, setfield
 from .abelian import FiniteAbelianGroup, evaluate_character
-from .admissibility import ContactType, is_admissible
 from .exactnum import CyclotomicNumber, root_of_unity
 
 CurveClass = tuple[int, ...]
@@ -299,10 +299,10 @@ def character_twist(spec: GerbeSpec, rho: int, k: int) -> CyclotomicNumber:
 
 
 def _sector_factor(spec: GerbeSpec, genus: int, beta, sectors: Sequence[int]) -> Fraction:
-    # The one sector rule: r^(2g-1) when the tuple is admissible for k(beta), else 0.
+    # The one sector rule: r^(2g-1) when the tuple is admissible for k(beta),
+    # that is when the sectors sum to k(beta) mod r, else 0.
     r = spec.band_order
-    types = [ContactType.from_residue(s, r) for s in sectors]
-    if not is_admissible(types, r, pairing_value(spec, beta)):
+    if (sum(sectors) - pairing_value(spec, beta)) % r:
         return Fraction(0)
     return Fraction(r) ** (2 * genus - 1)
 

@@ -226,14 +226,14 @@ def test_compatible_gerby_examples():
 
     loop = graph_of([0], [(0, 0)])
     decorations = list(enumerate_compatible_gerby(loop, DegreeData((0,), ()), 6))
-    assert sorted(g.edge_orders() for g in decorations) == [(1,), (2,), (3,), (6,)]
+    assert sorted(g.edge_orders for g in decorations) == [(1,), (2,), (3,), (6,)]
 
     # sum of residues must vanish mod 2, so the unstated residue is forced
     two = graph_of([0, 0], [(0, 1), (1, 1)])
     decorations = list(enumerate_compatible_gerby(two, DegreeData((1, 1), ()), 2))
     assert len(decorations) == 2
-    assert all(g.edge_orders()[0] == 2 for g in decorations)
-    assert sorted(g.edge_orders()[1] for g in decorations) == [1, 2]
+    assert all(g.edge_orders[0] == 2 for g in decorations)
+    assert sorted(g.edge_orders[1] for g in decorations) == [1, 2]
 
 
 def test_compatible_gerby_rejects_unbalanced_data():
@@ -254,8 +254,8 @@ def test_compatible_gerby_count_and_validity():
         n_loops = len(classify_edges(graph)[1])
         assert len(decorations) == len(divisors(r)) ** n_loops
         for gerby in decorations:
-            assert gerby.tail_orders() == tuple(t.order for t in data.tail_types)
-            assert all(r % gamma == 0 for gamma in gerby.flag_orders)
+            assert gerby.tail_orders == tuple(t.order for t in data.tail_types)
+            assert all(r % gamma == 0 for gamma in gerby.tail_orders + gerby.edge_orders)
 
 
 GRAPH_CLASSES = oracles.connected_multigraph_classes(4, 4)
@@ -282,16 +282,16 @@ def test_decorations_equal_their_checked_construction(graph_class, r, rng):
     for assignment in itertools.product(divisors(r), repeat=len(nonseparating)):
         for e, d in zip(nonseparating, assignment):
             orders[e] = d
-        expected.append(GerbyGraph.from_orders(graph, tail_orders, orders))
+        expected.append(GerbyGraph(graph, tail_orders, orders))
 
     decorations = list(enumerate_compatible_gerby(graph, data, r))
     assert decorations == expected
     for gerby in decorations:
-        checked = GerbyGraph.from_orders(graph, gerby.tail_orders(), gerby.edge_orders())
+        checked = GerbyGraph(graph, gerby.tail_orders, gerby.edge_orders)
         assert gerby == checked
         assert hash(gerby) == hash(checked)
         assert gerby.to_config() == checked.to_config()
-        assert type(gerby.flag_orders) is tuple
+        assert type(gerby.tail_orders) is type(gerby.edge_orders) is tuple
 
 
 @given(st.integers(1, 8), st.integers(0, 7), st.integers(0, 7))

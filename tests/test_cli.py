@@ -457,8 +457,8 @@ _COMMAND_MODULES = {
     "picard-torsion": {"graphs", "counting"},
     "fiber-count": {"graphs", "counting", "admissibility"},
     "degree": {"graphs", "counting"},
-    "decompose": {"exactnum", "abelian", "admissibility", "gw"},
-    "verify": {"exactnum", "abelian", "admissibility", "gw"},
+    "decompose": {"exactnum", "abelian", "gw"},
+    "verify": {"exactnum", "abelian", "gw"},
 }
 
 
@@ -1055,9 +1055,13 @@ def test_verify_fails_on_a_conjugated_novikov_twist(capsys, tmp_path, monkeypatc
 
 
 def test_verify_fails_on_a_shifted_sector_rule(capsys, tmp_path, monkeypatch):
-    # admissible for k(beta) + 1 instead of k(beta): only the left side tests sectors
-    admissible = gw.is_admissible
-    monkeypatch.setattr(gw, "is_admissible", lambda types, r, k: admissible(types, r, k + 1))
+    # admissible for k(beta) + 1 instead of k(beta), by one more sector -1:
+    # only the left side tests sectors
+    sector_factor = gw._sector_factor
+    monkeypatch.setattr(
+        gw, "_sector_factor",
+        lambda spec, genus, beta, sectors: sector_factor(spec, genus, beta, (*sectors, -1)),
+    )
     assert_verify_fails(capsys, tmp_path)
 
 

@@ -70,12 +70,12 @@ def test_prestable_torsion_examples():
 
 
 def test_twisted_torsion_examples():
-    smooth = GerbyGraph(graph_of([2], []), ())
+    smooth = GerbyGraph(graph_of([2], []), (), ())
     assert twisted_picard_torsion(smooth, 3) == 81
     loop = graph_of([0], [(0, 0)])
-    assert twisted_picard_torsion(GerbyGraph(loop, (2, 2)), 2) == 4
+    assert twisted_picard_torsion(GerbyGraph(loop, (), (2,)), 2) == 4
     genus_one_loop = graph_of([1], [(0, 0)])
-    assert twisted_picard_torsion(GerbyGraph(genus_one_loop, (4, 4)), 6) == 432
+    assert twisted_picard_torsion(GerbyGraph(genus_one_loop, (), (4,)), 6) == 432
 
 
 def test_twisted_reduces_to_prestable_when_untwisted():
@@ -83,17 +83,17 @@ def test_twisted_reduces_to_prestable_when_untwisted():
     for _ in range(20):
         nv, edges = oracles.random_tree_with_loops(rng, max_vertices=5)
         graph = graph_of([rng.randrange(3) for _ in range(nv)], edges)
-        gerby = GerbyGraph(graph, (1,) * graph.num_flags)
+        gerby = GerbyGraph(graph, (), (1,) * graph.num_edges)
         r = rng.randrange(1, 9)
         assert twisted_picard_torsion(gerby, r) == prestable_picard_torsion(graph, r)
 
 
 def test_quotient_order_examples():
     base = graph_of([0, 1], [(0, 1)], tails=[0, 0])
-    assert twisted_pic_quotient_order(GerbyGraph(base, (1, 1, 1, 1))) == 1
+    assert twisted_pic_quotient_order(GerbyGraph(base, (1, 1), (1,))) == 1
     one_tail = graph_of([0], [], tails=[0])
-    assert twisted_pic_quotient_order(GerbyGraph(one_tail, (3,))) == 3
-    gerby = GerbyGraph.from_orders(base, (2, 2), (4,))
+    assert twisted_pic_quotient_order(GerbyGraph(one_tail, (3,), ())) == 3
+    gerby = GerbyGraph(base, (2, 2), (4,))
     assert twisted_pic_quotient_order(gerby) == 16
 
 
@@ -105,28 +105,32 @@ def test_lift_count_validation():
 
 
 def test_count_lifts_examples():
-    smooth = GerbyGraph(graph_of([1], []), ())
+    smooth = GerbyGraph(graph_of([1], []), (), ())
     assert count_lifts(smooth, 2, "loop-only").value == 4
     assert count_lifts(smooth, 2, "all-edges").value == 4
 
-    loop = GerbyGraph(graph_of([0], [(0, 0)]), (3, 3))
+    loop = GerbyGraph(graph_of([0], [(0, 0)]), (), (3,))
     got = count_lifts(loop, 3)
     assert got == LiftCount(6, "loop-only")
 
     base = graph_of([0, 0], [(0, 1)], tails=[0, 1])
-    bridge = GerbyGraph.from_orders(base, (3, 3), (3,))
+    bridge = GerbyGraph(base, (3, 3), (3,))
     assert count_lifts(bridge, 3, "loop-only").value == 1
     assert count_lifts(bridge, 3, "all-edges").value == 2
 
 
 def test_count_lifts_errors():
-    loop = GerbyGraph(graph_of([0], [(0, 0)]), (4, 4))
+    loop = GerbyGraph(graph_of([0], [(0, 0)]), (), (4,))
     with pytest.raises(ValueError, match="unknown mode"):
         count_lifts(loop, 4, "sometimes")
     with pytest.raises(ValueError, match="must be positive"):
         count_lifts(loop, 0)
     with pytest.raises(ValueError, match="does not divide"):
         count_lifts(loop, 6)
+    # a tail order must divide r too, though no formula reads it
+    tail = GerbyGraph(graph_of([0], [(0, 0)], tails=[0]), (5,), (2,))
+    with pytest.raises(ValueError, match="isotropy order 5 does not divide r=6"):
+        count_lifts(tail, 6)
 
 
 def test_count_lifts_multiplicative_in_loop_order():
@@ -139,11 +143,11 @@ def test_count_lifts_multiplicative_in_loop_order():
         if not loops:
             continue
         orders = [rng.choice([1, 2, 3, 4, 6, 12]) for _ in range(graph.num_edges)]
-        base = count_lifts(GerbyGraph.from_orders(graph, (), orders), r)
+        base = count_lifts(GerbyGraph(graph, (), orders), r)
         target = loops[rng.randrange(len(loops))]
         d, d_new = orders[target], rng.choice([1, 2, 3, 4, 6, 12])
         orders[target] = d_new
-        rescaled = count_lifts(GerbyGraph.from_orders(graph, (), orders), r)
+        rescaled = count_lifts(GerbyGraph(graph, (), orders), r)
         assert (
             Fraction(rescaled.value, base.value)
             == Fraction(euler_totient(d_new), euler_totient(d))
@@ -158,8 +162,8 @@ def test_fiber_count_examples():
     assert fiber_point_count(two_loops, DegreeData((0,), ()), 2) == 16
 
 
-# Graphs whose flag, cycle, self-loop and non-separating picks have 0 or 1
-# entries: no flag; one tail; one self-loop; one cycle edge, a bridge.
+# Graphs whose edge, cycle, self-loop and non-separating picks have 0 or 1
+# entries: no edge or tail; one tail; one self-loop; one cycle edge, a bridge.
 SMALL_PICKS = {
     "no-flags": (graph_of([2], []), DegreeData((0,), ()), 5),
     "one-tail": (graph_of([1], [], tails=[0]), DegreeData((3,), (ContactType(1, 2),)), 6),
@@ -181,9 +185,8 @@ def test_fiber_count_and_decorations_on_zero_and_one_picks(case):
         for e, d in zip(nonseparating, assignment):
             orders[e] = d
         tail_orders = [t.order for t in data.tail_types]
-        expected.append(GerbyGraph.from_orders(graph, tail_orders, orders).flag_orders)
-    decorations = enumerate_compatible_gerby(graph, data, r)
-    assert [gerby.flag_orders for gerby in decorations] == expected
+        expected.append(GerbyGraph(graph, tail_orders, orders))
+    assert list(enumerate_compatible_gerby(graph, data, r)) == expected
 
 
 # Self-loops and edges between the two vertices interleaved in edge order,

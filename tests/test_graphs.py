@@ -301,25 +301,27 @@ def test_spanning_forest_spans_vertex_0_in_step_order(case):
 
 
 def test_gerby_validation():
-    bridge = graph_of([0, 0], [(0, 1)])
-    with pytest.raises(ValueError, match="different orders"):
-        GerbyGraph(bridge, (2, 3))
-    with pytest.raises(ValueError, match="positive"):
-        GerbyGraph(bridge, (0, 0))
-    with pytest.raises(ValueError, match="per flag"):
-        GerbyGraph(bridge, (2,))
+    bridge = graph_of([0, 0], [(0, 1)], tails=[1])
+    with pytest.raises(ValueError, match=r"got tail orders \(0,\) and edge orders \(2,\)$"):
+        GerbyGraph(bridge, (0,), (2,))
+    with pytest.raises(ValueError, match=r"got tail orders \(3,\) and edge orders \(0,\)$"):
+        GerbyGraph(bridge, (3,), (0,))
+    with pytest.raises(ValueError, match="per tail"):
+        GerbyGraph(bridge, (3, 3), (2,))
+    with pytest.raises(ValueError, match="per edge"):
+        GerbyGraph(bridge, (3,), ())
 
 
 def test_gerby_order_views():
     g = graph_of([0, 1], [(0, 1), (1, 1)], tails=[0])
-    gerby = GerbyGraph.from_orders(g, (3,), (2, 4))
-    assert gerby.tail_orders() == (3,)
-    assert gerby.edge_orders() == (2, 4)
+    gerby = GerbyGraph(g, [3], [2, 4])
+    assert gerby.tail_orders == (3,)
+    assert gerby.edge_orders == (2, 4)
     assert gerby.to_config() == {"tail_orders": [3], "edge_orders": [2, 4]}
     with pytest.raises(ValueError, match="per tail"):
-        GerbyGraph.from_orders(g, (), (2, 4))
+        GerbyGraph(g, (), (2, 4))
     with pytest.raises(ValueError, match="per edge"):
-        GerbyGraph.from_orders(g, (3,), (2,))
+        GerbyGraph(g, (3,), (2,))
 
 
 @pytest.mark.parametrize(
@@ -334,7 +336,7 @@ def test_gerby_order_views():
 def test_from_orders_checks_user_orders(tail_orders, edge_orders, message):
     g = graph_of([0, 1], [(0, 1), (1, 1)], tails=[0])
     with pytest.raises(ValueError, match=message):
-        GerbyGraph.from_orders(g, tail_orders, edge_orders)
+        GerbyGraph(g, tail_orders, edge_orders)
 
 
 @given(connected_graphs())

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from gerbecalc import gw
 from gerbecalc.abelian import FiniteAbelianGroup, evaluate_character
+from gerbecalc.admissibility import ContactType, is_admissible
 from gerbecalc.exactnum import CyclotomicNumber, root_of_unity
 from gerbecalc.gw import (
     BaseTheoryTable,
@@ -178,6 +179,23 @@ def test_sector_invariant_scales_or_vanishes():
     assert got == Fraction(5) * 3  # r^(2g-1) at genus 1
     off = [SectorInsertion(1, 0, 0), SectorInsertion(2, 0, 0)]
     assert gerbe_invariant_sector(spec, table, 1, (1,), off) == 0
+
+
+@given(
+    st.integers(1, 12),
+    st.integers(-1, 2),
+    st.lists(st.integers(-30, 30), max_size=5),
+    st.lists(st.tuples(st.integers(0, 11), st.integers(0, 5)), min_size=1, max_size=2),
+)
+def test_sector_rule_is_admissibility_of_the_sector_types(r, genus, sectors, pairs):
+    # admissibility, through contact types, is the reference for the
+    # residue-sum rule; sectors may be negative or at least r
+    spec = GerbeSpec(r, tuple(a % r for a, _ in pairs))
+    beta = tuple(b for _, b in pairs)
+    types = [ContactType.from_residue(s, r) for s in sectors]
+    admissible = is_admissible(types, r, pairing_value(spec, beta))
+    factor = gw._sector_factor(spec, genus, beta, sectors)
+    assert factor == (Fraction(r) ** (2 * genus - 1) if admissible else 0)
 
 
 def test_sector_invariant_demands_coverage_even_when_zero():
