@@ -200,10 +200,11 @@ class CyclotomicNumber(Record, eq=False):
 
     @classmethod
     def from_rational(cls, value: int | Fraction, order: int = 1) -> "CyclotomicNumber":
+        # A Fraction is in lowest terms, so _canonical stores it as it is;
+        # power_basis_size rejects an order below 1.
         value = Fraction(value)
-        phi = power_basis_size(order)
-        nums = (value.numerator,) + (0,) * (phi - 1)
-        return cls(order, nums, value.denominator)
+        nums = (value.numerator,) + (0,) * (power_basis_size(order) - 1)
+        return _canonical(order, nums, value.denominator)
 
     @classmethod
     def zero(cls, order: int = 1) -> "CyclotomicNumber":

@@ -167,10 +167,6 @@ class Truncation(Record):
         return len(self.betas[0])
 
 
-def _canonical_insertions(insertions: Iterable[Insertion]) -> tuple[Insertion, ...]:
-    return tuple(sorted(insertions))
-
-
 def _monomials(basis_size: int, truncation: Truncation) -> list[tuple]:
     """The base monomials of a truncation, as sorted tuples of (class_index,
     psi_power) variables: by size n = 0, ..., n_max, then in the order of
@@ -190,11 +186,13 @@ def _key_record(key: tuple, **fields) -> dict:
 class BaseTheoryTable:
     """Finite table of base-theory descendant invariants at a fixed genus.
 
-    Keys are (curve class, canonically sorted insertions); values are exact
-    rationals.  Inside the declared truncation a missing key reads as 0 and
-    is reported once on the warning channel; outside it the lookup raises
-    CoverageError, so "the invariant is zero" and "no data was supplied"
-    stay distinguishable.
+    Keys are (curve class, monomial), as in a base-basis potential: the
+    sorted tuple of the insertions' (class_index, psi_power) int pairs.
+    Values are exact rationals.  lookup and build_potential read through
+    _read, which checks each key's coverage in the order given: inside the
+    declared truncation a missing key reads as 0 and is reported once on
+    the warning channel; outside it CoverageError is raised, so "the
+    invariant is zero" and "no data was supplied" stay distinguishable.
     """
 
     def __init__(
@@ -202,7 +200,7 @@ class BaseTheoryTable:
         basis_size: int,
         genus: int,
         truncation: Truncation,
-        entries: Mapping[tuple[CurveClass, tuple[Insertion, ...]], Fraction],
+        entries: Mapping[tuple[CurveClass, tuple[tuple[int, int], ...]], Fraction],
     ) -> None:
         if basis_size < 1:
             raise ValueError(f"basis size must be positive, got {basis_size}")
@@ -225,12 +223,13 @@ class BaseTheoryTable:
         table = cls(basis_size, genus, truncation, {})
         for g, beta, insertions, value in records:
             beta = _check_curve_class(beta, truncation.rank)
-            key = (beta, _canonical_insertions(insertions))
-            table._require_inside(g, key[0], key[1])
+            key = (beta, tuple(sorted((ins.class_index, ins.psi_power) for ins in insertions)))
+            table._require_inside(g, *key)
             value = Fraction(value)
             if key in table._entries and table._entries[key] != value:
+                named = (beta, tuple(sorted(insertions)))  # the key as its records
                 raise ValueError(
-                    f"conflicting values for {key}: {table._entries[key]} vs {value}"
+                    f"conflicting values for {named}: {table._entries[key]} vs {value}"
                 )
             table._entries[key] = value
         return table
@@ -241,55 +240,57 @@ class BaseTheoryTable:
     ) -> "BaseTheoryTable":
         """Deterministic pseudo-random table covering the whole truncation."""
         rng = Random(seed)
-        monomials = [tuple(Insertion(*v) for v in m) for m in _monomials(basis_size, truncation)]
+        monomials = _monomials(basis_size, truncation)
         entries = {}
         for beta in truncation.betas:
             for monomial in monomials:
                 entries[(beta, monomial)] = Fraction(rng.randint(-99, 99), rng.randint(1, 12))
         return cls(basis_size, genus, truncation, entries)
 
-    def _require_inside(
-        self, genus: int, beta: CurveClass, insertions: tuple[Insertion, ...]
-    ) -> None:
+    def _require_inside(self, genus: int, beta: CurveClass, monomial: tuple) -> None:
         tr = self.truncation
         if genus != self.genus:
             raise CoverageError(f"genus {genus} outside the table's genus {self.genus}")
         if beta not in tr.betas:
             raise CoverageError(f"curve class {beta} outside the truncation")
-        if len(insertions) > tr.n_max:
+        if len(monomial) > tr.n_max:
             raise CoverageError(
-                f"{len(insertions)} insertions exceed the truncation bound {tr.n_max}"
+                f"{len(monomial)} insertions exceed the truncation bound {tr.n_max}"
             )
-        for ins in insertions:
-            if ins.class_index >= self.basis_size:
+        for class_index, psi_power in monomial:
+            if class_index >= self.basis_size:
                 raise CoverageError(
-                    f"class index {ins.class_index} outside the basis of size {self.basis_size}"
+                    f"class index {class_index} outside the basis of size {self.basis_size}"
                 )
-            if ins.psi_power > tr.j_max:
+            if psi_power > tr.j_max:
                 raise CoverageError(
-                    f"psi power {ins.psi_power} exceeds the truncation bound {tr.j_max}"
+                    f"psi power {psi_power} exceeds the truncation bound {tr.j_max}"
                 )
 
-    def lookup(
-        self, genus: int, beta, insertions: Sequence[Insertion]
-    ) -> Fraction:
+    def lookup(self, genus: int, beta, insertions: Sequence[Insertion]) -> Fraction:
+        monomial = tuple(sorted((ins.class_index, ins.psi_power) for ins in insertions))
+        return self._read(genus, beta, (monomial,))[0]
+
+    def _read(self, genus: int, beta, monomials: Iterable[tuple]) -> list[Fraction]:
+        """lookup's value of each key (beta, monomial), in the order given."""
         beta = _check_curve_class(beta, self.truncation.rank)
-        key = (beta, _canonical_insertions(insertions))
-        self._require_inside(genus, key[0], key[1])
-        try:
-            return self._entries[key]
-        except KeyError:
-            if key not in self._warned:
-                self._warned.add(key)
-                import logging  # loaded by the first warning only
+        values = []
+        for monomial in monomials:
+            self._require_inside(genus, beta, monomial)
+            key = (beta, monomial)
+            value = self._entries.get(key)
+            if value is None:
+                value = Fraction(0)
+                if key not in self._warned:
+                    self._warned.add(key)
+                    import logging  # loaded by the first warning only
 
-                logging.getLogger(__name__).warning(
-                    "base table has no entry for genus=%s beta=%s insertions=%s; using 0",
-                    genus,
-                    beta,
-                    [(i.class_index, i.psi_power) for i in key[1]],
-                )
-            return Fraction(0)
+                    logging.getLogger(__name__).warning(
+                        "base table has no entry for genus=%s beta=%s insertions=%s; using 0",
+                        genus, beta, list(monomial),
+                    )
+            values.append(value)
+        return values
 
 
 def character_twist(spec: GerbeSpec, rho: int, k: int) -> CyclotomicNumber:
@@ -403,12 +404,12 @@ class PotentialSeries(Record, eq=False):
         return [_key_record(key, coefficient=c.to_dict()) for key, c in self.sorted_items()]
 
 
-def _monomial_weight(monomial: tuple) -> Fraction:
+def _monomial_weight(monomial: tuple) -> int:
     # EGF bookkeeping: coefficient = invariant / product of multiplicities!
     weight = 1
     for _, group in itertools.groupby(monomial):
         weight *= math.factorial(sum(1 for _ in group))
-    return Fraction(1, weight)
+    return weight
 
 
 def build_potential(
@@ -427,8 +428,9 @@ def build_potential(
     variables and the character-basis gerbe invariants; basis "base" uses
     (class_index, psi_power) variables and the raw base table.
 
-    Both bases list the base monomials with n = 0, ..., n_max insertions
-    and look each up once per curve class, in key order.  The gerbe basis
+    Both bases list the base monomials with n = 0, ..., n_max insertions,
+    the table's own keys, and read each once per curve class, in key order,
+    through BaseTheoryTable._read, which checks its coverage.  The gerbe basis
     holds the r single-character copies of each: the rho-copy of an
     n-point monomial is its value / weight times the rho entry of
     _character_factors for n, computed once per (curve class, n).  The
@@ -441,34 +443,36 @@ def build_potential(
     """
     if basis not in ("gerbe", "base"):
         raise ValueError(f"unknown basis {basis!r}")
+    r = spec.band_order
     monomials = _monomials(base.basis_size, truncation)
+    weights = [_monomial_weight(monomial) for monomial in monomials]
+    if basis == "gerbe":  # the rho-copies of the monomials' variables
+        relabeled = [[tuple((i, rho, j) for i, j in m) for m in monomials] for rho in range(r)]
     coefficients = {}
     for beta in truncation.betas:
         if basis == "gerbe":
             factors = [
-                _character_factors(spec, genus, beta, n, range(spec.band_order))
+                _character_factors(spec, genus, beta, n, range(r))
                 for n in range(truncation.n_max + 1)
             ]
-        # one lookup per base monomial, in the order the keys list them
-        values = [
-            base.lookup(genus, beta, [Insertion(i, j) for (i, j) in monomial])
-            * _monomial_weight(monomial)
-            for monomial in monomials
+        # one read per base monomial, in the order the keys list them
+        values = base._read(genus, beta, monomials)
+        nonzero = [
+            (k, v / w if w > 1 else v) for k, (v, w) in enumerate(zip(values, weights)) if v
         ]
-        nonzero = [(monomial, value) for monomial, value in zip(monomials, values) if value]
         if basis == "base":
-            for monomial, value in nonzero:
-                coefficients[(beta, monomial)] = CyclotomicNumber.from_rational(value)
+            for k, value in nonzero:
+                coefficients[(beta, monomials[k])] = CyclotomicNumber.from_rational(value)
             continue
-        rows = [(n, list(row)) for n, row in itertools.groupby(nonzero, lambda mv: len(mv[0]))]
-        for rho in range(spec.band_order):
+        groups = itertools.groupby(nonzero, lambda kv: len(monomials[kv[0]]))
+        rows = [(n, list(row)) for n, row in groups]
+        for rho, names in enumerate(relabeled):
             for n, row in rows:
                 factor = factors[n][rho]
                 # the empty monomial is one key for every rho; rho = 0 writes it
                 if (n or not rho) and not factor.is_zero():
-                    for monomial, value in row:
-                        key = (beta, tuple((i, rho, j) for (i, j) in monomial))
-                        coefficients[key] = factor * value
+                    for k, value in row:
+                        coefficients[(beta, names[k])] = factor * value
     return PotentialSeries(basis, genus, truncation, coefficients)
 
 
@@ -488,12 +492,13 @@ def substitute_novikov(
         beta: character_twist(spec, rho, pairing_value(spec, beta))
         for beta in series.truncation.betas
     }
+    monomials = {monomial for _, monomial in series.coefficients}
+    relabeled = {m: tuple((i, rho, j) for (i, j) in m) for m in monomials}
     coefficients = {}
     for (beta, monomial), coeff in series.coefficients.items():
-        relabeled = tuple((i, rho, j) for (i, j) in monomial)
         value = coeff * twists[beta]
         if not value.is_zero():
-            coefficients[(beta, relabeled)] = value
+            coefficients[(beta, relabeled[monomial])] = value
     return PotentialSeries("gerbe", series.genus, series.truncation, coefficients)
 
 
