@@ -417,6 +417,22 @@ def test_canonical_constructor_matches_the_checked_one(data):
     assert fast == checked
 
 
+@given(st.integers() | st.fractions(), st.integers(1, 30))
+def test_from_rational_matches_the_checked_constructor(q, order):
+    # from_rational stores an int or a Fraction as it is: the fields must be
+    # those the public constructor gives the same coordinates
+    nums = (q.numerator,) + (0,) * (power_basis_size(order) - 1)
+    assert _data(CyclotomicNumber.from_rational(q, order)) == _data(
+        CyclotomicNumber(order, nums, q.denominator)
+    )
+
+
+@pytest.mark.parametrize("order", [0, -3])
+def test_from_rational_rejects_orders_below_one(order):
+    with pytest.raises(ValueError):
+        CyclotomicNumber.from_rational(Fraction(1, 2), order)
+
+
 @given(cyclo(st.integers(1, 24)), cyclo(st.integers(1, 24)), rationals, st.integers(-30, 30))
 def test_results_are_stored_canonically(x, y, q, k):
     # checking a result again changes none of its stored data; an int or a

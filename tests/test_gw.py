@@ -394,34 +394,58 @@ def test_regrouped_gerbe_build_matches_the_per_key_build(caplog, r, genus):
     assert built == oracles.exhaustive_gerbe_potential(spec, table(), genus, truncation)
 
 
-@pytest.mark.parametrize(
-    "genus, wide",
-    [
-        (1, Truncation(2, 1, [(0,), (1,)])),  # genus outside the table
-        (0, Truncation(3, 1, [(0,), (1,)])),  # three insertions
-        (0, Truncation(2, 2, [(0,), (1,)])),  # psi power 2
-        (0, Truncation(2, 1, [(0,), (1,), (2,)])),  # curve class (2,)
-    ],
-)
-def test_regrouped_gerbe_build_fails_as_the_per_key_build(caplog, genus, wide):
+# (genus, truncation) past the table of failing_builds: each holds a key
+# the table does not cover
+WIDER = [
+    (1, Truncation(2, 1, [(0,), (1,)])),  # genus outside the table
+    (0, Truncation(3, 1, [(0,), (1,)])),  # three insertions
+    (0, Truncation(2, 2, [(0,), (1,)])),  # psi power 2
+    (0, Truncation(2, 1, [(0,), (1,), (2,)])),  # curve class (2,)
+]
+
+
+def failing_builds(caplog, builds, genus, wide):
+    """The CoverageError text of each build on a fresh half-empty table over
+    the classes (0,) and (1,), with the warning lines logged before it."""
     spec = GerbeSpec(3, (1,))
     truncation = Truncation(2, 1, [(0,), (1,)])
     records = half_empty_records(Random(5), 2, 0, truncation)
     outcomes = []
-    for build in (regrouped_build, per_key_build):
+    for build in builds:
         table = BaseTheoryTable.from_records(2, 0, truncation, records)
         with pytest.raises(CoverageError) as error:
             build_and_warnings(caplog, build, spec, table, genus, wide)
         outcomes.append((str(error.value), [record.getMessage() for record in caplog.records]))
-    assert outcomes[0] == outcomes[1]
+    return outcomes
 
 
-def test_potential_requires_table_coverage():
-    spec = GerbeSpec(2, (1,))
-    table, _ = small_table(n_max=1)
-    wide = Truncation(2, 1, [(0,), (1,)])
-    with pytest.raises(CoverageError):
-        build_potential(spec, table, 0, wide, basis="base")
+@pytest.mark.parametrize("genus, wide", WIDER)
+def test_regrouped_gerbe_build_fails_as_the_per_key_build(caplog, genus, wide):
+    built, per_key = failing_builds(caplog, (regrouped_build, per_key_build), genus, wide)
+    assert built == per_key
+
+
+def base_build(spec, table, genus, truncation):
+    return build_potential(spec, table, genus, truncation, "base")
+
+
+def per_key_lookups(spec, table, genus, truncation):
+    """One lookup of each base key of the truncation, in key order."""
+    variables = [
+        Insertion(i, j) for i in range(table.basis_size) for j in range(truncation.j_max + 1)
+    ]
+    for beta in truncation.betas:
+        for n in range(truncation.n_max + 1):
+            for combo in itertools.combinations_with_replacement(variables, n):
+                table.lookup(genus, beta, combo)
+
+
+def test_potential_requires_table_coverage(caplog):
+    for genus, wide in WIDER:
+        built, per_key = failing_builds(caplog, (base_build, per_key_lookups), genus, wide)
+        assert built == per_key
+        # past the first key, the build warned before it failed
+        assert bool(built[1]) == (genus == 0)
 
 
 def test_potential_records_shape():

@@ -96,7 +96,9 @@ CALLS = [
 @pytest.mark.parametrize(
     "argv, name, config, code, err, length, digest", CALLS, ids=[" ".join(c[0]) for c in CALLS]
 )
-def test_pinned_output(capsys, tmp_path, monkeypatch, argv, name, config, code, err, length, digest):
+def test_pinned_output(
+    capsys, tmp_path, monkeypatch, argv, name, config, code, err, length, digest
+):
     (tmp_path / name).write_text(json.dumps(config), encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     handlers = logging.root.handlers[:]
