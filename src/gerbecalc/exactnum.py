@@ -7,15 +7,15 @@ integers over a single positive denominator, which keeps multiplication an
 integer convolution.  Every reduction into the power basis, of a product, an
 embedding or a conjugate, goes through ``_from_powers``, which writes a sum
 of c*zeta^k for any integer exponents k.  Results of the module's own
-arithmetic already hold phi(N) coordinates, so they are stored through
-``_canonical``, which only normalizes the fraction; the public constructor
-keeps every check.  A rational factor (order 1) scales the other factor's
-coordinates in that factor's own field; any other product is the
-convolution of both factors in the lcm field.  ``root_of_unity`` values,
-which are immutable, are cached.  No descent into subfields is attempted: a
-number built at order 12 stays at order 12 even if its value is rational,
-and equality across orders goes through the least-common-multiple
-embedding.
+arithmetic, and the rationals of ``from_rational``, already hold phi(N)
+coordinates, so they are stored through ``_canonical``, which only
+normalizes the fraction; the public constructor keeps every check.  A
+rational factor (order 1) scales the other factor's coordinates in that
+factor's own field; any other product is the convolution of both factors
+in the lcm field.  ``root_of_unity`` values, which are immutable, are
+cached.  No descent into subfields is attempted: a number built at order
+12 stays at order 12 even if its value is rational, and equality across
+orders goes through the least-common-multiple embedding.
 
 Rationals are stdlib ``fractions.Fraction`` throughout.
 """
