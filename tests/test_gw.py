@@ -444,7 +444,8 @@ def test_potential_requires_table_coverage(caplog):
     for genus, wide in WIDER:
         built, per_key = failing_builds(caplog, (base_build, per_key_lookups), genus, wide)
         assert built == per_key
-        # past the first key, the build warned before it failed
+        # a genus outside the table fails at the first key; every other
+        # build reads missing keys, and warns, before it fails
         assert bool(built[1]) == (genus == 0)
 
 
