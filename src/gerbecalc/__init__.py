@@ -58,13 +58,10 @@ _EXPORTS = {
     ),
     "gw": (
         "BaseTheoryTable",
-        "CharacterInsertion",
         "CoverageError",
         "DecompositionReport",
         "GerbeSpec",
-        "Insertion",
         "PotentialSeries",
-        "SectorInsertion",
         "Truncation",
         "build_potential",
         "character_twist",

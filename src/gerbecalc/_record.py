@@ -10,11 +10,11 @@ class's checks.  Subclassing ``Record`` adds, from ``_fields``:
   ``object``); records of different classes never compare equal; a class
   that defines its own ``__hash__`` keeps it, which must then equal the hash
   of its field tuple (``ModularGraph`` stores that hash when built);
-- with ``order=True``, ``<``, ``<=``, ``>`` and ``>=`` on that tuple;
 - ``__repr__`` as ``Name(field=value, ...)``, unless the class defines one;
 - ``__setattr__`` and ``__delattr__`` that raise AttributeError.
 
-These are what ``@dataclass(frozen=True, ...)`` generated for these
+``Record`` adds no ordering: ``<`` and the rest raise TypeError, as on any
+object, unless a class defines them.  These are what ``@dataclass(frozen=True, ...)`` generated for these
 classes, with the same values, hashes and texts, but they are plain
 closures over an ``operator.attrgetter``: nothing is compiled when a class
 is defined, and ``inspect`` is never imported.
@@ -38,34 +38,26 @@ def _values_of(fields: tuple[str, ...]):
     return lambda record: (getter(record),)
 
 
-def _comparison(values, compare):
-    """A method comparing the field values of two records of one class."""
-
-    def method(self, other):
-        if other.__class__ is self.__class__:
-            return compare(values(self), values(other))
-        return NotImplemented
-
-    return method
-
-
 class Record:
     """Base of the package's frozen records; see the module docstring."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def __init_subclass__(cls, *, eq: bool = True, order: bool = False, **kwargs) -> None:
+    def __init_subclass__(cls, *, eq: bool = True, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         values = _values_of(cls._fields)
-        names = ("__eq__",) * eq + ("__lt__", "__le__", "__gt__", "__ge__") * order
-        for name in names:
-            method = _comparison(values, getattr(operator, name))
-            method.__name__, method.__qualname__ = name, f"{cls.__qualname__}.{name}"
-            setattr(cls, name, method)
-        # A class body with __eq__ and no __hash__ holds __hash__ = None.
-        if eq and cls.__dict__.get("__hash__") is None:
-            cls.__hash__ = lambda self: hash(values(self))
+        if eq:
+            def __eq__(self, other):  # equal field values, in one class
+                if other.__class__ is self.__class__:
+                    return values(self) == values(other)
+                return NotImplemented
+
+            __eq__.__qualname__ = f"{cls.__qualname__}.__eq__"
+            cls.__eq__ = __eq__
+            # A class body with __eq__ and no __hash__ holds __hash__ = None.
+            if cls.__dict__.get("__hash__") is None:
+                cls.__hash__ = lambda self: hash(values(self))
         cls.__match_args__ = cls._fields
 
     def __repr__(self) -> str:

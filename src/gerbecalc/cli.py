@@ -333,7 +333,7 @@ def _gw_common(args) -> tuple[gw.GerbeSpec, gw.BaseTheoryTable, int, gw.Truncati
             at = f"base_invariants[{i}]"
             hint = "an insertion must be an object"
             insertions = [
-                gw.Insertion(
+                (
                     _field(ins, "class", int, f"{at}.insertions[{j}]"),
                     _field(ins, "psi", int, f"{at}.insertions[{j}]"),
                 )

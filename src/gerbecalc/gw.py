@@ -91,54 +91,6 @@ def pairing_value(spec: GerbeSpec, beta) -> int:
     return sum(a * b for a, b in zip(spec.pairing, beta)) % spec.band_order
 
 
-class Insertion(Record, order=True):
-    """A base cohomology class index with a descendant power."""
-
-    _fields = ("class_index", "psi_power")
-    class_index: int
-    psi_power: int
-
-    def __init__(self, class_index: int, psi_power: int) -> None:
-        setfield(self, "class_index", class_index)
-        setfield(self, "psi_power", psi_power)
-        if class_index < 0 or psi_power < 0:
-            raise ValueError(f"insertion indices must be nonnegative, got {self}")
-
-
-class SectorInsertion(Record, order=True):
-    """An insertion decorated with a group element of mu_r (sector basis)."""
-
-    _fields = ("sector", "class_index", "psi_power")
-    sector: int
-    class_index: int
-    psi_power: int
-
-    def __init__(self, sector: int, class_index: int, psi_power: int) -> None:
-        setfield(self, "sector", sector)
-        setfield(self, "class_index", class_index)
-        setfield(self, "psi_power", psi_power)
-
-    def underlying(self) -> Insertion:
-        return Insertion(self.class_index, self.psi_power)
-
-
-class CharacterInsertion(Record, order=True):
-    """An insertion decorated with a character of mu_r (rho basis)."""
-
-    _fields = ("character", "class_index", "psi_power")
-    character: int
-    class_index: int
-    psi_power: int
-
-    def __init__(self, character: int, class_index: int, psi_power: int) -> None:
-        setfield(self, "character", character)
-        setfield(self, "class_index", class_index)
-        setfield(self, "psi_power", psi_power)
-
-    def underlying(self) -> Insertion:
-        return Insertion(self.class_index, self.psi_power)
-
-
 class Truncation(Record):
     """Finite truncation bounds: insertion count, psi power, curve classes."""
 
@@ -188,11 +140,13 @@ class BaseTheoryTable:
 
     Keys are (curve class, monomial), as in a base-basis potential: the
     sorted tuple of the insertions' (class_index, psi_power) int pairs.
-    Values are exact rationals.  lookup and build_potential read through
-    _read, which checks each key's coverage in the order given: inside the
-    declared truncation a missing key reads as 0 and is reported once on
-    the warning channel; outside it CoverageError is raised, so "the
-    invariant is zero" and "no data was supplied" stay distinguishable.
+    Values are exact rationals.  _require_inside owns each range of a key,
+    0 <= class_index < basis_size and 0 <= psi_power <= j_max among them,
+    for from_records and _read alike.  lookup and build_potential read
+    through _read, which checks each key in the order given: inside the
+    truncation a missing key reads as 0 and is reported once on the warning
+    channel; outside it CoverageError is raised, so "the invariant is zero"
+    and "no data was supplied" stay distinguishable.
     """
 
     def __init__(
@@ -218,18 +172,20 @@ class BaseTheoryTable:
         basis_size: int,
         genus: int,
         truncation: Truncation,
-        records: Iterable[tuple[int, CurveClass, Sequence[Insertion], Fraction]],
+        records: Iterable[tuple[int, CurveClass, Sequence[tuple[int, int]], Fraction]],
     ) -> "BaseTheoryTable":
+        """A table of (genus, beta, insertions, value) records, whose
+        insertions are (class_index, psi_power) pairs in any order."""
         table = cls(basis_size, genus, truncation, {})
         for g, beta, insertions, value in records:
             beta = _check_curve_class(beta, truncation.rank)
-            key = (beta, tuple(sorted((ins.class_index, ins.psi_power) for ins in insertions)))
+            key = (beta, tuple(sorted(insertions)))
             table._require_inside(g, *key)
             value = Fraction(value)
             if key in table._entries and table._entries[key] != value:
-                named = (beta, tuple(sorted(insertions)))  # the key as its records
                 raise ValueError(
-                    f"conflicting values for {named}: {table._entries[key]} vs {value}"
+                    f"conflicting values for beta={beta} insertions={list(key[1])}: "
+                    f"{table._entries[key]} vs {value}"
                 )
             table._entries[key] = value
         return table
@@ -258,18 +214,18 @@ class BaseTheoryTable:
                 f"{len(monomial)} insertions exceed the truncation bound {tr.n_max}"
             )
         for class_index, psi_power in monomial:
-            if class_index >= self.basis_size:
+            if not 0 <= class_index < self.basis_size:
                 raise CoverageError(
                     f"class index {class_index} outside the basis of size {self.basis_size}"
                 )
-            if psi_power > tr.j_max:
+            if not 0 <= psi_power <= tr.j_max:
                 raise CoverageError(
-                    f"psi power {psi_power} exceeds the truncation bound {tr.j_max}"
+                    f"psi power {psi_power} outside the truncation range [0, {tr.j_max}]"
                 )
 
-    def lookup(self, genus: int, beta, insertions: Sequence[Insertion]) -> Fraction:
-        monomial = tuple(sorted((ins.class_index, ins.psi_power) for ins in insertions))
-        return self._read(genus, beta, (monomial,))[0]
+    def lookup(self, genus: int, beta, insertions: Sequence[tuple[int, int]]) -> Fraction:
+        """The value at beta of these (class_index, psi_power) pairs, in any order."""
+        return self._read(genus, beta, (tuple(sorted(insertions)),))[0]
 
     def _read(self, genus: int, beta, monomials: Iterable[tuple]) -> list[Fraction]:
         """lookup's value of each key (beta, monomial), in the order given."""
@@ -339,17 +295,17 @@ def gerbe_invariant_sector(
     base: BaseTheoryTable,
     genus: int,
     beta,
-    insertions: Sequence[SectorInsertion],
+    insertions: Sequence[tuple[int, int, int]],
 ) -> Fraction:
-    """Gerbe invariant with sector-basis insertions.
+    """Gerbe invariant of sector-basis (class_index, sector, psi_power) triples.
 
-    r^(2g-1) times the underlying base invariant when the sector tuple is
-    admissible for k(beta), and exactly 0 otherwise.  The base table must
-    cover the underlying key either way.
+    r^(2g-1) times the base invariant of their (class_index, psi_power)
+    pairs when the sector tuple is admissible for k(beta), and exactly 0
+    otherwise.  The base table must cover that key either way.
     """
     beta = _check_curve_class(beta, spec.beta_rank)
-    value = base.lookup(genus, beta, [s.underlying() for s in insertions])
-    return _sector_factor(spec, genus, beta, [s.sector for s in insertions]) * value
+    value = base.lookup(genus, beta, [(i, j) for i, _, j in insertions])
+    return _sector_factor(spec, genus, beta, [s for _, s, _ in insertions]) * value
 
 
 def gerbe_invariant_rho(
@@ -357,9 +313,10 @@ def gerbe_invariant_rho(
     base: BaseTheoryTable,
     genus: int,
     beta,
-    insertions: Sequence[CharacterInsertion],
+    insertions: Sequence[tuple[int, int, int]],
 ) -> CyclotomicNumber:
-    """Gerbe invariant with character-basis insertions, in Q(zeta_r).
+    """Gerbe invariant in Q(zeta_r) of the potential's own variables, the
+    character-basis (class_index, character, psi_power) triples.
 
     The character transform of the sector invariants: zero by definition
     unless all characters agree on a common rho, and then the base value
@@ -367,9 +324,9 @@ def gerbe_invariant_rho(
     one factor that all rho share.
     """
     beta = _check_curve_class(beta, spec.beta_rank)
-    value = base.lookup(genus, beta, [s.underlying() for s in insertions])
+    value = base.lookup(genus, beta, [(i, j) for i, _, j in insertions])
     r = spec.band_order
-    characters = {s.character % r for s in insertions}
+    characters = {rho % r for _, rho, _ in insertions}
     if len(characters) > 1:
         return CyclotomicNumber.zero(r)
     rho = characters.pop() if characters else 0

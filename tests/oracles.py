@@ -24,12 +24,7 @@ import math
 from fractions import Fraction
 
 from gerbecalc.exactnum import CyclotomicNumber, cyclotomic_polynomial, root_of_unity
-from gerbecalc.gw import (
-    CharacterInsertion,
-    build_potential,
-    gerbe_invariant_rho,
-    substitute_novikov,
-)
+from gerbecalc.gw import build_potential, gerbe_invariant_rho, substitute_novikov
 
 
 def totient_brute(n: int) -> int:
@@ -250,10 +245,7 @@ def exhaustive_gerbe_potential(spec, base, genus: int, truncation) -> dict:
     for beta in truncation.betas:
         for n in range(truncation.n_max + 1):
             for monomial in itertools.combinations_with_replacement(variables, n):
-                value = gerbe_invariant_rho(
-                    spec, base, genus, beta,
-                    [CharacterInsertion(rho, i, j) for (i, rho, j) in monomial],
-                )
+                value = gerbe_invariant_rho(spec, base, genus, beta, monomial)
                 value = value * Fraction(1, _multiplicity_factorials(monomial))
                 if not value.is_zero():
                     coefficients[(beta, monomial)] = value
@@ -280,10 +272,7 @@ def per_key_gerbe_potential(spec, base, genus: int, truncation) -> dict:
     for beta in truncation.betas:
         keys = [()] + [tuple((i, rho, j) for (i, j) in m) for rho in range(r) for m in monomials]
         for monomial in keys:
-            value = gerbe_invariant_rho(
-                spec, base, genus, beta,
-                [CharacterInsertion(rho, i, j) for (i, rho, j) in monomial],
-            )
+            value = gerbe_invariant_rho(spec, base, genus, beta, monomial)
             value = value * Fraction(1, _multiplicity_factorials(monomial))
             if not value.is_zero():
                 coefficients[(beta, monomial)] = value

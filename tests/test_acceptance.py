@@ -38,9 +38,7 @@ from gerbecalc.exactnum import CyclotomicNumber, cyclotomic_polynomial, power_ba
 from gerbecalc.graphs import GerbyGraph, classify_edges, split_at_edge, total_genus
 from gerbecalc.gw import (
     BaseTheoryTable,
-    CharacterInsertion,
     GerbeSpec,
-    Insertion,
     Truncation,
     gerbe_invariant_rho,
     verify_decomposition,
@@ -286,16 +284,13 @@ def test_criterion_07_twisted_sector_scaling():
         truncation = Truncation(3, 1, (beta,))
         value = Fraction(3, 5)
         records = [
-            (genus, beta, [Insertion(i, j) for i, j in slots[:n]], value)
+            (genus, beta, slots[:n], value)
             for n in range(4)
         ]
         table = BaseTheoryTable.from_records(2, genus, truncation, records)
         for n in range(4):
             for rhos in itertools.product(range(r), repeat=n):
-                insertions = [
-                    CharacterInsertion(rho, i, j)
-                    for rho, (i, j) in zip(rhos, slots[:n])
-                ]
+                insertions = [(i, rho, j) for rho, (i, j) in zip(rhos, slots[:n])]
                 got = gerbe_invariant_rho(spec, table, genus, beta, insertions)
                 assert got == oracles.character_double_sum(r, rhos, genus, k, value)
                 if len(set(rhos)) > 1:

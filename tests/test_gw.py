@@ -16,12 +16,9 @@ from gerbecalc.admissibility import ContactType, is_admissible
 from gerbecalc.exactnum import CyclotomicNumber, root_of_unity
 from gerbecalc.gw import (
     BaseTheoryTable,
-    CharacterInsertion,
     CoverageError,
     DecompositionReport,
     GerbeSpec,
-    Insertion,
-    SectorInsertion,
     Truncation,
     build_potential,
     character_twist,
@@ -72,13 +69,6 @@ def test_pairing_is_additive(beta1, beta2):
     ) % 6
 
 
-def test_insertion_validation_and_underlying():
-    with pytest.raises(ValueError, match="nonnegative"):
-        Insertion(-1, 0)
-    assert SectorInsertion(2, 1, 3).underlying() == Insertion(1, 3)
-    assert CharacterInsertion(2, 1, 3).underlying() == Insertion(1, 3)
-
-
 def test_truncation_normalizes_betas():
     tr = Truncation(1, 0, [(1,), (0,), (1,)])
     assert tr.betas == ((0,), (1,))
@@ -106,22 +96,22 @@ def test_seeded_table_is_deterministic_and_total():
 
 def test_from_records_conflicts_and_duplicates():
     table, _ = small_table([
-        ((0,), (Insertion(0, 0),), Fraction(1, 2)),
-        ((0,), (Insertion(0, 0),), Fraction(1, 2)),
+        ((0,), ((0, 0),), Fraction(1, 2)),
+        ((0,), ((0, 0),), Fraction(1, 2)),
     ])
-    assert table.lookup(0, (0,), [Insertion(0, 0)]) == Fraction(1, 2)
+    assert table.lookup(0, (0,), [(0, 0)]) == Fraction(1, 2)
     with pytest.raises(ValueError, match="conflicting"):
         small_table([
-            ((0,), (Insertion(0, 0),), Fraction(1, 2)),
-            ((0,), (Insertion(0, 0),), Fraction(1, 3)),
+            ((0,), ((0, 0),), Fraction(1, 2)),
+            ((0,), ((0, 0),), Fraction(1, 3)),
         ])
 
 
 def test_lookup_sorts_insertions():
     table, _ = small_table([
-        ((1,), (Insertion(0, 1), Insertion(1, 0)), Fraction(3)),
+        ((1,), ((0, 1), (1, 0)), Fraction(3)),
     ])
-    assert table.lookup(0, (1,), [Insertion(1, 0), Insertion(0, 1)]) == 3
+    assert table.lookup(0, (1,), [(1, 0), (0, 1)]) == 3
 
 
 def test_lookup_coverage_errors():
@@ -131,11 +121,31 @@ def test_lookup_coverage_errors():
     with pytest.raises(CoverageError, match="outside the truncation"):
         table.lookup(0, (2,), [])
     with pytest.raises(CoverageError, match="insertions exceed"):
-        table.lookup(0, (0,), [Insertion(0, 0)] * 3)
+        table.lookup(0, (0,), [(0, 0)] * 3)
     with pytest.raises(CoverageError, match="class index"):
-        table.lookup(0, (0,), [Insertion(2, 0)])
+        table.lookup(0, (0,), [(2, 0)])
     with pytest.raises(CoverageError, match="psi power"):
-        table.lookup(0, (0,), [Insertion(0, 2)])
+        table.lookup(0, (0,), [(0, 2)])
+
+
+# One insertion past each end of each range of a key, on a table of basis
+# size 2 and j_max 1; _require_inside checks all four, for both readers.
+OUT_OF_RANGE = {
+    "class -1": ((-1, 0), "class index -1 outside the basis of size 2"),
+    "class b": ((2, 0), "class index 2 outside the basis of size 2"),
+    "psi -1": ((0, -1), r"psi power -1 outside the truncation range \[0, 1\]$"),
+    "psi j+1": ((0, 2), r"psi power 2 outside the truncation range \[0, 1\]$"),
+}
+
+
+@pytest.mark.parametrize("pair, message", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE)
+def test_the_table_owns_each_key_range(pair, message):
+    table, truncation = small_table()
+    assert table.lookup(0, (0,), [(1, 1), (0, 0)]) == table._entries[((0,), ((0, 0), (1, 1)))]
+    with pytest.raises(CoverageError, match=message):
+        table.lookup(0, (0,), [(0, 0), pair])
+    with pytest.raises(CoverageError, match=message):
+        BaseTheoryTable.from_records(2, 0, truncation, [(0, (0,), [(1, 1), pair], Fraction(1))])
 
 
 def test_missing_inside_reads_zero_and_warns_once(caplog):
@@ -172,12 +182,12 @@ def test_character_twist_is_the_character_value():
 
 def test_sector_invariant_scales_or_vanishes():
     spec = GerbeSpec(3, (1,))
-    table, _ = small_table([((1,), (Insertion(0, 0), Insertion(0, 0)), Fraction(5))],
+    table, _ = small_table([((1,), ((0, 0), (0, 0)), Fraction(5))],
                            genus=1)
-    admissible = [SectorInsertion(2, 0, 0), SectorInsertion(2, 0, 0)]
+    admissible = [(0, 2, 0), (0, 2, 0)]
     got = gerbe_invariant_sector(spec, table, 1, (1,), admissible)
     assert got == Fraction(5) * 3  # r^(2g-1) at genus 1
-    off = [SectorInsertion(1, 0, 0), SectorInsertion(2, 0, 0)]
+    off = [(0, 1, 0), (0, 2, 0)]
     assert gerbe_invariant_sector(spec, table, 1, (1,), off) == 0
 
 
@@ -201,7 +211,7 @@ def test_sector_rule_is_admissibility_of_the_sector_types(r, genus, sectors, pai
 def test_sector_invariant_demands_coverage_even_when_zero():
     spec = GerbeSpec(3, (1,))
     table, _ = small_table()
-    bad = [SectorInsertion(0, 0, 0)] * 3
+    bad = [(0, 0, 0)] * 3
     with pytest.raises(CoverageError):
         gerbe_invariant_sector(spec, table, 0, (1,), bad)
 
@@ -209,7 +219,7 @@ def test_sector_invariant_demands_coverage_even_when_zero():
 def test_nonzero_sector_tuples_number_r_to_n_minus_1():
     r, n = 3, 2
     spec = GerbeSpec(r, (1,))
-    table, _ = small_table([((2,), (Insertion(0, 0),) * n, Fraction(1))],
+    table, _ = small_table([((2,), ((0, 0),) * n, Fraction(1))],
                            r_betas=((2,),))
     nonzero = [
         (x1, x2)
@@ -217,7 +227,7 @@ def test_nonzero_sector_tuples_number_r_to_n_minus_1():
         for x2 in range(r)
         if gerbe_invariant_sector(
             spec, table, 0, (2,),
-            [SectorInsertion(x1, 0, 0), SectorInsertion(x2, 0, 0)],
+            [(0, x1, 0), (0, x2, 0)],
         ) != 0
     ]
     assert len(nonzero) == r ** (n - 1)
@@ -236,7 +246,7 @@ def test_rho_invariant_empty_tuple():
 def test_rho_invariant_mixed_characters_vanish():
     spec = GerbeSpec(4, (1,))
     table, _ = small_table()
-    mixed = [CharacterInsertion(0, 0, 0), CharacterInsertion(1, 0, 0)]
+    mixed = [(0, 0, 0), (0, 1, 0)]
     assert gerbe_invariant_rho(spec, table, 0, (1,), mixed).is_zero()
 
 
@@ -250,7 +260,7 @@ def test_rho_invariant_evaluates_only_its_own_character(monkeypatch):
         return evaluate_character(*args)
 
     monkeypatch.setattr(gw, "evaluate_character", counted)
-    insertions = [CharacterInsertion(7, 0, 0), CharacterInsertion(7, 1, 1)]
+    insertions = [(0, 7, 0), (1, 7, 1)]
     got = gerbe_invariant_rho(spec, table, 1, (1,), insertions)
     assert len(calls) == 1
     built = build_potential(spec, table, 1, truncation, "gerbe")
@@ -260,17 +270,17 @@ def test_rho_invariant_evaluates_only_its_own_character(monkeypatch):
 def test_rho_invariant_matches_double_sum_oracle():
     spec = GerbeSpec(3, (1,))
     value = Fraction(5, 7)
-    table, _ = small_table([((1,), (Insertion(0, 0), Insertion(1, 1)), value)],
+    table, _ = small_table([((1,), ((0, 0), (1, 1)), value)],
                            genus=1)
     for rhos in [(0, 0), (1, 1), (2, 2), (0, 1), (2, 1)]:
         got = gerbe_invariant_rho(
             spec, table, 1, (1,),
-            [CharacterInsertion(rhos[0], 0, 0), CharacterInsertion(rhos[1], 1, 1)],
+            [(0, rhos[0], 0), (1, rhos[1], 1)],
         )
         assert got == oracles.character_double_sum(3, rhos, 1, 1, value)
     # every r <= 6, every k in Z/r (the class (k,) under the pairing 1),
     # genus 0-2 and every single-character tuple of up to three insertions
-    slots = [Insertion(0, 0), Insertion(1, 1), Insertion(0, 1)]
+    slots = [(0, 0), (1, 1), (0, 1)]
     for r, genus in itertools.product(range(1, 7), range(3)):
         spec = GerbeSpec(r, (1 % r,))
         truncation = Truncation(3, 1, [(k,) for k in range(r)])
@@ -284,7 +294,7 @@ def test_rho_invariant_matches_double_sum_oracle():
             for rho in range(r) if insertions else [0]:
                 got = gerbe_invariant_rho(
                     spec, table, genus, (k,),
-                    [CharacterInsertion(rho, i.class_index, i.psi_power) for i in insertions],
+                    [(i, rho, j) for i, j in insertions],
                 )
                 rhos = (rho,) * len(insertions)
                 assert got == oracles.character_double_sum(r, rhos, genus, k, value)
@@ -292,8 +302,8 @@ def test_rho_invariant_matches_double_sum_oracle():
 
 def test_potential_divides_by_multiplicities():
     table, truncation = small_table([
-        ((0,), (Insertion(0, 0), Insertion(0, 0)), Fraction(10)),
-        ((0,), (Insertion(0, 0), Insertion(1, 0)), Fraction(10)),
+        ((0,), ((0, 0), (0, 0)), Fraction(10)),
+        ((0,), ((0, 0), (1, 0)), Fraction(10)),
     ])
     series = build_potential(GerbeSpec(1, (0,)), table, 0, truncation, basis="base")
     repeated = series.coefficients[((0,), ((0, 0), (0, 0)))]
@@ -331,9 +341,9 @@ def test_gerbe_potential_matches_exhaustive_enumeration_on_half_empty_table(capl
     table, truncation = small_table([
         ((0,), (), Fraction(4)),
         ((1,), (), Fraction(-2)),
-        ((0,), (Insertion(1, 1),), Fraction(1, 3)),
-        ((1,), (Insertion(0, 0), Insertion(0, 0)), Fraction(5)),
-        ((1,), (Insertion(0, 1), Insertion(1, 0)), Fraction(-7, 2)),
+        ((0,), ((1, 1),), Fraction(1, 3)),
+        ((1,), ((0, 0), (0, 0)), Fraction(5)),
+        ((1,), ((0, 1), (1, 0)), Fraction(-7, 2)),
     ], genus=1)
     with caplog.at_level(logging.WARNING, logger="gerbecalc.gw"):
         series = build_potential(spec, table, 1, truncation, "gerbe")
@@ -347,7 +357,7 @@ def test_gerbe_potential_matches_exhaustive_enumeration_on_half_empty_table(capl
 
 def half_empty_records(rng, basis_size, genus, truncation):
     """Records for about half of the base keys, some of them zero."""
-    variables = [Insertion(i, j) for i in range(basis_size) for j in range(truncation.j_max + 1)]
+    variables = [(i, j) for i in range(basis_size) for j in range(truncation.j_max + 1)]
     return [
         (genus, beta, combo, Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
         for beta in truncation.betas
@@ -432,7 +442,7 @@ def base_build(spec, table, genus, truncation):
 def per_key_lookups(spec, table, genus, truncation):
     """One lookup of each base key of the truncation, in key order."""
     variables = [
-        Insertion(i, j) for i in range(table.basis_size) for j in range(truncation.j_max + 1)
+        (i, j) for i in range(table.basis_size) for j in range(truncation.j_max + 1)
     ]
     for beta in truncation.betas:
         for n in range(truncation.n_max + 1):
@@ -450,7 +460,7 @@ def test_potential_requires_table_coverage(caplog):
 
 
 def test_potential_records_shape():
-    table, truncation = small_table([((1,), (Insertion(0, 0),), Fraction(1, 3))])
+    table, truncation = small_table([((1,), ((0, 0),), Fraction(1, 3))])
     series = build_potential(GerbeSpec(1, (0,)), table, 0, truncation, basis="base")
     records = series.to_records()
     assert {"beta": [1], "monomial": [[0, 0]],
@@ -459,7 +469,7 @@ def test_potential_records_shape():
 
 def test_substitution_twists_and_relabels():
     spec = GerbeSpec(4, (1,))
-    table, truncation = small_table([((1,), (Insertion(0, 0),), Fraction(2))],
+    table, truncation = small_table([((1,), ((0, 0),), Fraction(2))],
                                     r_betas=((1,),), n_max=1, j_max=0)
     series = build_potential(spec, table, 0, truncation, basis="base")
     twisted = substitute_novikov(series, spec, 1)

@@ -89,15 +89,13 @@ def _table(*invariants, genus=0):
 # a key out of each range of the truncation, and a key given two values.
 _REJECTED_TABLES = {
     "class-minus1.json": (
-        _table(([0], [(-1, 0)], "1")),
-        "insertion indices must be nonnegative, got Insertion(class_index=-1, psi_power=0)",
+        _table(([0], [(-1, 0)], "1")), "class index -1 outside the basis of size 2",
     ),
     "psi-minus1.json": (
-        _table(([0], [(0, -1)], "1")),
-        "insertion indices must be nonnegative, got Insertion(class_index=0, psi_power=-1)",
+        _table(([0], [(0, -1)], "1")), "psi power -1 outside the truncation range [0, 0]",
     ),
     "psi-past-j.json": (
-        _table(([0], [(0, 1)], "1")), "psi power 1 exceeds the truncation bound 0",
+        _table(([0], [(0, 1)], "1")), "psi power 1 outside the truncation range [0, 0]",
     ),
     "class-past-b.json": (
         _table(([0], [(2, 0)], "1")), "class index 2 outside the basis of size 2",
@@ -111,8 +109,7 @@ _REJECTED_TABLES = {
     ),
     "conflict.json": (
         _table(([1], [(1, 0), (0, 0)], "1/2"), ([1], [(0, 0), (1, 0)], "1/3")),
-        "conflicting values for ((1,), (Insertion(class_index=0, psi_power=0), "
-        "Insertion(class_index=1, psi_power=0))): 1/2 vs 1/3",
+        "conflicting values for beta=(1,) insertions=[(0, 0), (1, 0)]: 1/2 vs 1/3",
     ),
 }
 

@@ -8,10 +8,10 @@ from pathlib import Path
 import gerbecalc
 
 PUBLIC_NAMES = [
-    "AdmissibleVector", "BaseTheoryTable", "Character", "CharacterInsertion", "ContactType",
-    "CoverageError", "CyclotomicNumber", "DecompositionReport", "DegreeData",
-    "FiniteAbelianGroup", "GerbeSpec", "GerbyGraph", "GroupElement", "Insertion", "LiftCount",
-    "ModularGraph", "PotentialSeries", "SectorInsertion", "Truncation", "betti1",
+    "AdmissibleVector", "BaseTheoryTable", "Character", "ContactType", "CoverageError",
+    "CyclotomicNumber", "DecompositionReport", "DegreeData", "FiniteAbelianGroup", "GerbeSpec",
+    "GerbyGraph", "GroupElement", "LiftCount", "ModularGraph", "PotentialSeries", "Truncation",
+    "betti1",
     "build_potential", "character_twist", "classify_edges", "count_lifts",
     "cyclotomic_polynomial", "divisors", "enumerate_admissible", "enumerate_characters",
     "enumerate_compatible_gerby", "enumerate_elements", "euler_totient", "evaluate_character",

@@ -8,15 +8,7 @@ from gerbecalc.admissibility import AdmissibleVector, ContactType, DegreeData
 from gerbecalc.counting import LiftCount
 from gerbecalc.exactnum import CyclotomicNumber
 from gerbecalc.graphs import GerbyGraph, ModularGraph
-from gerbecalc.gw import (
-    CharacterInsertion,
-    DecompositionReport,
-    GerbeSpec,
-    Insertion,
-    PotentialSeries,
-    SectorInsertion,
-    Truncation,
-)
+from gerbecalc.gw import DecompositionReport, GerbeSpec, PotentialSeries, Truncation
 
 # One loop at a genus-0 vertex with one tail: flags 0 (the tail), 1 and 2.
 LOOP = ((0, 2, 1), (0, 0, 0), (0,))
@@ -35,16 +27,12 @@ RECORDS = {
     ModularGraph: LOOP,
     GerbyGraph: (ModularGraph(*LOOP), (2,), (4,)),
     GerbeSpec: (4, (1, 3)),
-    Insertion: (1, 2),
-    SectorInsertion: (3, 1, 2),
-    CharacterInsertion: (3, 1, 2),
     Truncation: TRUNCATION,
     PotentialSeries: ("base", 0, Truncation(*TRUNCATION), {}),
     DecompositionReport: (False, 6, ((0,), ()), None, None),
 }
 # eq=False: equality is identity, and hashes are by identity too.
 IDENTITY = {PotentialSeries, DecompositionReport}
-ORDERED = (Insertion, SectorInsertion, CharacterInsertion)
 
 classes = pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
 
@@ -65,6 +53,9 @@ def test_records_compare_and_hash_by_their_fields(cls):
         # the hash of the tuple of field values, as @dataclass(frozen=True) made it
         assert a == b and hash(a) == hash(b) == hash(args)
     assert a != object() and a != args
+    if "__lt__" not in vars(cls):  # Record adds no ordering; ContactType defines its own
+        with pytest.raises(TypeError):
+            a < b  # noqa: B015
 
 
 @classes
@@ -128,22 +119,10 @@ def test_a_class_keeps_the_hash_it_defines():
 
 
 def test_records_of_different_classes_are_never_equal():
-    assert SectorInsertion(3, 1, 2) != CharacterInsertion(3, 1, 2)
     assert GroupElement((1, 2)) != Character((1, 2))
-    assert Insertion(1, 2) != (1, 2)
+    assert ContactType(1, 2) != (1, 2)
     with pytest.raises(TypeError):
-        SectorInsertion(3, 1, 2) < CharacterInsertion(3, 1, 2)  # noqa: B015
-
-
-@pytest.mark.parametrize("cls", ORDERED, ids=lambda cls: cls.__name__)
-def test_insertions_sort_as_their_field_tuples(cls):
-    width = len(cls._fields)
-    values = [tuple((7 * i + 3 * k) % 4 for k in range(width)) for i in range(12)]
-    records = [cls(*v) for v in values]
-    assert [tuple(getattr(x, n) for n in cls._fields) for x in sorted(records)] == sorted(values)
-    for x, vx in zip(records, values):
-        for y, vy in zip(records, values):
-            assert (x < y, x <= y, x > y, x >= y) == (vx < vy, vx <= vy, vx > vy, vx >= vy)
+        GroupElement((1, 2)) < Character((1, 2))  # noqa: B015
 
 
 def test_defaults_and_checks_run_in_the_constructor():
@@ -152,8 +131,8 @@ def test_defaults_and_checks_run_in_the_constructor():
     assert CyclotomicNumber(3, (1, 2)).denominator == 1
     report = DecompositionReport(True, 6)
     assert (report.first_differing_key, report.lhs_value, report.rhs_value) == (None, None, None)
-    with pytest.raises(ValueError, match=r"got Insertion\(class_index=-1, psi_power=0\)$"):
-        Insertion(-1, 0)
+    with pytest.raises(ValueError, match=r"pairing residues must lie in \[0, 4\), got \(4,\)$"):
+        GerbeSpec(4, (4,))
     with pytest.raises(ValueError, match="not in lowest terms"):
         ContactType(2, 4)
     # list fields are stored as tuples, as the checks already did
