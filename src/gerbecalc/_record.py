@@ -13,11 +13,11 @@ class's checks.  Subclassing ``Record`` adds, from ``_fields``:
 - ``__repr__`` as ``Name(field=value, ...)``, unless the class defines one;
 - ``__setattr__`` and ``__delattr__`` that raise AttributeError.
 
-``Record`` adds no ordering: ``<`` and the rest raise TypeError, as on any
-object, unless a class defines them.  These are what ``@dataclass(frozen=True, ...)`` generated for these
-classes, with the same values, hashes and texts, but they are plain
-closures over an ``operator.attrgetter``: nothing is compiled when a class
-is defined, and ``inspect`` is never imported.
+It adds no ordering: ``<`` and the rest raise TypeError, as on any object,
+unless a class defines them.  These are what ``@dataclass(frozen=True)``
+generated for these classes, with the same values, hashes and texts, but
+they are plain closures over an ``operator.attrgetter``: nothing is
+compiled when a class is defined, and ``inspect`` is never imported.
 """
 
 from __future__ import annotations

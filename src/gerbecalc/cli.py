@@ -416,9 +416,8 @@ def _run_picard_torsion(args) -> tuple[dict, dict, int]:
             raise InputError(
                 f"the product of the orders is past the result bound of {_DIGIT_BOUND:,} digits"
             )
-        if r < 1:  # the product does not read r, but the other modes reject it
-            raise InputError(f"band order must be positive, got {r}")
-        value = counting.twisted_pic_quotient_order(gerby)
+        # the product does not read r, but r and the orders are checked as in the other modes
+        value = counting.twisted_pic_quotient_order(gerby.validated_for(r))
         formula = "prod(gamma_e : e any edge) * prod(gamma_t : t any tail)"
     else:
         # r^(2g-b1) times gcd(gamma_e, r) <= r for each of the b1 loop edges

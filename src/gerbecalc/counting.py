@@ -41,12 +41,11 @@ def twisted_picard_torsion(gerby: GerbyGraph, r: int) -> int:
 
     The prestable count r^(2g - b1) times gcd(gamma(e), r) for each
     non-separating edge, the cardinality forced by the extension of the
-    coarse-curve torsion by the twisted-node contributions.
+    coarse-curve torsion by the twisted-node contributions.  Every edge and
+    tail order must divide r.
     """
-    if r < 1:
-        raise ValueError(f"band order must be positive, got {r}")
+    orders = gerby.validated_for(r).edge_orders
     _, nonseparating = classify_edges(gerby.base)
-    orders = gerby.edge_orders
     factor = math.prod(math.gcd(orders[e], r) for e in nonseparating)
     return prestable_picard_torsion(gerby.base, r) * factor
 
@@ -86,12 +85,7 @@ def count_lifts(gerby: GerbyGraph, r: int, mode: str = "loop-only") -> LiftCount
     """
     if mode not in ("loop-only", "all-edges"):
         raise ValueError(f"unknown mode {mode!r}")
-    if r < 1:
-        raise ValueError(f"band order must be positive, got {r}")
-    orders = gerby.edge_orders
-    for gamma in gerby.tail_orders + orders:
-        if r % gamma != 0:
-            raise ValueError(f"isotropy order {gamma} does not divide r={r}")
+    orders = gerby.validated_for(r).edge_orders
     _, nonseparating = classify_edges(gerby.base)
     if mode == "loop-only":
         chosen = [orders[e] for e in nonseparating]

@@ -269,6 +269,15 @@ class GerbyGraph(Record):
             orders = f"tail orders {tail_orders} and edge orders {edge_orders}"
             raise ValueError(f"isotropy orders must be positive, got {orders}")
 
+    def validated_for(self, r: int) -> "GerbyGraph":
+        """This decoration, once r is positive and every order divides r."""
+        if r < 1:
+            raise ValueError(f"band order must be positive, got {r}")
+        for gamma in self.tail_orders + self.edge_orders:
+            if r % gamma != 0:
+                raise ValueError(f"isotropy order {gamma} does not divide r={r}")
+        return self
+
     @classmethod
     def _trusted(cls, base: ModularGraph, tail_orders: tuple, edge_orders: tuple) -> "GerbyGraph":
         """Wrap tuples of orders that are valid by construction, one positive

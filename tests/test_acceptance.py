@@ -329,7 +329,14 @@ def test_criterion_08_picard_torsion():
         expected = r ** (2 * g - b1) * math.prod(
             math.gcd(orders[e], r) for e in range(len(edges)) if e not in bridges
         )
-        assert twisted_picard_torsion(gerby, r) == expected
+        if all(r % gamma == 0 for gamma in orders):
+            assert twisted_picard_torsion(gerby, r) == expected
+        else:
+            with pytest.raises(ValueError, match="does not divide"):
+                twisted_picard_torsion(gerby, r)
+        # each order's gcd with r divides r, and keeps every gcd factor
+        divided = GerbyGraph(graph, (), [math.gcd(gamma, r) for gamma in orders])
+        assert twisted_picard_torsion(divided, r) == expected
 
         untwisted = GerbyGraph(graph, (), [1] * len(edges))
         assert twisted_picard_torsion(untwisted, r) == prestable_picard_torsion(graph, r)

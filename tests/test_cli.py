@@ -156,6 +156,31 @@ def test_count_lifts_rejects_bad_orders(capsys, tmp_path, gerby, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "r, gerby, error",
+    [
+        (6, {"tail_orders": [2], "edge_orders": [3]}, None),
+        (6, {"tail_orders": [4], "edge_orders": [3]}, "isotropy order 4 does not divide r=6"),
+        (6, {"tail_orders": [2], "edge_orders": [5]}, "isotropy order 5 does not divide r=6"),
+        (0, {"tail_orders": [1], "edge_orders": [1]}, "band order must be positive, got 0"),
+    ],
+    ids=["orders dividing r", "tail order 4", "edge order 5", "r = 0"],
+)
+def test_gerby_commands_accept_and_reject_the_same_orders(capsys, tmp_path, r, gerby, error):
+    path = graph_config(tmp_path, r=r, vertices=[1], edges=[(0, 0)], tails=[0], gerby=gerby)
+    for command in (
+        ["count-lifts"],
+        ["count-lifts", "--mode", "all-edges"],
+        ["picard-torsion"],
+        ["picard-torsion", "--quotient"],
+    ):
+        code, out, err = run(capsys, *command, "--input", path)
+        if error is None:
+            assert (code, err) == (0, "") and json.loads(out)["result"]["value"]
+        else:
+            assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
 def test_picard_torsion_variants(capsys, tmp_path):
     plain = graph_config(tmp_path, r=5, vertices=[0], edges=[(0, 0)])
     code, out, _ = run(capsys, "picard-torsion", "--input", plain)
@@ -164,7 +189,7 @@ def test_picard_torsion_variants(capsys, tmp_path):
 
     twisted = graph_config(
         tmp_path, r=6, vertices=[1], edges=[(0, 0)],
-        gerby={"tail_orders": [], "edge_orders": [4]}, name="twisted.json",
+        gerby={"tail_orders": [], "edge_orders": [2]}, name="twisted.json",
     )
     code, out, _ = run(capsys, "picard-torsion", "--input", twisted)
     assert code == 0
@@ -175,7 +200,7 @@ def test_picard_torsion_variants(capsys, tmp_path):
     code, out, _ = run(capsys, "picard-torsion", "--input", twisted, "--quotient")
     assert code == 0
     assert json.loads(out)["result"] == {
-        "value": "4",
+        "value": "2",
         "formula": "prod(gamma_e : e any edge) * prod(gamma_t : t any tail)",
     }
 
@@ -185,11 +210,11 @@ def test_picard_torsion_variants(capsys, tmp_path):
 
 
 def test_quotient_past_the_digit_bound_is_an_input_error(capsys, tmp_path):
-    # each order 10^4000 adds 4,000 digits to the product
+    # each order 10^4000, which divides r, adds 4,000 digits to the product
     order = 10**4000
     for edges, code in ((24, 0), (26, 2)):
         path = graph_config(
-            tmp_path, r=2, vertices=[0], edges=[(0, 0)] * edges,
+            tmp_path, r=order, vertices=[0], edges=[(0, 0)] * edges,
             gerby={"tail_orders": [], "edge_orders": [order] * edges},
         )
         status, out, err = run(capsys, "picard-torsion", "--input", path, "--quotient")

@@ -75,7 +75,9 @@ def test_twisted_torsion_examples():
     loop = graph_of([0], [(0, 0)])
     assert twisted_picard_torsion(GerbyGraph(loop, (), (2,)), 2) == 4
     genus_one_loop = graph_of([1], [(0, 0)])
-    assert twisted_picard_torsion(GerbyGraph(genus_one_loop, (), (4,)), 6) == 432
+    assert twisted_picard_torsion(GerbyGraph(genus_one_loop, (), (2,)), 6) == 432
+    with pytest.raises(ValueError, match="isotropy order 4 does not divide r=6"):
+        twisted_picard_torsion(GerbyGraph(genus_one_loop, (), (4,)), 6)
 
 
 def test_twisted_reduces_to_prestable_when_untwisted():
