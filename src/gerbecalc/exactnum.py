@@ -9,13 +9,13 @@ embedding or a conjugate, goes through ``_from_powers``, which writes a sum
 of c*zeta^k for any integer exponents k.  Results of the module's own
 arithmetic, and the rationals of ``from_rational``, already hold phi(N)
 coordinates, so they are stored through ``_canonical``, which only
-normalizes the fraction; the public constructor keeps every check.  A
-rational factor (order 1) scales the other factor's coordinates in that
-factor's own field; any other product is the convolution of both factors
-in the lcm field.  ``root_of_unity`` values, which are immutable, are
-cached.  No descent into subfields is attempted: a number built at order
-12 stays at order 12 even if its value is rational, and equality across
-orders goes through the least-common-multiple embedding.
+normalizes the fraction; the public constructor keeps every check.  A rational
+factor (order 1) scales the other factor's coordinates in that factor's own
+field, a row at a time, through ``_scaled``; any other product is the
+convolution of both factors in the lcm field.  ``root_of_unity`` values, which
+are immutable, are cached.  No descent into subfields is attempted: a number
+built at order 12 stays at order 12 even if its value is rational, and
+equality across orders goes through the least-common-multiple embedding.
 
 Rationals are stdlib ``fractions.Fraction`` throughout.
 """
@@ -132,6 +132,28 @@ def _canonical(order: int, numerators: tuple[int, ...], denominator: int) -> "Cy
     setfield(number, "numerators", numerators)
     setfield(number, "denominator", denominator)
     return number
+
+
+def _scaled(number: "CyclotomicNumber", rationals: Iterable[tuple[int, int]]) -> list:
+    # number * p/q for each (p, q) with q > 0, stored as _canonical stores it
+    # after one gcd over the scaled coordinates, which a denominator of 1 skips.
+    order, nums, den = number.order, number.numerators, number.denominator
+    new = object.__new__
+    products = []
+    for p, q in rationals:
+        scaled = [c * p for c in nums]
+        d = den * q
+        if d != 1:
+            g = math.gcd(d, *scaled)
+            if g > 1:
+                scaled = [c // g for c in scaled]
+                d //= g
+        product = new(CyclotomicNumber)
+        setfield(product, "order", order)
+        setfield(product, "numerators", tuple(scaled))
+        setfield(product, "denominator", d)
+        products.append(product)
+    return products
 
 
 def _convolution(a: "CyclotomicNumber", b: "CyclotomicNumber") -> "CyclotomicNumber":
@@ -294,8 +316,7 @@ class CyclotomicNumber(Record, eq=False):
             scale, den = rational.numerators[0], rational.denominator
         else:
             return _convolution(*self._aligned(other))
-        nums = tuple(c * scale for c in number.numerators)
-        return _canonical(number.order, nums, number.denominator * den)
+        return _scaled(number, ((scale, den),))[0]
 
     __rmul__ = __mul__
 

@@ -26,7 +26,7 @@ class it holds the r single-character copies of each base monomial, the
 empty monomial included, instead of every multiset of the b*r*(j+1) gerbe
 variables.  gerbe_invariant_rho and the gerbe-basis build both read the
 transform, which is never written in closed form here; the Novikov twist
-character_twist is used only by substitute_novikov, on the right side of
+character_twist is used only by _twisted, on the right side of
 verify_decomposition, so that check compares two independent computations.
 """
 
@@ -40,7 +40,7 @@ from typing import Iterable, Mapping, Sequence
 
 from ._record import Record, setfield
 from .abelian import FiniteAbelianGroup, evaluate_character
-from .exactnum import CyclotomicNumber, root_of_unity
+from .exactnum import CyclotomicNumber, _scaled, root_of_unity
 
 CurveClass = tuple[int, ...]
 
@@ -390,7 +390,8 @@ def build_potential(
     through BaseTheoryTable._read, which checks its coverage.  The gerbe basis
     holds the r single-character copies of each: the rho-copy of an
     n-point monomial is its value / weight times the rho entry of
-    _character_factors for n, computed once per (curve class, n).  The
+    _character_factors for n, computed once per (curve class, n); each row
+    (curve class, n, rho) is one exactnum._scaled call over its values.  The
     empty monomial is one key for every rho.  A monomial mixing two
     characters is never enumerated: its invariant is zero by definition, so
     it could never contribute a coefficient, and the copies already look up
@@ -421,15 +422,16 @@ def build_potential(
             for k, value in nonzero:
                 coefficients[(beta, monomials[k])] = CyclotomicNumber.from_rational(value)
             continue
-        groups = itertools.groupby(nonzero, lambda kv: len(monomials[kv[0]]))
-        rows = [(n, list(row)) for n, row in groups]
+        pairs = [(k, (v.numerator, v.denominator)) for k, v in nonzero]
+        groups = itertools.groupby(pairs, lambda kp: len(monomials[kp[0]]))
+        rows = [(n, *zip(*row)) for n, row in groups]  # n, key indices, (p, q) pairs
         for rho, names in enumerate(relabeled):
-            for n, row in rows:
+            for n, indices, rationals in rows:
                 factor = factors[n][rho]
                 # the empty monomial is one key for every rho; rho = 0 writes it
                 if (n or not rho) and not factor.is_zero():
-                    for k, value in row:
-                        coefficients[(beta, names[k])] = factor * value
+                    for k, product in zip(indices, _scaled(factor, rationals)):
+                        coefficients[(beta, names[k])] = product
     return PotentialSeries(basis, genus, truncation, coefficients)
 
 
@@ -444,19 +446,33 @@ def substitute_novikov(
     """
     if series.basis != "base":
         raise ValueError("substitution needs a base-basis series")
-    rho = rho % spec.band_order
-    twists = {
-        beta: character_twist(spec, rho, pairing_value(spec, beta))
-        for beta in series.truncation.betas
-    }
-    monomials = {monomial for _, monomial in series.coefficients}
-    relabeled = {m: tuple((i, rho, j) for (i, j) in m) for m in monomials}
-    coefficients = {}
-    for (beta, monomial), coeff in series.coefficients.items():
-        value = coeff * twists[beta]
-        if not value.is_zero():
-            coefficients[(beta, relabeled[monomial])] = value
+    coefficients = dict(_twisted(series.coefficients, spec, (rho % spec.band_order,), 1))
     return PotentialSeries("gerbe", series.genus, series.truncation, coefficients)
+
+
+def _twisted(coefficients: dict, spec: GerbeSpec, rhos, scalar):
+    """Yield each base key relabeled into sector rho, for each rho in rhos (each
+    in 0..r-1), with its coefficient times scalar * chi_rho(zeta_r^(-k(beta)))
+    if nonzero: one _scaled call per (class, rho) over the class's rationals."""
+    classes: dict = {}  # beta: its rational monomials, their (p, q), the other items
+    for (beta, monomial), c in coefficients.items():
+        monomials, pairs, others = classes.setdefault(beta, ([], [], []))
+        if c.order != 1:
+            others.append((monomial, c))
+        elif c.numerators[0]:
+            monomials.append(monomial)
+            pairs.append((c.numerators[0], c.denominator))
+    unique = {monomial for _, monomial in coefficients}
+    for rho in rhos:
+        relabeled = {m: tuple((i, rho, j) for i, j in m) for m in unique}
+        for beta, (monomials, pairs, others) in classes.items():
+            twist = character_twist(spec, rho, pairing_value(spec, beta)) * scalar
+            for monomial, value in zip(monomials, _scaled(twist, pairs)):
+                yield (beta, relabeled[monomial]), value
+            for monomial, c in others:
+                value = c * twist
+                if not value.is_zero():
+                    yield (beta, relabeled[monomial]), value
 
 
 class DecompositionReport(Record, eq=False):
@@ -507,9 +523,9 @@ def verify_decomposition(
     """Exact check that the gerbe potential decomposes over the characters.
 
     The left side is the gerbe-basis potential built from character-basis
-    invariants.  The right side scales the base potential by r^(2g-2), then
-    sums, over every character rho of mu_r, that series with Novikov
-    variables twisted by chi_rho and variables relabeled into sector rho.
+    invariants.  The right side sums, over every character rho of mu_r, the
+    base potential with Novikov variables twisted by r^(2g-2) * chi_rho, the
+    scalar folded into each (beta, rho) twist, and relabeled into sector rho.
     Both sides are compared coefficient by coefficient with
     CyclotomicNumber equality, which crosses fields, over the union of
     their keys, a missing key reading as zero.  The keys are not sorted:
@@ -517,21 +533,11 @@ def verify_decomposition(
     """
     r = spec.band_order
     lhs = build_potential(spec, base, genus, truncation, "gerbe").coefficients
-    base_series = build_potential(spec, base, genus, truncation, "base")
+    base_series = build_potential(spec, base, genus, truncation, "base").coefficients
     scalar = Fraction(r) ** (2 * genus - 2)
-    scaled = PotentialSeries(
-        "base",
-        genus,
-        truncation,
-        {key: value * scalar for key, value in base_series.coefficients.items()},
-    )
     rhs: dict = {}
-    for rho in range(r):
-        for key, value in substitute_novikov(scaled, spec, rho).coefficients.items():
-            if key in rhs:
-                rhs[key] = rhs[key] + value
-            else:
-                rhs[key] = value
+    for key, value in _twisted(base_series, spec, range(r), scalar):
+        rhs[key] = rhs[key] + value if key in rhs else value
 
     # The right side's keys, then those only the left side holds.
     zero = CyclotomicNumber.zero(r)

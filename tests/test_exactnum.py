@@ -427,6 +427,34 @@ def test_from_rational_matches_the_checked_constructor(q, order):
     )
 
 
+@st.composite
+def checked_number(draw):
+    """A number of order 1 to 30 from the public constructor, zero among them."""
+    order = draw(st.integers(1, 30))
+    phi = power_basis_size(order)
+    coordinates = st.lists(st.integers(-30, 30), min_size=phi, max_size=phi)
+    nums = draw(st.just([0] * phi) | coordinates)
+    return CyclotomicNumber(order, tuple(nums), draw(st.integers(1, 30)))
+
+
+row_values = st.integers(-30, 30) | st.fractions(-30, 30, max_denominator=30)
+
+
+@given(checked_number(), st.lists(row_values, max_size=6))
+@example(CyclotomicNumber(5, (0, 0, 0, 0)), [0, Fraction(-7, 3), 4])
+@example(CyclotomicNumber(12, (2, 0, -4, 6), 3), [Fraction(0), -9, Fraction(9, 2), 3, 1, 6])
+def test_scaled_rows_match_the_checked_constructor(x, row):
+    # each product of a row is stored as the public constructor stores the
+    # scaled coordinates over the scaled denominator, and is x times that value
+    products = exactnum._scaled(x, [(q.numerator, q.denominator) for q in row])
+    assert len(products) == len(row)
+    for q, product in zip(row, products):
+        nums = tuple(c * q.numerator for c in x.numerators)
+        checked = CyclotomicNumber(x.order, nums, x.denominator * q.denominator)
+        assert _data(product) == _data(checked)
+        assert product == x * q
+
+
 @pytest.mark.parametrize("order", [0, -3])
 def test_from_rational_rejects_orders_below_one(order):
     with pytest.raises(ValueError):

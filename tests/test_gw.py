@@ -19,6 +19,7 @@ from gerbecalc.gw import (
     CoverageError,
     DecompositionReport,
     GerbeSpec,
+    PotentialSeries,
     Truncation,
     build_potential,
     character_twist,
@@ -480,6 +481,31 @@ def test_substitution_twists_and_relabels():
     )
     with pytest.raises(ValueError, match="base-basis"):
         substitute_novikov(twisted, spec, 1)
+
+
+def test_substitution_multiplies_a_coefficient_that_is_not_rational():
+    # a hand-built series may hold a coefficient outside Q: it is multiplied
+    # by its class's twist, beside the rational coefficient that is scaled;
+    # a zero coefficient, rational or not, gives no key
+    spec = GerbeSpec(4, (1,))
+    truncation = Truncation(2, 0, [(1,)])
+    coefficients = {
+        ((1,), ((0, 0),)): root_of_unity(3, 8) + Fraction(1, 2),
+        ((1,), ()): CyclotomicNumber.from_rational(Fraction(-2, 3)),
+        ((1,), ((0, 0), (0, 0))): CyclotomicNumber.zero(),
+        ((1,), ((1, 0),)): CyclotomicNumber.zero(8),
+    }
+    series = PotentialSeries("base", 0, truncation, coefficients)
+    for rho in range(4):
+        twist = character_twist(spec, rho, pairing_value(spec, (1,)))
+        expected = {
+            (beta, tuple((i, rho, j) for i, j in monomial)): _data(coeff * twist)
+            for (beta, monomial), coeff in coefficients.items()
+            if not coeff.is_zero()
+        }
+        twisted = substitute_novikov(series, spec, rho).coefficients
+        assert {key: _data(value) for key, value in twisted.items()} == expected
+    assert _data(twisted[((1,), ((0, 3, 0),))])[0] == 8
 
 
 def test_trivial_pairing_substitution_only_relabels():

@@ -2,15 +2,30 @@
 
 Each call runs ``cli.main`` in-process from a directory that holds its
 input under a fixed name, so the echoed input path is part of the pinned
-bytes; a call that reads no input file names none.  stdout is pinned by its length and sha256, stderr by its full text.
-Zero-fill warnings go to stderr through the logging module's last-resort
-handler, as in a process of its own; pytest's capture handlers on the root
-logger are set aside for the call so that they do not take its place.
+bytes; a call that reads no input file names none.  stdout is pinned by its
+length and sha256, stderr by its full text.  Zero-fill warnings go to
+stderr through the logging module's last-resort handler, as in a process of
+its own; pytest's capture handlers on the root logger are set aside for the
+call so that they do not take its place.
+
+Run as a script, ``PYTHONPATH=src python tests/test_outputs.py`` re-runs
+every pinned call and prints each one whose exit code, stderr, stdout
+length or sha256 differs from its pin; ``--rewrite`` also writes the new
+values into this file, where the pin is a literal of a ``CALLS`` tuple.
 """
 
+import argparse
+import ast
+import contextlib
 import hashlib
+import io
+import itertools
 import json
 import logging
+import os
+import pathlib
+import sys
+import tempfile
 
 import pytest
 
@@ -30,6 +45,24 @@ _THEORY8 = {
     "basis_size": 1,
     "genus": 0,
     "truncation": {"n_max": 2, "j_max": 1, "betas": [[0], [1]]},
+}
+
+# Orders at which one power of zeta reduces to several power-basis terms:
+# zeta^4 = zeta^2 - 1 at r = 12 (phi = 4), and phi = 8 at r = 30.
+_THEORY12 = {
+    "r": 12,
+    "pairing": [5],
+    "basis_size": 1,
+    "genus": 1,
+    "truncation": {"n_max": 2, "j_max": 0, "betas": [[0], [1]]},
+}
+
+_THEORY30 = {
+    "r": 30,
+    "pairing": [7],
+    "basis_size": 1,
+    "genus": 0,
+    "truncation": {"n_max": 2, "j_max": 0, "betas": [[0], [1]]},
 }
 
 
@@ -164,6 +197,18 @@ CALLS = [
         0, "", 5148, "fb0c15dc58d56b42354963a828941ec8a75ce3d801ad683f84c25064e35c6195",
     ),
     (
+        ["decompose", "--input", "theory12.json", "--seed", "7"], "theory12.json", _THEORY12,
+        0, "", 49192, "90f06bfb8accf68a94a4c44dbcb6da122e91e3ad784dcb8d517d905676b61f44",
+    ),
+    (
+        ["decompose", "--input", "theory30.json", "--seed", "7"], "theory30.json", _THEORY30,
+        0, "", 144125, "a2220eb2142285daaf3605361c73b4ec397e00790662a5b922bfcf7ebd565692",
+    ),
+    (
+        ["verify", "--input", "theory30.json", "--seed", "7"], "theory30.json", _THEORY30,
+        0, "", 542, "a161847e506ed92dbe0ccafd5e92428aa44dbe91583971e6ef36cccdfad458f8",
+    ),
+    (
         ["decompose", "--input", "half.json"], "half.json", _HALF_EMPTY,
         0, _HALF_EMPTY_WARNINGS, 11696,
         "8b69b89ca52b78b4494206a37f2dc746cbdf96f3cdf56452282ce05ede5dfe18",
@@ -251,22 +296,135 @@ CALLS = [
 ]
 
 
+def _run(argv, name, config):
+    """(exit code, stderr, stdout length, stdout sha256) of one call."""
+    out, err = io.StringIO(), io.StringIO()
+    handlers = logging.root.handlers[:]
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as directory:
+        if name is not None:
+            pathlib.Path(directory, name).write_text(json.dumps(config), encoding="utf-8")
+        os.chdir(directory)
+        logging.root.handlers.clear()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        finally:
+            logging.root.handlers[:] = handlers
+            os.chdir(cwd)
+    data = out.getvalue().encode("utf-8")
+    return code, err.getvalue(), len(data), hashlib.sha256(data).hexdigest()
+
+
 @pytest.mark.parametrize(
     "argv, name, config, code, err, length, digest", CALLS, ids=[" ".join(c[0]) for c in CALLS]
 )
-def test_pinned_output(
-    capsys, tmp_path, monkeypatch, argv, name, config, code, err, length, digest
-):
-    if name is not None:
-        (tmp_path / name).write_text(json.dumps(config), encoding="utf-8")
-    monkeypatch.chdir(tmp_path)
-    handlers = logging.root.handlers[:]
-    logging.root.handlers.clear()
-    try:
-        assert cli.main(argv) == code
-    finally:
-        logging.root.handlers[:] = handlers
-    captured = capsys.readouterr()
-    assert captured.err == err
-    out = captured.out.encode("utf-8")
-    assert (len(out), hashlib.sha256(out).hexdigest()) == (length, digest)
+def test_pinned_output(argv, name, config, code, err, length, digest):
+    assert _run(argv, name, config) == (code, err, length, digest)
+
+
+FIELDS = ("exit code", "stderr", "stdout length", "stdout sha256")
+
+
+def _pin_nodes(source):
+    """The syntax nodes of the four pinned fields of each CALLS tuple, by call
+    id, None past a starred name such as *_NO_OUTPUT; a call built by a
+    comprehension has none."""
+    tree = ast.parse(source)
+    calls = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "CALLS"
+    )
+    nodes = {}
+    for entry in calls.elts:
+        if isinstance(entry, ast.Tuple):
+            fields = itertools.takewhile(lambda e: not isinstance(e, ast.Starred), entry.elts[3:])
+            nodes[" ".join(ast.literal_eval(entry.elts[0]))] = [*fields, None, None, None][:4]
+    return nodes
+
+
+def _rewrite(path, changed):
+    """Write each changed field of {call id: (pin, new pin)}, a pin being
+    (code, stderr, length, sha256), into the literal that holds it in the
+    file at path; return the (call id, field) pairs that no literal holds,
+    to be edited by hand."""
+    source = path.read_text(encoding="utf-8")
+    data = source.encode("utf-8")  # node offsets count UTF-8 bytes
+    starts = [0]
+    for line in data.splitlines(keepends=True):
+        starts.append(starts[-1] + len(line))
+    nodes = _pin_nodes(source)
+    edits, by_hand = [], []
+    for call_id, (pin, new) in changed.items():
+        for field, node, old, value in zip(FIELDS, nodes.get(call_id, [None] * 4), pin, new):
+            if old == value:
+                continue
+            if not isinstance(node, ast.Constant):
+                by_hand.append((call_id, field))
+                continue
+            text = json.dumps(value) if isinstance(value, str) else str(value)
+            start = starts[node.lineno - 1] + node.col_offset
+            end = starts[node.end_lineno - 1] + node.end_col_offset
+            edits.append((start, end, text.encode("utf-8")))
+    for start, end, text in sorted(edits, reverse=True):
+        data = data[:start] + text + data[end:]
+    path.write_bytes(data)
+    return by_hand
+
+
+def test_rewrite_restores_a_changed_pin(tmp_path):
+    # pins changed in a copy of this file, a digest and length and a stderr
+    # before a starred name, are written back; pins that a comprehension or
+    # a starred name holds are left for editing by hand
+    source = pathlib.Path(__file__).read_text(encoding="utf-8")
+    pins = {" ".join(argv): tuple(pin) for argv, _, _, *pin in CALLS}
+    seeded, starred = "verify --input theory.json --seed 7", "picard-torsion --input edge5.json"
+    built, empty = "verify --input conflict.json", "count-lifts --input edge5.json"
+    length, digest = pins[seeded][2:]
+    changed = source.replace(f'{length}, "{digest}"', f'1, "{"0" * 64}"', 1)
+    changed = changed.replace(json.dumps(pins[starred][1]), '"error: x\\n"', 1)
+    for marker in ('"error: x\\n"', f'1, "{"0" * 64}"'):
+        assert changed.count(marker) == source.count(marker) + 1
+    copy = tmp_path / "pins.py"
+    copy.write_text(changed, encoding="utf-8")
+    changes = {
+        seeded: (pins[seeded][:2] + (1, "0" * 64), pins[seeded]),
+        starred: ((2, "error: x\n") + pins[starred][2:], pins[starred]),
+        built: (pins[built], (0,) + pins[built][1:]),
+        empty: (pins[empty], pins[empty][:2] + (1, "0" * 64)),
+    }
+    by_hand = [(built, "exit code"), (empty, "stdout length"), (empty, "stdout sha256")]
+    assert _rewrite(copy, changes) == by_hand
+    assert copy.read_text(encoding="utf-8") == source
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(
+        description="Re-run every pinned call and print each whose exit code, stderr, "
+        "stdout length or sha256 differs from its pin."
+    )
+    parser.add_argument(
+        "--rewrite", action="store_true", help="also write the new values into this file"
+    )
+    args = parser.parse_args(argv)
+    changed = {}
+    for call_argv, name, config, *pin in CALLS:
+        actual = _run(call_argv, name, config)
+        if actual != tuple(pin):
+            call_id = " ".join(call_argv)
+            changed[call_id] = (tuple(pin), actual)
+            print(call_id)
+            for field, old, new in zip(FIELDS, pin, actual):
+                if old != new:
+                    print(f"  {field}: {old!r} -> {new!r}")
+    print(f"{len(changed)} of {len(CALLS)} pinned calls differ")
+    if not (args.rewrite and changed):
+        return 1 if changed else 0
+    by_hand = _rewrite(pathlib.Path(__file__), changed)
+    for call_id, field in by_hand:
+        print(f"not a literal, edit by hand: {call_id}: {field}")
+    return 1 if by_hand else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
