@@ -296,7 +296,7 @@ def _degree_data_from(config: Mapping) -> DegreeData:
     return DegreeData(tuple(residues), tuple(ContactType.parse(t) for t in types))
 
 
-def _gw_common(args) -> tuple[gw.GerbeSpec, gw.BaseTheoryTable, int, gw.Truncation, dict]:
+def _gw_common(args) -> tuple[gw.GerbeSpec, gw.BaseTheoryTable, dict]:
     from . import gw
 
     if args.parallel < 1:
@@ -349,7 +349,7 @@ def _gw_common(args) -> tuple[gw.GerbeSpec, gw.BaseTheoryTable, int, gw.Truncati
                 )
             )
         table = gw.BaseTheoryTable.from_records(basis_size, genus, truncation, records)
-    return spec, table, genus, truncation, config
+    return spec, table, config
 
 
 def _run_enumerate_admissible(args) -> tuple[dict, dict, int]:
@@ -476,9 +476,9 @@ def _run_degree(args) -> tuple[dict, dict, int]:
 def _run_decompose(args) -> tuple[dict, dict, int]:
     from . import gw
 
-    spec, table, genus, truncation, config = _gw_common(args)
-    lhs = gw.build_potential(spec, table, genus, truncation, "gerbe")
-    base_series = gw.build_potential(spec, table, genus, truncation, "base")
+    spec, table, config = _gw_common(args)
+    lhs = gw.build_potential(spec, table, "gerbe")
+    base_series = gw.build_potential(spec, table, "base")
     sectors = [
         {
             "character": rho,
@@ -487,7 +487,7 @@ def _run_decompose(args) -> tuple[dict, dict, int]:
         for rho in range(spec.band_order)
     ]
     result = {
-        "scalar": format_rational(Fraction(spec.band_order) ** (2 * genus - 2)),
+        "scalar": format_rational(Fraction(spec.band_order) ** (2 * table.genus - 2)),
         "gerbe_potential": lhs.to_records(),
         "base_potential": base_series.to_records(),
         "sectors": sectors,
@@ -499,8 +499,8 @@ def _run_decompose(args) -> tuple[dict, dict, int]:
 def _run_verify(args) -> tuple[dict, dict, int]:
     from . import gw
 
-    spec, table, genus, truncation, config = _gw_common(args)
-    report = gw.verify_decomposition(spec, table, genus, truncation)
+    spec, table, config = _gw_common(args)
+    report = gw.verify_decomposition(spec, table)
     inputs = {"input": args.input, "config": config, "seed": args.seed}
     return inputs, report.to_dict(), 0 if report.passed else 1
 

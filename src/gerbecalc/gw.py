@@ -138,15 +138,17 @@ def _key_record(key: tuple, **fields) -> dict:
 class BaseTheoryTable:
     """Finite table of base-theory descendant invariants at a fixed genus.
 
-    Keys are (curve class, monomial), as in a base-basis potential: the
-    sorted tuple of the insertions' (class_index, psi_power) int pairs.
-    Values are exact rationals.  _require_inside owns each range of a key,
-    0 <= class_index < basis_size and 0 <= psi_power <= j_max among them,
-    for from_records and _read alike.  lookup and build_potential read
-    through _read, which checks each key in the order given: inside the
-    truncation a missing key reads as 0 and is reported once on the warning
-    channel; outside it CoverageError is raised, so "the invariant is zero"
-    and "no data was supplied" stay distinguishable.
+    The one owner of the genus and the truncation, which the potentials,
+    the gerbe invariants and the decomposition check read here.  Keys are
+    (curve class, monomial), as in a base-basis potential: the sorted tuple
+    of the insertions' (class_index, psi_power) int pairs.  Values are
+    exact rationals.  from_records and lookup, the readers of keys from
+    outside, check them: from_records each record's genus, and both, through
+    _require_inside, each range of a key, 0 <= class_index < basis_size and
+    0 <= psi_power <= j_max among them, raising CoverageError outside the
+    truncation.  _read reads keys inside it, as build_potential lists them:
+    a missing key reads as 0 and is reported once on the warning channel, so
+    "the invariant is zero" and "no data was supplied" stay distinguishable.
     """
 
     def __init__(
@@ -179,8 +181,10 @@ class BaseTheoryTable:
         table = cls(basis_size, genus, truncation, {})
         for g, beta, insertions, value in records:
             beta = _check_curve_class(beta, truncation.rank)
+            if g != genus:
+                raise CoverageError(f"genus {g} outside the table's genus {genus}")
             key = (beta, tuple(sorted(insertions)))
-            table._require_inside(g, *key)
+            table._require_inside(*key)
             value = Fraction(value)
             if key in table._entries and table._entries[key] != value:
                 raise ValueError(
@@ -203,10 +207,8 @@ class BaseTheoryTable:
                 entries[(beta, monomial)] = Fraction(rng.randint(-99, 99), rng.randint(1, 12))
         return cls(basis_size, genus, truncation, entries)
 
-    def _require_inside(self, genus: int, beta: CurveClass, monomial: tuple) -> None:
+    def _require_inside(self, beta: CurveClass, monomial: tuple) -> None:
         tr = self.truncation
-        if genus != self.genus:
-            raise CoverageError(f"genus {genus} outside the table's genus {self.genus}")
         if beta not in tr.betas:
             raise CoverageError(f"curve class {beta} outside the truncation")
         if len(monomial) > tr.n_max:
@@ -223,16 +225,18 @@ class BaseTheoryTable:
                     f"psi power {psi_power} outside the truncation range [0, {tr.j_max}]"
                 )
 
-    def lookup(self, genus: int, beta, insertions: Sequence[tuple[int, int]]) -> Fraction:
+    def lookup(self, beta, insertions: Sequence[tuple[int, int]]) -> Fraction:
         """The value at beta of these (class_index, psi_power) pairs, in any order."""
-        return self._read(genus, beta, (tuple(sorted(insertions)),))[0]
-
-    def _read(self, genus: int, beta, monomials: Iterable[tuple]) -> list[Fraction]:
-        """lookup's value of each key (beta, monomial), in the order given."""
         beta = _check_curve_class(beta, self.truncation.rank)
+        monomial = tuple(sorted(insertions))
+        self._require_inside(beta, monomial)
+        return self._read(beta, (monomial,))[0]
+
+    def _read(self, beta: CurveClass, monomials: Iterable[tuple]) -> list[Fraction]:
+        """The value of each key (beta, monomial), in the order given, each
+        inside the truncation: a missing key reads as 0 with one warning."""
         values = []
         for monomial in monomials:
-            self._require_inside(genus, beta, monomial)
             key = (beta, monomial)
             value = self._entries.get(key)
             if value is None:
@@ -243,7 +247,7 @@ class BaseTheoryTable:
 
                     logging.getLogger(__name__).warning(
                         "base table has no entry for genus=%s beta=%s insertions=%s; using 0",
-                        genus, beta, list(monomial),
+                        self.genus, beta, list(monomial),
                     )
             values.append(value)
         return values
@@ -293,7 +297,6 @@ def _character_factors(spec: GerbeSpec, genus: int, beta, n: int, rhos) -> list[
 def gerbe_invariant_sector(
     spec: GerbeSpec,
     base: BaseTheoryTable,
-    genus: int,
     beta,
     insertions: Sequence[tuple[int, int, int]],
 ) -> Fraction:
@@ -304,14 +307,13 @@ def gerbe_invariant_sector(
     otherwise.  The base table must cover that key either way.
     """
     beta = _check_curve_class(beta, spec.beta_rank)
-    value = base.lookup(genus, beta, [(i, j) for i, _, j in insertions])
-    return _sector_factor(spec, genus, beta, [s for _, s, _ in insertions]) * value
+    value = base.lookup(beta, [(i, j) for i, _, j in insertions])
+    return _sector_factor(spec, base.genus, beta, [s for _, s, _ in insertions]) * value
 
 
 def gerbe_invariant_rho(
     spec: GerbeSpec,
     base: BaseTheoryTable,
-    genus: int,
     beta,
     insertions: Sequence[tuple[int, int, int]],
 ) -> CyclotomicNumber:
@@ -324,13 +326,13 @@ def gerbe_invariant_rho(
     one factor that all rho share.
     """
     beta = _check_curve_class(beta, spec.beta_rank)
-    value = base.lookup(genus, beta, [(i, j) for i, _, j in insertions])
+    value = base.lookup(beta, [(i, j) for i, _, j in insertions])
     r = spec.band_order
     characters = {rho % r for _, rho, _ in insertions}
     if len(characters) > 1:
         return CyclotomicNumber.zero(r)
     rho = characters.pop() if characters else 0
-    return _character_factors(spec, genus, beta, len(insertions), (rho,))[0] * value
+    return _character_factors(spec, base.genus, beta, len(insertions), (rho,))[0] * value
 
 
 class PotentialSeries(Record, eq=False):
@@ -342,16 +344,12 @@ class PotentialSeries(Record, eq=False):
     nonzero coefficients are stored.
     """
 
-    _fields = ("basis", "genus", "truncation", "coefficients")
+    _fields = ("basis", "coefficients")
     basis: str
-    genus: int
-    truncation: Truncation
     coefficients: dict
 
-    def __init__(self, basis: str, genus: int, truncation: Truncation, coefficients: dict) -> None:
+    def __init__(self, basis: str, coefficients: dict) -> None:
         setfield(self, "basis", basis)
-        setfield(self, "genus", genus)
-        setfield(self, "truncation", truncation)
         setfield(self, "coefficients", coefficients)
 
     def sorted_items(self) -> list:
@@ -370,13 +368,9 @@ def _monomial_weight(monomial: tuple) -> int:
 
 
 def build_potential(
-    spec: GerbeSpec,
-    base: BaseTheoryTable,
-    genus: int,
-    truncation: Truncation,
-    basis: str = "gerbe",
+    spec: GerbeSpec, base: BaseTheoryTable, basis: str = "gerbe"
 ) -> PotentialSeries:
-    """Assemble the truncated genus-g potential in the requested basis.
+    """Assemble the table's truncated genus-g potential in the requested basis.
 
     The coefficient of Q^beta on a variable multiset is the corresponding
     invariant divided by the product of the multiplicities' factorials, so
@@ -387,21 +381,23 @@ def build_potential(
 
     Both bases list the base monomials with n = 0, ..., n_max insertions,
     the table's own keys, and read each once per curve class, in key order,
-    through BaseTheoryTable._read, which checks its coverage.  The gerbe basis
-    holds the r single-character copies of each: the rho-copy of an
-    n-point monomial is its value / weight times the rho entry of
-    _character_factors for n, computed once per (curve class, n); each row
-    (curve class, n, rho) is one exactnum._scaled call over its values.  The
-    empty monomial is one key for every rho.  A monomial mixing two
+    through BaseTheoryTable._read; each key is inside the truncation by
+    construction, so none is checked again.  The gerbe basis holds the r
+    single-character copies of each: the rho-copy of an n-point monomial is
+    its value / weight times the rho entry of _character_factors for n,
+    computed once per (curve class, n); each row (curve class, n, rho) is
+    one exactnum._scaled call over its values.  The empty monomial is one
+    key for every rho.  A monomial mixing two
     characters is never enumerated: its invariant is zero by definition, so
     it could never contribute a coefficient, and the copies already look up
     every base key such a monomial would.  The coefficients, the zero-fill
-    warnings and their order and any CoverageError are those of
-    gerbe_invariant_rho applied key by key.
+    warnings and their order are those of gerbe_invariant_rho applied key
+    by key.
     """
     if basis not in ("gerbe", "base"):
         raise ValueError(f"unknown basis {basis!r}")
     r = spec.band_order
+    genus, truncation = base.genus, base.truncation
     monomials = _monomials(base.basis_size, truncation)
     weights = [_monomial_weight(monomial) for monomial in monomials]
     if basis == "gerbe":  # the rho-copies of the monomials' variables
@@ -414,7 +410,7 @@ def build_potential(
                 for n in range(truncation.n_max + 1)
             ]
         # one read per base monomial, in the order the keys list them
-        values = base._read(genus, beta, monomials)
+        values = base._read(beta, monomials)
         nonzero = [
             (k, v / w if w > 1 else v) for k, (v, w) in enumerate(zip(values, weights)) if v
         ]
@@ -432,7 +428,7 @@ def build_potential(
                 if (n or not rho) and not factor.is_zero():
                     for k, product in zip(indices, _scaled(factor, rationals)):
                         coefficients[(beta, names[k])] = product
-    return PotentialSeries(basis, genus, truncation, coefficients)
+    return PotentialSeries(basis, coefficients)
 
 
 def substitute_novikov(
@@ -447,7 +443,7 @@ def substitute_novikov(
     if series.basis != "base":
         raise ValueError("substitution needs a base-basis series")
     coefficients = dict(_twisted(series.coefficients, spec, (rho % spec.band_order,), 1))
-    return PotentialSeries("gerbe", series.genus, series.truncation, coefficients)
+    return PotentialSeries("gerbe", coefficients)
 
 
 def _twisted(coefficients: dict, spec: GerbeSpec, rhos, scalar):
@@ -514,13 +510,9 @@ class DecompositionReport(Record, eq=False):
         return out
 
 
-def verify_decomposition(
-    spec: GerbeSpec,
-    base: BaseTheoryTable,
-    genus: int,
-    truncation: Truncation,
-) -> DecompositionReport:
-    """Exact check that the gerbe potential decomposes over the characters.
+def verify_decomposition(spec: GerbeSpec, base: BaseTheoryTable) -> DecompositionReport:
+    """Exact check that the table's gerbe potential decomposes over the
+    characters, at the table's genus g and truncation.
 
     The left side is the gerbe-basis potential built from character-basis
     invariants.  The right side sums, over every character rho of mu_r, the
@@ -532,9 +524,9 @@ def verify_decomposition(
     the first difference reported, if any, is the smallest differing key.
     """
     r = spec.band_order
-    lhs = build_potential(spec, base, genus, truncation, "gerbe").coefficients
-    base_series = build_potential(spec, base, genus, truncation, "base").coefficients
-    scalar = Fraction(r) ** (2 * genus - 2)
+    lhs = build_potential(spec, base, "gerbe").coefficients
+    base_series = build_potential(spec, base, "base").coefficients
+    scalar = Fraction(r) ** (2 * base.genus - 2)
     rhs: dict = {}
     for key, value in _twisted(base_series, spec, range(r), scalar):
         rhs[key] = rhs[key] + value if key in rhs else value

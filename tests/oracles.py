@@ -227,7 +227,7 @@ def character_double_sum(r: int, rhos, genus: int, k: int, base_value) -> Cyclot
     return total * Fraction(1, r**n)
 
 
-def exhaustive_gerbe_potential(spec, base, genus: int, truncation) -> dict:
+def exhaustive_gerbe_potential(spec, base) -> dict:
     """Gerbe-basis potential over every multiset of gerbe variables.
 
     Walks all monomials in the b*r*(j+1) variables (class, character, psi),
@@ -235,6 +235,7 @@ def exhaustive_gerbe_potential(spec, base, genus: int, truncation) -> dict:
     divides by the multiplicities' factorials and keeps the nonzero
     coefficients, keyed by (curve class, sorted monomial).
     """
+    truncation = base.truncation
     variables = [
         (i, rho, j)
         for i in range(base.basis_size)
@@ -245,23 +246,23 @@ def exhaustive_gerbe_potential(spec, base, genus: int, truncation) -> dict:
     for beta in truncation.betas:
         for n in range(truncation.n_max + 1):
             for monomial in itertools.combinations_with_replacement(variables, n):
-                value = gerbe_invariant_rho(spec, base, genus, beta, monomial)
+                value = gerbe_invariant_rho(spec, base, beta, monomial)
                 value = value * Fraction(1, _multiplicity_factorials(monomial))
                 if not value.is_zero():
                     coefficients[(beta, monomial)] = value
     return coefficients
 
 
-def per_key_gerbe_potential(spec, base, genus: int, truncation) -> dict:
+def per_key_gerbe_potential(spec, base) -> dict:
     """Gerbe-basis potential built key by key over single-character monomials.
 
     Per curve class: the empty monomial, then for each rho the rho-copy of
     every nonempty base monomial, each evaluated on its own through
     gerbe_invariant_rho, which looks the base table up once per key, so the
-    zero-fill warnings and any CoverageError come in key order.  Returns
-    the nonzero coefficients in that order.
+    zero-fill warnings come in key order.  Returns the nonzero coefficients
+    in that order.
     """
-    r = spec.band_order
+    r, truncation = spec.band_order, base.truncation
     variables = [(i, j) for i in range(base.basis_size) for j in range(truncation.j_max + 1)]
     monomials = [
         combo
@@ -272,14 +273,14 @@ def per_key_gerbe_potential(spec, base, genus: int, truncation) -> dict:
     for beta in truncation.betas:
         keys = [()] + [tuple((i, rho, j) for (i, j) in m) for rho in range(r) for m in monomials]
         for monomial in keys:
-            value = gerbe_invariant_rho(spec, base, genus, beta, monomial)
+            value = gerbe_invariant_rho(spec, base, beta, monomial)
             value = value * Fraction(1, _multiplicity_factorials(monomial))
             if not value.is_zero():
                 coefficients[(beta, monomial)] = value
     return coefficients
 
 
-def sorted_union_decomposition(spec, base, genus: int, truncation) -> tuple:
+def sorted_union_decomposition(spec, base) -> tuple:
     """The comparison of verify_decomposition done the long way.
 
     The right side sums the twisted base series over every rho and then
@@ -289,13 +290,13 @@ def sorted_union_decomposition(spec, base, genus: int, truncation) -> tuple:
     its right value), the last three None on a pass.
     """
     r = spec.band_order
-    lhs = build_potential(spec, base, genus, truncation, "gerbe").coefficients
-    base_series = build_potential(spec, base, genus, truncation, "base")
+    lhs = build_potential(spec, base, "gerbe").coefficients
+    base_series = build_potential(spec, base, "base")
     rhs = {}
     for rho in range(r):
         for key, value in substitute_novikov(base_series, spec, rho).coefficients.items():
             rhs[key] = rhs[key] + value if key in rhs else value
-    scalar = Fraction(r) ** (2 * genus - 2)
+    scalar = Fraction(r) ** (2 * base.genus - 2)
     rhs = {key: value * scalar for key, value in rhs.items()}
     keys = sorted(set(lhs) | set(rhs))
     zero = CyclotomicNumber.zero(r)

@@ -246,23 +246,22 @@ def _decomposition_case(index):
         betas.add(tuple(rng.randrange(8) for _ in range(rank)))
     spec = GerbeSpec(r, pairing)
     truncation = Truncation(n_max, j_max, tuple(betas))
-    table = BaseTheoryTable.seeded(basis_size, genus, truncation, 5000 + index)
-    return spec, table, genus, truncation
+    return spec, BaseTheoryTable.seeded(basis_size, genus, truncation, 5000 + index)
 
 
 def test_criterion_06_decomposition_identity():
     seen_r, seen_genus, seen_m = set(), set(), set()
     keys_total = 0
     for index in range(50):
-        spec, table, genus, truncation = _decomposition_case(index)
-        report = verify_decomposition(spec, table, genus, truncation)
+        spec, table = _decomposition_case(index)
+        report = verify_decomposition(spec, table)
         assert report.passed, (
-            f"case {index}: r={spec.band_order} genus={genus} differs first "
+            f"case {index}: r={spec.band_order} genus={table.genus} differs first "
             f"at {report.first_differing_key}"
         )
         keys_total += report.keys_compared
         seen_r.add(spec.band_order)
-        seen_genus.add(genus)
+        seen_genus.add(table.genus)
         seen_m.add(table.basis_size)
     assert seen_r == {1, 2, 3, 4, 6}
     assert seen_genus == {0, 1, 2, 3}
@@ -291,7 +290,7 @@ def test_criterion_07_twisted_sector_scaling():
         for n in range(4):
             for rhos in itertools.product(range(r), repeat=n):
                 insertions = [(i, rho, j) for rho, (i, j) in zip(rhos, slots[:n])]
-                got = gerbe_invariant_rho(spec, table, genus, beta, insertions)
+                got = gerbe_invariant_rho(spec, table, beta, insertions)
                 assert got == oracles.character_double_sum(r, rhos, genus, k, value)
                 if len(set(rhos)) > 1:
                     assert got.is_zero()

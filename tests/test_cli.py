@@ -1059,7 +1059,7 @@ def assert_verify_fails(capsys, tmp_path):
     spec = gw.GerbeSpec(3, (1,))
     truncation = gw.Truncation(1, 0, [(1,)])
     table = gw.BaseTheoryTable.seeded(1, 0, truncation, 7)
-    report = gw.verify_decomposition(spec, table, 0, truncation)
+    report = gw.verify_decomposition(spec, table)
     assert not report.passed
     assert report.first_differing_key == ((1,), ((0, 1, 0),))
     assert report.lhs_value != report.rhs_value
@@ -1305,7 +1305,7 @@ def test_results_past_the_int_string_limit(capsys, tmp_path, command):
 
 def test_unsupported_format_version(capsys, tmp_path):
     path = graph_config(tmp_path, r=2, vertices=[0], edges=[])
-    payload = json.loads(open(path).read())
+    payload = json.loads(Path(path).read_text())
     payload["format"] = 2
     path = write_json(tmp_path, "v2.json", payload)
     code, _, err = run(capsys, "picard-torsion", "--input", path)

@@ -34,9 +34,9 @@ from gerbecalc.gw import (
 def small_table(values=None, r_betas=((0,), (1,)), n_max=2, j_max=1, genus=0):
     truncation = Truncation(n_max, j_max, r_betas)
     if values is None:
-        return BaseTheoryTable.seeded(2, genus, truncation, 7), truncation
+        return BaseTheoryTable.seeded(2, genus, truncation, 7)
     records = [(genus, beta, ins, v) for beta, ins, v in values]
-    return BaseTheoryTable.from_records(2, genus, truncation, records), truncation
+    return BaseTheoryTable.from_records(2, genus, truncation, records)
 
 
 def test_spec_validation():
@@ -92,15 +92,15 @@ def test_seeded_table_is_deterministic_and_total():
     assert one._entries != BaseTheoryTable.seeded(2, 1, truncation, 43)._entries
     # 4 variables, n in {0,1,2}: 1 + 4 + 10 keys per curve class
     assert len(one._entries) == 2 * 15
-    assert one.lookup(1, (0,), []) == one._entries[((0,), ())]
+    assert one.lookup((0,), []) == one._entries[((0,), ())]
 
 
 def test_from_records_conflicts_and_duplicates():
-    table, _ = small_table([
+    table = small_table([
         ((0,), ((0, 0),), Fraction(1, 2)),
         ((0,), ((0, 0),), Fraction(1, 2)),
     ])
-    assert table.lookup(0, (0,), [(0, 0)]) == Fraction(1, 2)
+    assert table.lookup((0,), [(0, 0)]) == Fraction(1, 2)
     with pytest.raises(ValueError, match="conflicting"):
         small_table([
             ((0,), ((0, 0),), Fraction(1, 2)),
@@ -109,24 +109,22 @@ def test_from_records_conflicts_and_duplicates():
 
 
 def test_lookup_sorts_insertions():
-    table, _ = small_table([
+    table = small_table([
         ((1,), ((0, 1), (1, 0)), Fraction(3)),
     ])
-    assert table.lookup(0, (1,), [(1, 0), (0, 1)]) == 3
+    assert table.lookup((1,), [(1, 0), (0, 1)]) == 3
 
 
 def test_lookup_coverage_errors():
-    table, _ = small_table()
-    with pytest.raises(CoverageError, match="genus"):
-        table.lookup(1, (0,), [])
+    table = small_table()
     with pytest.raises(CoverageError, match="outside the truncation"):
-        table.lookup(0, (2,), [])
+        table.lookup((2,), [])
     with pytest.raises(CoverageError, match="insertions exceed"):
-        table.lookup(0, (0,), [(0, 0)] * 3)
+        table.lookup((0,), [(0, 0)] * 3)
     with pytest.raises(CoverageError, match="class index"):
-        table.lookup(0, (0,), [(2, 0)])
+        table.lookup((0,), [(2, 0)])
     with pytest.raises(CoverageError, match="psi power"):
-        table.lookup(0, (0,), [(0, 2)])
+        table.lookup((0,), [(0, 2)])
 
 
 # One insertion past each end of each range of a key, on a table of basis
@@ -141,19 +139,34 @@ OUT_OF_RANGE = {
 
 @pytest.mark.parametrize("pair, message", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE)
 def test_the_table_owns_each_key_range(pair, message):
-    table, truncation = small_table()
-    assert table.lookup(0, (0,), [(1, 1), (0, 0)]) == table._entries[((0,), ((0, 0), (1, 1)))]
+    table = small_table()
+    truncation = table.truncation
+    assert table.lookup((0,), [(1, 1), (0, 0)]) == table._entries[((0,), ((0, 0), (1, 1)))]
     with pytest.raises(CoverageError, match=message):
-        table.lookup(0, (0,), [(0, 0), pair])
+        table.lookup((0,), [(0, 0), pair])
     with pytest.raises(CoverageError, match=message):
         BaseTheoryTable.from_records(2, 0, truncation, [(0, (0,), [(1, 1), pair], Fraction(1))])
 
 
+def test_from_records_rejects_a_record_at_another_genus():
+    # the table owns its genus: a record at another one is outside it,
+    # reported after its curve class is checked and before its key's ranges
+    truncation = Truncation(2, 1, [(0,), (1,)])
+    record = (1, (0,), [(0, 0)], Fraction(1))
+    with pytest.raises(CoverageError) as error:
+        BaseTheoryTable.from_records(2, 0, truncation, [record])
+    assert str(error.value) == "genus 1 outside the table's genus 0"
+    with pytest.raises(ValueError, match="has rank 2, expected 1"):
+        BaseTheoryTable.from_records(2, 0, truncation, [(1, (0, 0), [], Fraction(1))])
+    with pytest.raises(CoverageError, match="genus 1 outside"):
+        BaseTheoryTable.from_records(2, 0, truncation, [(1, (0,), [(2, 0)], Fraction(1))])
+
+
 def test_missing_inside_reads_zero_and_warns_once(caplog):
-    table, _ = small_table([((0,), (), Fraction(1))])
+    table = small_table([((0,), (), Fraction(1))])
     with caplog.at_level(logging.WARNING, logger="gerbecalc.gw"):
-        assert table.lookup(0, (1,), []) == 0
-        assert table.lookup(0, (1,), []) == 0
+        assert table.lookup((1,), []) == 0
+        assert table.lookup((1,), []) == 0
     assert len(caplog.records) == 1
     assert "using 0" in caplog.records[0].getMessage()
 
@@ -183,13 +196,13 @@ def test_character_twist_is_the_character_value():
 
 def test_sector_invariant_scales_or_vanishes():
     spec = GerbeSpec(3, (1,))
-    table, _ = small_table([((1,), ((0, 0), (0, 0)), Fraction(5))],
-                           genus=1)
+    table = small_table([((1,), ((0, 0), (0, 0)), Fraction(5))],
+                        genus=1)
     admissible = [(0, 2, 0), (0, 2, 0)]
-    got = gerbe_invariant_sector(spec, table, 1, (1,), admissible)
+    got = gerbe_invariant_sector(spec, table, (1,), admissible)
     assert got == Fraction(5) * 3  # r^(2g-1) at genus 1
     off = [(0, 1, 0), (0, 2, 0)]
-    assert gerbe_invariant_sector(spec, table, 1, (1,), off) == 0
+    assert gerbe_invariant_sector(spec, table, (1,), off) == 0
 
 
 @given(
@@ -211,23 +224,23 @@ def test_sector_rule_is_admissibility_of_the_sector_types(r, genus, sectors, pai
 
 def test_sector_invariant_demands_coverage_even_when_zero():
     spec = GerbeSpec(3, (1,))
-    table, _ = small_table()
+    table = small_table()
     bad = [(0, 0, 0)] * 3
     with pytest.raises(CoverageError):
-        gerbe_invariant_sector(spec, table, 0, (1,), bad)
+        gerbe_invariant_sector(spec, table, (1,), bad)
 
 
 def test_nonzero_sector_tuples_number_r_to_n_minus_1():
     r, n = 3, 2
     spec = GerbeSpec(r, (1,))
-    table, _ = small_table([((2,), ((0, 0),) * n, Fraction(1))],
-                           r_betas=((2,),))
+    table = small_table([((2,), ((0, 0),) * n, Fraction(1))],
+                        r_betas=((2,),))
     nonzero = [
         (x1, x2)
         for x1 in range(r)
         for x2 in range(r)
         if gerbe_invariant_sector(
-            spec, table, 0, (2,),
+            spec, table, (2,),
             [(0, x1, 0), (0, x2, 0)],
         ) != 0
     ]
@@ -237,23 +250,23 @@ def test_nonzero_sector_tuples_number_r_to_n_minus_1():
 
 def test_rho_invariant_empty_tuple():
     spec = GerbeSpec(3, (1,))
-    table, _ = small_table([((0,), (), Fraction(7)), ((1,), (), Fraction(7))],
-                           genus=2)
-    got = gerbe_invariant_rho(spec, table, 2, (0,), [])
+    table = small_table([((0,), (), Fraction(7)), ((1,), (), Fraction(7))],
+                        genus=2)
+    got = gerbe_invariant_rho(spec, table, (0,), [])
     assert got == CyclotomicNumber.from_rational(Fraction(7) * 27, 3)
-    assert gerbe_invariant_rho(spec, table, 2, (1,), []).is_zero()
+    assert gerbe_invariant_rho(spec, table, (1,), []).is_zero()
 
 
 def test_rho_invariant_mixed_characters_vanish():
     spec = GerbeSpec(4, (1,))
-    table, _ = small_table()
+    table = small_table()
     mixed = [(0, 0, 0), (0, 1, 0)]
-    assert gerbe_invariant_rho(spec, table, 0, (1,), mixed).is_zero()
+    assert gerbe_invariant_rho(spec, table, (1,), mixed).is_zero()
 
 
 def test_rho_invariant_evaluates_only_its_own_character(monkeypatch):
     spec = GerbeSpec(12, (5,))
-    table, truncation = small_table(r_betas=((1,),), genus=1)
+    table = small_table(r_betas=((1,),), genus=1)
     calls = []
 
     def counted(*args):
@@ -262,20 +275,20 @@ def test_rho_invariant_evaluates_only_its_own_character(monkeypatch):
 
     monkeypatch.setattr(gw, "evaluate_character", counted)
     insertions = [(0, 7, 0), (1, 7, 1)]
-    got = gerbe_invariant_rho(spec, table, 1, (1,), insertions)
+    got = gerbe_invariant_rho(spec, table, (1,), insertions)
     assert len(calls) == 1
-    built = build_potential(spec, table, 1, truncation, "gerbe")
+    built = build_potential(spec, table, "gerbe")
     assert got == built.coefficients[((1,), ((0, 7, 0), (1, 7, 1)))]
 
 
 def test_rho_invariant_matches_double_sum_oracle():
     spec = GerbeSpec(3, (1,))
     value = Fraction(5, 7)
-    table, _ = small_table([((1,), ((0, 0), (1, 1)), value)],
-                           genus=1)
+    table = small_table([((1,), ((0, 0), (1, 1)), value)],
+                        genus=1)
     for rhos in [(0, 0), (1, 1), (2, 2), (0, 1), (2, 1)]:
         got = gerbe_invariant_rho(
-            spec, table, 1, (1,),
+            spec, table, (1,),
             [(0, rhos[0], 0), (1, rhos[1], 1)],
         )
         assert got == oracles.character_double_sum(3, rhos, 1, 1, value)
@@ -294,7 +307,7 @@ def test_rho_invariant_matches_double_sum_oracle():
         for _, (k,), insertions, value in records:
             for rho in range(r) if insertions else [0]:
                 got = gerbe_invariant_rho(
-                    spec, table, genus, (k,),
+                    spec, table, (k,),
                     [(i, rho, j) for i, j in insertions],
                 )
                 rhos = (rho,) * len(insertions)
@@ -302,11 +315,11 @@ def test_rho_invariant_matches_double_sum_oracle():
 
 
 def test_potential_divides_by_multiplicities():
-    table, truncation = small_table([
+    table = small_table([
         ((0,), ((0, 0), (0, 0)), Fraction(10)),
         ((0,), ((0, 0), (1, 0)), Fraction(10)),
     ])
-    series = build_potential(GerbeSpec(1, (0,)), table, 0, truncation, basis="base")
+    series = build_potential(GerbeSpec(1, (0,)), table, basis="base")
     repeated = series.coefficients[((0,), ((0, 0), (0, 0)))]
     distinct = series.coefficients[((0,), ((0, 0), (1, 0)))]
     assert repeated == CyclotomicNumber.from_rational(Fraction(5))
@@ -314,13 +327,13 @@ def test_potential_divides_by_multiplicities():
 
 
 def test_potential_drops_zero_coefficients():
-    table, truncation = small_table([((0,), (), Fraction(0)),
-                                     ((1,), (), Fraction(2))])
-    series = build_potential(GerbeSpec(1, (0,)), table, 0, truncation, basis="base")
+    table = small_table([((0,), (), Fraction(0)),
+                         ((1,), (), Fraction(2))])
+    series = build_potential(GerbeSpec(1, (0,)), table, basis="base")
     assert ((0,), ()) not in series.coefficients
     assert ((1,), ()) in series.coefficients
     with pytest.raises(ValueError, match="unknown basis"):
-        build_potential(GerbeSpec(1, (0,)), table, 0, truncation, basis="mixed")
+        build_potential(GerbeSpec(1, (0,)), table, basis="mixed")
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 6])
@@ -331,15 +344,15 @@ def test_gerbe_potential_matches_exhaustive_enumeration(r, genus, basis_size):
     truncation = Truncation(2, 1, [(0, 0), (1, 0), (1, 1), (0, 2)])
     seed = 100 * r + 10 * genus + basis_size
     table = BaseTheoryTable.seeded(basis_size, genus, truncation, seed)
-    series = build_potential(spec, table, genus, truncation, "gerbe")
-    expected = oracles.exhaustive_gerbe_potential(spec, table, genus, truncation)
+    series = build_potential(spec, table, "gerbe")
+    expected = oracles.exhaustive_gerbe_potential(spec, table)
     assert expected
     assert series.coefficients == expected
 
 
 def test_gerbe_potential_matches_exhaustive_enumeration_on_half_empty_table(caplog):
     spec = GerbeSpec(3, (1,))
-    table, truncation = small_table([
+    table = small_table([
         ((0,), (), Fraction(4)),
         ((1,), (), Fraction(-2)),
         ((0,), ((1, 1),), Fraction(1, 3)),
@@ -347,9 +360,9 @@ def test_gerbe_potential_matches_exhaustive_enumeration_on_half_empty_table(capl
         ((1,), ((0, 1), (1, 0)), Fraction(-7, 2)),
     ], genus=1)
     with caplog.at_level(logging.WARNING, logger="gerbecalc.gw"):
-        series = build_potential(spec, table, 1, truncation, "gerbe")
+        series = build_potential(spec, table, "gerbe")
     warned = {record.getMessage() for record in caplog.records}
-    expected = oracles.exhaustive_gerbe_potential(spec, table, 1, truncation)
+    expected = oracles.exhaustive_gerbe_potential(spec, table)
     assert len(expected) == 1 + 3 * 3
     assert series.coefficients == expected
     # every missing base key is still looked up, and warned about once
@@ -376,12 +389,12 @@ def build_and_warnings(caplog, build, *args):
     return result, [record.getMessage() for record in caplog.records]
 
 
-def per_key_build(spec, table, genus, truncation):
-    return oracles.per_key_gerbe_potential(spec, table, genus, truncation)
+def per_key_build(spec, table):
+    return oracles.per_key_gerbe_potential(spec, table)
 
 
-def regrouped_build(spec, table, genus, truncation):
-    return build_potential(spec, table, genus, truncation, "gerbe").coefficients
+def regrouped_build(spec, table):
+    return build_potential(spec, table, "gerbe").coefficients
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 6, 8])
@@ -395,74 +408,17 @@ def test_regrouped_gerbe_build_matches_the_per_key_build(caplog, r, genus):
         # a fresh table each time: a table warns once per missing key
         return BaseTheoryTable.from_records(2, genus, truncation, records)
 
-    built, warnings = build_and_warnings(caplog, regrouped_build, spec, table(), genus, truncation)
-    per_key, per_key_warnings = build_and_warnings(
-        caplog, per_key_build, spec, table(), genus, truncation
-    )
+    built, warnings = build_and_warnings(caplog, regrouped_build, spec, table())
+    per_key, per_key_warnings = build_and_warnings(caplog, per_key_build, spec, table())
     assert warnings and warnings == per_key_warnings
     # every coefficient is gerbe_invariant_rho(...) * weight of its key, in key order
     assert list(built.items()) == list(per_key.items())
-    assert built == oracles.exhaustive_gerbe_potential(spec, table(), genus, truncation)
-
-
-# (genus, truncation) past the table of failing_builds: each holds a key
-# the table does not cover
-WIDER = [
-    (1, Truncation(2, 1, [(0,), (1,)])),  # genus outside the table
-    (0, Truncation(3, 1, [(0,), (1,)])),  # three insertions
-    (0, Truncation(2, 2, [(0,), (1,)])),  # psi power 2
-    (0, Truncation(2, 1, [(0,), (1,), (2,)])),  # curve class (2,)
-]
-
-
-def failing_builds(caplog, builds, genus, wide):
-    """The CoverageError text of each build on a fresh half-empty table over
-    the classes (0,) and (1,), with the warning lines logged before it."""
-    spec = GerbeSpec(3, (1,))
-    truncation = Truncation(2, 1, [(0,), (1,)])
-    records = half_empty_records(Random(5), 2, 0, truncation)
-    outcomes = []
-    for build in builds:
-        table = BaseTheoryTable.from_records(2, 0, truncation, records)
-        with pytest.raises(CoverageError) as error:
-            build_and_warnings(caplog, build, spec, table, genus, wide)
-        outcomes.append((str(error.value), [record.getMessage() for record in caplog.records]))
-    return outcomes
-
-
-@pytest.mark.parametrize("genus, wide", WIDER)
-def test_regrouped_gerbe_build_fails_as_the_per_key_build(caplog, genus, wide):
-    built, per_key = failing_builds(caplog, (regrouped_build, per_key_build), genus, wide)
-    assert built == per_key
-
-
-def base_build(spec, table, genus, truncation):
-    return build_potential(spec, table, genus, truncation, "base")
-
-
-def per_key_lookups(spec, table, genus, truncation):
-    """One lookup of each base key of the truncation, in key order."""
-    variables = [
-        (i, j) for i in range(table.basis_size) for j in range(truncation.j_max + 1)
-    ]
-    for beta in truncation.betas:
-        for n in range(truncation.n_max + 1):
-            for combo in itertools.combinations_with_replacement(variables, n):
-                table.lookup(genus, beta, combo)
-
-
-def test_potential_requires_table_coverage(caplog):
-    for genus, wide in WIDER:
-        built, per_key = failing_builds(caplog, (base_build, per_key_lookups), genus, wide)
-        assert built == per_key
-        # a genus outside the table fails at the first key; every other
-        # build reads missing keys, and warns, before it fails
-        assert bool(built[1]) == (genus == 0)
+    assert built == oracles.exhaustive_gerbe_potential(spec, table())
 
 
 def test_potential_records_shape():
-    table, truncation = small_table([((1,), ((0, 0),), Fraction(1, 3))])
-    series = build_potential(GerbeSpec(1, (0,)), table, 0, truncation, basis="base")
+    table = small_table([((1,), ((0, 0),), Fraction(1, 3))])
+    series = build_potential(GerbeSpec(1, (0,)), table, basis="base")
     records = series.to_records()
     assert {"beta": [1], "monomial": [[0, 0]],
             "coefficient": {"order": 1, "coeffs": ["1/3"]}} in records
@@ -470,9 +426,9 @@ def test_potential_records_shape():
 
 def test_substitution_twists_and_relabels():
     spec = GerbeSpec(4, (1,))
-    table, truncation = small_table([((1,), ((0, 0),), Fraction(2))],
-                                    r_betas=((1,),), n_max=1, j_max=0)
-    series = build_potential(spec, table, 0, truncation, basis="base")
+    table = small_table([((1,), ((0, 0),), Fraction(2))],
+                        r_betas=((1,),), n_max=1, j_max=0)
+    series = build_potential(spec, table, basis="base")
     twisted = substitute_novikov(series, spec, 1)
     assert twisted.basis == "gerbe"
     key = ((1,), ((0, 1, 0),))
@@ -488,14 +444,13 @@ def test_substitution_multiplies_a_coefficient_that_is_not_rational():
     # by its class's twist, beside the rational coefficient that is scaled;
     # a zero coefficient, rational or not, gives no key
     spec = GerbeSpec(4, (1,))
-    truncation = Truncation(2, 0, [(1,)])
     coefficients = {
         ((1,), ((0, 0),)): root_of_unity(3, 8) + Fraction(1, 2),
         ((1,), ()): CyclotomicNumber.from_rational(Fraction(-2, 3)),
         ((1,), ((0, 0), (0, 0))): CyclotomicNumber.zero(),
         ((1,), ((1, 0),)): CyclotomicNumber.zero(8),
     }
-    series = PotentialSeries("base", 0, truncation, coefficients)
+    series = PotentialSeries("base", coefficients)
     for rho in range(4):
         twist = character_twist(spec, rho, pairing_value(spec, (1,)))
         expected = {
@@ -510,8 +465,8 @@ def test_substitution_multiplies_a_coefficient_that_is_not_rational():
 
 def test_trivial_pairing_substitution_only_relabels():
     spec = GerbeSpec(3, (0,))
-    table, truncation = small_table()
-    series = build_potential(spec, table, 0, truncation, basis="base")
+    table = small_table()
+    series = build_potential(spec, table, basis="base")
     for rho in range(3):
         twisted = substitute_novikov(series, spec, rho)
         assert len(twisted.coefficients) == len(series.coefficients)
@@ -522,8 +477,8 @@ def test_trivial_pairing_substitution_only_relabels():
 
 def test_verify_decomposition_passes_on_seeded_table():
     spec = GerbeSpec(2, (1,))
-    table, truncation = small_table()
-    report = verify_decomposition(spec, table, 0, truncation)
+    table = small_table()
+    report = verify_decomposition(spec, table)
     assert report.passed
     assert report.keys_compared > 0
     doc = report.to_dict()
@@ -552,8 +507,8 @@ def _left_side_with(changes):
     changes set to its value, or removed where the value is None."""
     build = gw.build_potential
 
-    def patched(spec, base, genus, truncation, basis="gerbe"):
-        series = build(spec, base, genus, truncation, basis)
+    def patched(spec, base, basis="gerbe"):
+        series = build(spec, base, basis)
         if basis == "gerbe":
             for key, value in changes.items():
                 if value is None:
@@ -577,8 +532,8 @@ def test_verify_decides_and_counts_as_the_sorted_union(caplog, r, genus, full):
         records = half_empty_records(Random(10 * r + genus), 2, genus, truncation)
         table = BaseTheoryTable.from_records(2, genus, truncation, records)
     with caplog.at_level(logging.ERROR, logger="gerbecalc.gw"):
-        report = verify_decomposition(spec, table, genus, truncation)
-        expected = oracles.sorted_union_decomposition(spec, table, genus, truncation)
+        report = verify_decomposition(spec, table)
+        expected = oracles.sorted_union_decomposition(spec, table)
     assert expected[0]
     assert (report.passed, report.keys_compared) == expected[:2]
 
@@ -590,13 +545,13 @@ def test_verify_names_the_first_changed_left_coefficient(data):
     spec = GerbeSpec(r, (1 % r, (r - 1) % r))
     truncation = Truncation(2, 1, [(0, 0), (1, 0), (1, 1)])
     table = BaseTheoryTable.seeded(2, genus, truncation, r + genus)
-    lhs = build_potential(spec, table, genus, truncation, "gerbe").coefficients
+    lhs = build_potential(spec, table, "gerbe").coefficients
     keys = data.draw(st.lists(st.sampled_from(sorted(lhs)), min_size=1, max_size=2, unique=True))
     changes = {key: lhs[key] + 1 for key in keys}
-    unchanged = verify_decomposition(spec, table, genus, truncation)
+    unchanged = verify_decomposition(spec, table)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gw, "build_potential", _left_side_with(changes))
-        report = verify_decomposition(spec, table, genus, truncation)
+        report = verify_decomposition(spec, table)
     first = min(keys)
     assert unchanged.passed and not report.passed
     assert report.keys_compared == unchanged.keys_compared
@@ -608,26 +563,26 @@ def test_verify_names_the_first_changed_left_coefficient(data):
 def ci_theory():
     # the console-script check of the CI: r = 8, k((1,)) = 3, basis 1, seed 7
     truncation = Truncation(2, 1, [(0,), (1,)])
-    return GerbeSpec(8, (3,)), BaseTheoryTable.seeded(1, 0, truncation, 7), truncation
+    return GerbeSpec(8, (3,)), BaseTheoryTable.seeded(1, 0, truncation, 7)
 
 
 def test_verify_counts_a_zero_key_of_the_right_side_only():
     # the empty monomial of a class with k(beta) != 0 sums to zero over rho
     # on the right side, and the left side never stores it
-    spec, table, truncation = ci_theory()
-    lhs = build_potential(spec, table, 0, truncation, "gerbe").coefficients
+    spec, table = ci_theory()
+    lhs = build_potential(spec, table, "gerbe").coefficients
     assert ((1,), ()) not in lhs and ((0,), ()) in lhs
-    report = verify_decomposition(spec, table, 0, truncation)
+    report = verify_decomposition(spec, table)
     assert report.passed
     assert report.keys_compared == len(lhs) + 1 == 82
 
 
 def test_verify_fails_on_a_nonzero_key_of_the_left_side_only(monkeypatch):
-    spec, table, truncation = ci_theory()
+    spec, table = ci_theory()
     mixed = ((1,), ((0, 1, 0), (0, 2, 0)))  # mixes two characters: no side holds it
-    unchanged = verify_decomposition(spec, table, 0, truncation)
+    unchanged = verify_decomposition(spec, table)
     monkeypatch.setattr(gw, "build_potential", _left_side_with({mixed: root_of_unity(1, 8)}))
-    report = verify_decomposition(spec, table, 0, truncation)
+    report = verify_decomposition(spec, table)
     assert not report.passed
     assert report.keys_compared == unchanged.keys_compared + 1
     assert report.first_differing_key == mixed
@@ -636,11 +591,11 @@ def test_verify_fails_on_a_nonzero_key_of_the_left_side_only(monkeypatch):
 
 
 def test_verify_fails_on_a_nonzero_key_of_the_right_side_only(monkeypatch):
-    spec, table, truncation = ci_theory()
-    lhs = build_potential(spec, table, 0, truncation, "gerbe").coefficients
+    spec, table = ci_theory()
+    lhs = build_potential(spec, table, "gerbe").coefficients
     key = sorted(lhs)[-1]
     monkeypatch.setattr(gw, "build_potential", _left_side_with({key: None}))
-    report = verify_decomposition(spec, table, 0, truncation)
+    report = verify_decomposition(spec, table)
     assert not report.passed and report.keys_compared == 82
     assert report.first_differing_key == key
     assert _data(report.lhs_value) == _data(CyclotomicNumber.zero(8))
@@ -648,21 +603,21 @@ def test_verify_fails_on_a_nonzero_key_of_the_right_side_only(monkeypatch):
 
 
 def test_verify_passes_on_an_equal_value_held_at_twice_the_order(monkeypatch):
-    spec, table, truncation = ci_theory()
-    lhs = build_potential(spec, table, 0, truncation, "gerbe").coefficients
+    spec, table = ci_theory()
+    lhs = build_potential(spec, table, "gerbe").coefficients
     key = sorted(lhs)[len(lhs) // 2]
     monkeypatch.setattr(gw, "build_potential", _left_side_with({key: lhs[key].embedded(16)}))
-    report = verify_decomposition(spec, table, 0, truncation)
+    report = verify_decomposition(spec, table)
     assert report.passed and report.keys_compared == 82
 
 
 def test_verify_fails_on_the_same_fields_held_in_another_field(monkeypatch):
     # phi(12) = phi(8) = 4: the same coordinates at order 12 are another number
-    spec, table, truncation = ci_theory()
-    lhs = build_potential(spec, table, 0, truncation, "gerbe").coefficients
+    spec, table = ci_theory()
+    lhs = build_potential(spec, table, "gerbe").coefficients
     key = next(key for key in sorted(lhs) if not lhs[key].is_rational())
     moved = CyclotomicNumber(12, lhs[key].numerators, lhs[key].denominator)
     monkeypatch.setattr(gw, "build_potential", _left_side_with({key: moved}))
-    report = verify_decomposition(spec, table, 0, truncation)
+    report = verify_decomposition(spec, table)
     assert not report.passed and report.first_differing_key == key
     assert _data(report.lhs_value) == _data(moved)

@@ -146,6 +146,64 @@ _REJECTED_TABLES = {
     ),
 }
 
+
+def _theory(**fields):
+    """_THEORY with these fields replaced."""
+    return {**_THEORY, **fields}
+
+
+def _truncation(**bounds):
+    """_THEORY's truncation with these bounds replaced."""
+    return {**_THEORY["truncation"], **bounds}
+
+
+# Theories that both commands reject before they build a potential, by input
+# name, with the arguments after it and the error: one input per guard on
+# the pairing, the band order, the genus, the basis size, the truncation,
+# the declared beta_rank, the choice of table and --parallel.
+_SEED = ["--seed", "7"]
+_REJECTED_THEORIES = {
+    "pairing-longer.json": (
+        _SEED, _theory(pairing=[1, 1]), "curve class (0,) has rank 1, expected 2",
+    ),
+    "classes-longer.json": (
+        _SEED, _theory(truncation=_truncation(betas=[[0, 1]])),
+        "curve class (0, 1) has rank 2, expected 1",
+    ),
+    "residue-past-r.json": (
+        _SEED, _theory(r=3, pairing=[5]), "pairing residues must lie in [0, 3), got (5,)",
+    ),
+    "r-zero.json": (_SEED, _theory(r=0), "band order must be positive, got 0"),
+    "genus-minus1.json": (_SEED, _theory(genus=-1), "genus must be nonnegative, got -1"),
+    "basis-zero.json": (_SEED, _theory(basis_size=0), "basis size must be positive, got 0"),
+    "no-classes.json": (
+        _SEED, _theory(truncation=_truncation(betas=[])),
+        "truncation needs at least one curve class",
+    ),
+    "mixed-rank.json": (
+        _SEED, _theory(truncation=_truncation(betas=[[0], [0, 1]])),
+        "curve classes of mixed rank: [1, 2]",
+    ),
+    "class-minus1-entry.json": (
+        _SEED, _theory(truncation=_truncation(betas=[[-1]])),
+        "curve classes must be effective (componentwise >= 0)",
+    ),
+    "n-minus1.json": (
+        _SEED, _theory(truncation=_truncation(n_max=-1)), "truncation bounds must be nonnegative",
+    ),
+    "rank-mismatch.json": (
+        _SEED, _theory(beta_rank=2), "beta_rank 2 does not match the pairing length 1",
+    ),
+    "seed-and-table.json": (
+        _SEED, _theory(base_invariants=[]),
+        "--seed and a base_invariants table are mutually exclusive",
+    ),
+    "no-table.json": ([], _THEORY, "configuration needs base_invariants unless --seed is given"),
+    "parallel-zero.json": (
+        [*_SEED, "--parallel", "0"], _THEORY, "--parallel must be at least 1, got 0",
+    ),
+}
+
 # One key given one value twice, in two orders; every other key is missing.
 _DUPLICATE = _table(([1], [(1, 0), (0, 0)], "1/2"), ([1], [(0, 0), (1, 0)], "1/2"))
 _DUPLICATE_WARNINGS = _warnings(
@@ -216,6 +274,11 @@ CALLS = [
     *[
         ([command, "--input", name], name, config, 2, f"error: {error}\n", *_NO_OUTPUT)
         for name, (config, error) in _REJECTED_TABLES.items()
+        for command in ("verify", "decompose")
+    ],
+    *[
+        ([command, "--input", name, *extra], name, config, 2, f"error: {error}\n", *_NO_OUTPUT)
+        for name, (extra, config, error) in _REJECTED_THEORIES.items()
         for command in ("verify", "decompose")
     ],
     (

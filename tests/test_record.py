@@ -28,7 +28,7 @@ RECORDS = {
     GerbyGraph: (ModularGraph(*LOOP), (2,), (4,)),
     GerbeSpec: (4, (1, 3)),
     Truncation: TRUNCATION,
-    PotentialSeries: ("base", 0, Truncation(*TRUNCATION), {}),
+    PotentialSeries: ("base", {}),
     DecompositionReport: (False, 6, ((0,), ()), None, None),
 }
 # eq=False: equality is identity, and hashes are by identity too.
