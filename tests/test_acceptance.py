@@ -9,7 +9,6 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from functools import reduce
 
 import pytest
 
