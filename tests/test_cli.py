@@ -512,7 +512,12 @@ def test_only_decompose_and_verify_load_gw(tmp_path):
         assert not loaded & _RECORD_MACHINERY, argv
 
 
-def test_coverage_errors_are_input_errors():
+@pytest.mark.parametrize("command", ["verify", "decompose"])
+def test_coverage_errors_are_input_errors(capsys, tmp_path, command):
+    record = {"genus": 0, "beta": [1], "insertions": [{"class": 3, "psi": 0}], "value": "1"}
+    path = gw_config(tmp_path, base_invariants=[record])
+    code, out, err = run(capsys, command, "--input", path)
+    assert (code, out, err) == (2, "", "error: class index 3 outside the basis of size 1\n")
     # cli catches input problems as ValueError alone
     assert issubclass(gw.CoverageError, LookupError) and issubclass(gw.CoverageError, ValueError)
     assert issubclass(cli.InputError, ValueError)
@@ -1121,6 +1126,14 @@ def test_parallel_flag_never_changes_output(capsys, tmp_path):
     assert all(len(variants) == 1 for variants in by_command.values())
 
 
+@pytest.mark.parametrize("command", ["verify", "decompose"])
+def test_parallel_below_one_is_an_input_error(capsys, tmp_path, command):
+    path = gw_config(tmp_path)
+    code, out, err = run(capsys, command, "--input", path, "--seed", "11", "--parallel", "0")
+    assert code == 2 and out == ""
+    assert "--parallel" in err
+
+
 @pytest.mark.parametrize("betas", [[3], [["a"]], [[True, 0]]], ids=["int", "str", "bool"])
 def test_malformed_curve_classes_are_input_errors(capsys, tmp_path, betas):
     path = gw_config(tmp_path, truncation={"n_max": 1, "j_max": 0, "betas": betas})
@@ -1218,6 +1231,27 @@ def test_configurations_nest_at_most_the_bound(capsys, tmp_path, command, kind):
     assert result == (2, "", f"error: {path}: JSON nested too deeply\n")
 
 
+# (id, argv, configuration, message): the guards on the basis size and the
+# genus that the work bounds pass by, so the commands' own checks give the
+# message; the graph commands' guards are pinned in test_outputs
+_GUARDS = [
+    (f"{command}-{label}", [command, "--seed", "7"], {**_THEORY, **change}, message)
+    for command in ("verify", "decompose")
+    for label, change, message in (
+        ("basis0", {"basis_size": 0}, "basis size must be positive, got 0"),
+        ("genus-1", {"genus": -1}, "genus must be nonnegative, got -1"),
+    )
+]
+
+
+@pytest.mark.parametrize(
+    "argv, config, message", [pytest.param(*case[1:], id=case[0]) for case in _GUARDS]
+)
+def test_input_guards_exit_two(capsys, tmp_path, argv, config, message):
+    argv = [*argv, "--input", write_json(tmp_path, "config.json", config)]
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("command", ["degree", "fiber-count", "picard-torsion"])
 def test_results_past_the_int_string_limit(capsys, tmp_path, command):
     # 30^n is 3^n followed by n zeros; 3^3000 has 1,432 digits, so the
@@ -1259,6 +1293,22 @@ def test_missing_fields_are_named(capsys, tmp_path):
     path = graph_config(tmp_path, r=2, vertices=[0], edges=[])
     code, _, err = run(capsys, "fiber-count", "--input", path)
     assert code == 2 and "missing the field 'degree_data'" in err
+
+
+def test_seed_and_table_are_mutually_exclusive(capsys, tmp_path):
+    path = gw_config(tmp_path, extra={"base_invariants": []})
+    code, _, err = run(capsys, "verify", "--input", path, "--seed", "1")
+    assert code == 2 and "mutually exclusive" in err
+
+    path = gw_config(tmp_path)
+    code, _, err = run(capsys, "verify", "--input", path)
+    assert code == 2 and "base_invariants" in err
+
+
+def test_beta_rank_mismatch(capsys, tmp_path):
+    path = gw_config(tmp_path, extra={"beta_rank": 2})
+    code, _, err = run(capsys, "verify", "--input", path, "--seed", "1")
+    assert code == 2 and "beta_rank" in err
 
 
 def test_tail_types_must_be_strings(capsys, tmp_path):
