@@ -1,8 +1,9 @@
 """What every command reads: the one factoriser and its totients and
-divisors, the one grammar for rationals, and _field, the one reader of
-configuration fields.  They live here so that a command loads neither
-exactnum nor graphs just to read them, and code that reads a private one,
-such as _prime_powers, imports it from here."""
+divisors, the one grammar for rationals, _band_order, the one check of the
+band order r, and _field, the one reader of configuration fields.  They
+live here so that a command loads neither exactnum nor graphs just to read
+them, and code that reads a private one, such as _prime_powers, imports it
+from here."""
 
 import math
 import re
@@ -40,6 +41,13 @@ def parse_rational(text: str) -> Fraction:
     if int(denominator) == 0:
         raise ValueError(f"rational literal {text!r} has a zero denominator")
     return Fraction(int(numerator), int(denominator))
+
+
+def _band_order(r: int) -> int:
+    """r, once it is a valid band order, the order of mu_r: r >= 1."""
+    if r < 1:
+        raise ValueError(f"band order must be positive, got {r}")
+    return r
 
 
 def format_rational(value: int | Fraction) -> str:

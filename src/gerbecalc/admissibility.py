@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from ._arith import divisors, parse_rational
+from ._arith import _band_order, divisors, parse_rational
 from ._record import Record, setfield
 
 if TYPE_CHECKING:
@@ -64,9 +64,7 @@ class ContactType(Record):
     @classmethod
     def from_residue(cls, residue: int, r: int) -> "ContactType":
         """The element zeta_r^residue of mu_r written in lowest terms."""
-        if r < 1:
-            raise ValueError(f"ambient order must be positive, got {r}")
-        residue %= r
+        residue %= _band_order(r)
         g = math.gcd(residue, r)
         return cls(residue // g, r // g)
 
@@ -107,9 +105,7 @@ class AdmissibleVector(Record):
         setfield(self, "entries", entries)
         setfield(self, "ambient_order", ambient_order)
         setfield(self, "degree_residue", degree_residue)
-        r = ambient_order
-        if r < 1:
-            raise ValueError(f"ambient order must be positive, got {r}")
+        r = _band_order(ambient_order)
         if not 0 <= degree_residue < r:
             raise ValueError(f"degree residue {degree_residue} out of range mod {r}")
         if not is_admissible(entries, r, degree_residue):
@@ -128,8 +124,7 @@ def is_admissible(entries: Sequence[ContactType], r: int, k: int) -> bool:
     Once every order divides r, each age is residue/r, so the ages sum to
     k/r mod 1 exactly when the residues sum to k mod r.
     """
-    if r < 1:
-        raise ValueError(f"ambient order must be positive, got {r}")
+    _band_order(r)
     if any(r % t.order != 0 for t in entries):
         return False
     return (sum(t.residue(r) for t in entries) - k) % r == 0
@@ -144,9 +139,7 @@ def enumerate_admissible(n: int, r: int, k: int) -> Iterator[AdmissibleVector]:
     """
     if n < 0:
         raise ValueError(f"tuple length must be nonnegative, got {n}")
-    if r < 1:
-        raise ValueError(f"ambient order must be positive, got {r}")
-    k = k % r
+    k = k % _band_order(r)
     if n == 0:
         if k == 0:
             yield AdmissibleVector((), r, k)
@@ -155,6 +148,11 @@ def enumerate_admissible(n: int, r: int, k: int) -> Iterator[AdmissibleVector]:
         last = (k - sum(prefix)) % r
         entries = tuple(ContactType.from_residue(a, r) for a in prefix + (last,))
         yield AdmissibleVector(entries, r, k)
+
+
+def _counted(n: int, noun: str, plural: str = "") -> str:
+    """n and the noun, in the plural unless n is 1: "1 tail", "2 tails"."""
+    return f"{n} {noun if n == 1 else plural or noun + 's'}"
 
 
 class DegreeData(Record):
@@ -175,16 +173,16 @@ class DegreeData(Record):
         setfield(self, "tail_types", tuple(tail_types))
 
     def validated_for(self, graph: ModularGraph, r: int) -> "DegreeData":
-        if r < 1:
-            raise ValueError(f"ambient order must be positive, got {r}")
+        _band_order(r)
         if len(self.vertex_residues) != graph.num_vertices:
             raise ValueError(
-                f"{len(self.vertex_residues)} vertex residues for "
-                f"{graph.num_vertices} vertices"
+                f"{_counted(len(self.vertex_residues), 'vertex residue')} for "
+                f"{_counted(graph.num_vertices, 'vertex', 'vertices')}"
             )
         if len(self.tail_types) != len(graph.tails()):
             raise ValueError(
-                f"{len(self.tail_types)} tail types for {len(graph.tails())} tails"
+                f"{_counted(len(self.tail_types), 'tail type')} for "
+                f"{_counted(len(graph.tails()), 'tail')}"
             )
         for t in self.tail_types:
             if r % t.order != 0:

@@ -62,6 +62,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ._arith import (
     _DIGIT_BOUND,
+    _band_order,
     _field,
     _prime_powers,
     divisors,
@@ -153,10 +154,8 @@ def _bound_mark_work(graph: ModularGraph) -> None:
 
 def _bound_graph_work(graph: ModularGraph, r: int, cycles: bool) -> None:
     """Check the graph size, the decorations with the graph and tails each
-    one reads, and with cycles the fiber count's peel steps."""
+    one reads, and with cycles the fiber count's peel steps; r >= 1 here."""
     from .graphs import classify_edges
-    if r < 1:
-        return  # the commands themselves reject a non-positive r
     _bound_work("the sqrt(r) trial divisions of r", math.isqrt(r), 1)
     _bound_work(
         "the graph-size steps (E + min(E, V - 1)) * (V + E) that cap the work of "
@@ -275,7 +274,7 @@ def _graph_common(path: str) -> tuple[dict, ModularGraph, int]:
     from .graphs import ModularGraph
     config = _load_json(path)
     graph = ModularGraph.from_config(_field(config, "graph", dict))
-    r = _field(config, "r", int)
+    r = _band_order(_field(config, "r", int))
     return config, graph, r
 
 
@@ -387,10 +386,9 @@ def _run_count_lifts(args) -> tuple[dict, dict, int]:
 
     config, graph, r = _graph_common(args.input)
     gerby = _gerby_from(config, graph)
-    if r >= 1:
-        if graph.num_edges:  # the edge orders' totients factor r once
-            _bound_work("the sqrt(r) trial divisions of r", math.isqrt(r), 1)
-        _bound_mark_work(graph)
+    if graph.num_edges:  # the edge orders' totients factor r once
+        _bound_work("the sqrt(r) trial divisions of r", math.isqrt(r), 1)
+    _bound_mark_work(graph)
     # r^(2g-b1) times a totient below r for each edge at most
     _bound_digits("the lift count", r, 2 * total_genus(graph) - betti1(graph) + graph.num_edges)
     lifts = counting.count_lifts(gerby, r, args.mode)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from ._arith import _prime_powers, _totient, divisors
+from ._arith import _band_order, _prime_powers, _totient, divisors
 from ._arith import euler_totient  # noqa: F401  (defined in _arith, importable here)
 from ._record import Record, setfield
 from .graphs import GerbyGraph, ModularGraph, _picker, betti1, classify_edges, total_genus
@@ -31,9 +31,7 @@ def prestable_picard_torsion(graph: ModularGraph, r: int) -> int:
     bare-difference reading would contradict the smooth case and the
     twisted-node extension, whose kernel is (Z/r)^(2g - b1).
     """
-    if r < 1:
-        raise ValueError(f"band order must be positive, got {r}")
-    return r ** (2 * total_genus(graph) - betti1(graph))
+    return _band_order(r) ** (2 * total_genus(graph) - betti1(graph))
 
 
 def twisted_picard_torsion(gerby: GerbyGraph, r: int) -> int:
@@ -268,9 +266,7 @@ def pushforward_degree(genus: int, r: int) -> Fraction:
     """Degree r^(2g - 1) of the coarse pushforward, exact (1/r at genus 0)."""
     if genus < 0:
         raise ValueError(f"genus must be nonnegative, got {genus}")
-    if r < 1:
-        raise ValueError(f"band order must be positive, got {r}")
-    return Fraction(r) ** (2 * genus - 1)
+    return Fraction(_band_order(r)) ** (2 * genus - 1)
 
 
 def stack_degree(

@@ -31,7 +31,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
-from ._arith import _field
+from ._arith import _band_order, _field
 from ._record import Record, setfield
 
 
@@ -271,8 +271,7 @@ class GerbyGraph(Record):
 
     def validated_for(self, r: int) -> "GerbyGraph":
         """This decoration, once r is positive and every order divides r."""
-        if r < 1:
-            raise ValueError(f"band order must be positive, got {r}")
+        _band_order(r)
         for gamma in self.tail_orders + self.edge_orders:
             if r % gamma != 0:
                 raise ValueError(f"isotropy order {gamma} does not divide r={r}")

@@ -38,6 +38,7 @@ from fractions import Fraction
 from random import Random
 from typing import Iterable, Mapping, Sequence
 
+from ._arith import _band_order
 from ._record import Record, setfield
 from .abelian import FiniteAbelianGroup, evaluate_character
 from .exactnum import CyclotomicNumber, _scaled, root_of_unity
@@ -58,11 +59,9 @@ class GerbeSpec(Record):
     pairing: tuple[int, ...]
 
     def __init__(self, band_order: int, pairing: tuple[int, ...]) -> None:
-        setfield(self, "band_order", band_order)
+        setfield(self, "band_order", _band_order(band_order))
         pairing = tuple(pairing)
         setfield(self, "pairing", pairing)
-        if band_order < 1:
-            raise ValueError(f"band order must be positive, got {band_order}")
         if any(not 0 <= a < band_order for a in pairing):
             raise ValueError(
                 f"pairing residues must lie in [0, {band_order}), got {pairing}"

@@ -163,13 +163,13 @@ def test_degree_data_validation():
     assert checked.total_residue(2) == 0
     assert checked.tail_types_at(bridge, 0) == (ContactType(1, 2),)
     assert checked.tail_types_at(bridge, 1) == ()
-    with pytest.raises(ValueError, match="vertex residues"):
+    with pytest.raises(ValueError, match="^1 vertex residue for 2 vertices$"):
         DegreeData((1,), (ContactType(1, 2),)).validated_for(bridge, 2)
-    with pytest.raises(ValueError, match="tail types"):
+    with pytest.raises(ValueError, match="^0 tail types for 1 tail$"):
         DegreeData((1, 1), ()).validated_for(bridge, 2)
     with pytest.raises(ValueError, match="does not divide"):
         DegreeData((1, 1), (ContactType(1, 3),)).validated_for(bridge, 2)
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match="^band order must be positive, got 0$"):
         data.validated_for(bridge, 0)
 
 

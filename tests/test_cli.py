@@ -181,6 +181,61 @@ def test_gerby_commands_accept_and_reject_the_same_orders(capsys, tmp_path, r, g
             assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
+# Each command's argv, which ends in --r or reads r from graph.json or
+# theory.json
+_BAND_ORDER_CALLS = {
+    "enumerate-admissible": ["enumerate-admissible", "--n", "2", "--k", "0", "--r"],
+    "compatible-graphs": ["compatible-graphs", "--input", "graph.json"],
+    "count-lifts": ["count-lifts", "--input", "graph.json"],
+    "picard-torsion": ["picard-torsion", "--input", "graph.json"],
+    "picard-torsion --quotient": ["picard-torsion", "--quotient", "--input", "graph.json"],
+    "fiber-count": ["fiber-count", "--input", "graph.json"],
+    "degree": ["degree", "--genus", "1", "--r"],
+    "decompose": ["decompose", "--seed", "7", "--input", "theory.json"],
+    "verify": ["verify", "--seed", "7", "--input", "theory.json"],
+}
+
+
+@pytest.mark.parametrize("r", [0, -3])
+@pytest.mark.parametrize("argv", _BAND_ORDER_CALLS.values(), ids=_BAND_ORDER_CALLS)
+def test_every_command_rejects_a_non_positive_band_order_alike(
+    capsys, tmp_path, monkeypatch, argv, r
+):
+    monkeypatch.chdir(tmp_path)
+    graph_config(
+        tmp_path, r=r, vertices=[1], edges=[(0, 0)], tails=[0],
+        gerby={"tail_orders": [1], "edge_orders": [1]},
+        degree_data={"vertex_residues": [0], "tail_types": ["0"]},
+    )
+    gw_config(tmp_path, r=r)
+    if argv[-1] == "--r":
+        argv = [*argv, str(r)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: band order must be positive, got {r}\n")
+
+
+_LOOP = graph_of([1], [(0, 0)])
+_BAND_ORDER_ENTRY_POINTS = {
+    "ContactType.from_residue": lambda r: admissibility.ContactType.from_residue(1, r),
+    "AdmissibleVector": lambda r: admissibility.AdmissibleVector((), r, 0),
+    "is_admissible": lambda r: admissibility.is_admissible((), r, 0),
+    "enumerate_admissible": lambda r: list(admissibility.enumerate_admissible(2, r, 0)),
+    "DegreeData.validated_for": lambda r: admissibility.DegreeData((0,), ()).validated_for(
+        _LOOP, r
+    ),
+    "prestable_picard_torsion": lambda r: counting.prestable_picard_torsion(_LOOP, r),
+    "pushforward_degree": lambda r: counting.pushforward_degree(1, r),
+    "GerbyGraph.validated_for": lambda r: graphs.GerbyGraph(_LOOP, (), (1,)).validated_for(r),
+    "GerbeSpec": lambda r: gw.GerbeSpec(r, ()),
+}
+
+
+@pytest.mark.parametrize("call", _BAND_ORDER_ENTRY_POINTS.values(), ids=_BAND_ORDER_ENTRY_POINTS)
+def test_every_entry_point_rejects_a_non_positive_band_order_alike(call):
+    with pytest.raises(ValueError, match="^band order must be positive, got 0$"):
+        call(0)
+
+
 def test_picard_torsion_variants(capsys, tmp_path):
     plain = graph_config(tmp_path, r=5, vertices=[0], edges=[(0, 0)])
     code, out, _ = run(capsys, "picard-torsion", "--input", plain)

@@ -8,10 +8,13 @@ a one-line diff.  A call that prints a document must print canonical JSON.
 
 Each call runs ``cli.main`` in-process from a directory that holds its
 input under a fixed name, so the echoed input path is part of the pinned
-bytes; a call that reads no input file names none.  Zero-fill warnings go to
-stderr through the logging module's last-resort handler, as in a process of
-its own; pytest's capture handlers on the root logger are set aside for the
-call so that they do not take its place.
+bytes; a call that reads no input file names none.  A call may also name a
+patch of ``gw`` from ``_PATCHES``, in force while it runs: the identity
+that ``verify`` checks holds on every valid input, so only a patched call
+pins its exit-1 document.  Zero-fill warnings go to stderr through the
+logging module's last-resort handler, as in a process of its own; pytest's
+capture handlers on the root logger are set aside for the call so that
+they do not take its place.
 
 Run as a script, ``PYTHONPATH=src python tests/test_outputs.py`` re-runs
 every call and prints each one whose pin differs; ``--rewrite`` also writes
@@ -28,10 +31,12 @@ import os
 import pathlib
 import sys
 import tempfile
+from unittest import mock
 
 import pytest
 
-from gerbecalc import cli
+from gerbecalc import cli, gw
+from gerbecalc.exactnum import root_of_unity
 
 PINS = pathlib.Path(__file__).with_name("pins.json")
 
@@ -240,8 +245,8 @@ _ON_INPUTS = [
     ("order0.json", _graph(2, [0], [[0, 0]], gerby=_orders([], [0])), _GERBY_CALLS),
     ("tail-orders-short.json", _graph(2, [0], [[0, 0]], [0], gerby=_orders([], [1])), _GERBY_CALLS),
     ("edge-orders-short.json", _graph(2, [0], [[0, 0]], gerby=_orders([], [])), _GERBY_CALLS),
-    # r = 0 and r = -3 on two vertices joined by two edges: the work bounds
-    # pass them by, so each command's own check gives the message
+    # r = 0 and r = -3 on two vertices joined by two edges: each command
+    # rejects r as it reads it, before its work bounds
     *(
         entry
         for r in (0, -3)
@@ -261,15 +266,46 @@ _ON_INPUTS = [
     ),
 ]
 
-# (argv, input name, input)
+# verify fails under each patch of gw in _PATCHES, and prints its exit-1
+# document, at r = 3 on the one class beta = (1,), where k(beta) = 1: the
+# two sides differ at the key of monomial [[0, 1, 0]].
+_THEORY3 = _theory(r=3, truncation=_truncation(betas=[[1]]))
+
+
+def _conjugated_twist(spec, rho, k):
+    """zeta^(+rho*k) instead of zeta^(-rho*k): only the right side of verify twists."""
+    return root_of_unity(rho * k, spec.band_order)
+
+
+_SECTOR_FACTOR = gw._sector_factor
+
+
+def _shifted_sector_factor(spec, genus, beta, sectors):
+    """Admissible for k(beta) + 1 instead of k(beta), by one more sector -1:
+    only the left side tests sectors."""
+    return _SECTOR_FACTOR(spec, genus, beta, (*sectors, -1))
+
+
+# Patches of gw by name: (attribute, replacement)
+_PATCHES = {
+    "conjugated-twist": ("character_twist", _conjugated_twist),
+    "shifted-sector": ("_sector_factor", _shifted_sector_factor),
+}
+
+# (argv, input name, input, patch name)
 CALLS = [
     *(
-        ([argv[0], "--input", name, *argv[1:]], name, config)
+        ([argv[0], "--input", name, *argv[1:]], name, config, None)
         for name, config, calls in _ON_INPUTS
         for argv in calls
     ),
+    # verify's exit-1 document, on an input named after the patch
     *(
-        (argv, None, None)
+        (["verify", "--input", f"{patch}.json", *_SEED], f"{patch}.json", _THEORY3, patch)
+        for patch in _PATCHES
+    ),
+    *(
+        (argv, None, None, None)
         for argv in (
             ["enumerate-admissible", "--n", "3", "--r", "4", "--k", "1"],
             ["enumerate-admissible", "--n", "2", "--r", "0", "--k", "0"],
@@ -282,18 +318,19 @@ CALLS = [
 ]
 
 
-def _run(argv, name, config):
+def _run(argv, name, config, patch):
     """(exit code, stderr, stdout) of one call."""
     out, err = io.StringIO(), io.StringIO()
     handlers = logging.root.handlers[:]
     cwd = os.getcwd()
+    patched = mock.patch.object(gw, *_PATCHES[patch]) if patch else contextlib.nullcontext()
     with tempfile.TemporaryDirectory() as directory:
         if name is not None:
             pathlib.Path(directory, name).write_text(json.dumps(config), encoding="utf-8")
         os.chdir(directory)
         logging.root.handlers.clear()
         try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), patched:
                 code = cli.main(argv)
         finally:
             logging.root.handlers[:] = handlers
@@ -322,16 +359,18 @@ def pins():
     return _read_pins()
 
 
-@pytest.mark.parametrize("argv, name, config", CALLS, ids=[" ".join(c[0]) for c in CALLS])
-def test_pinned_output(pins, argv, name, config):
-    code, err, out = _run(argv, name, config)
+@pytest.mark.parametrize(
+    "argv, name, config, patch", CALLS, ids=[" ".join(call[0]) for call in CALLS]
+)
+def test_pinned_output(pins, argv, name, config, patch):
+    code, err, out = _run(argv, name, config, patch)
     assert _pin(code, err, out) == pins[" ".join(argv)]
     if out:
         assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
 def test_each_call_has_one_pin(pins):
-    ids = [" ".join(argv) for argv, _, _ in CALLS]
+    ids = [" ".join(argv) for argv, *_ in CALLS]
     assert len(set(ids)) == len(ids)
     assert sorted(ids) == sorted(pins)
     assert PINS.read_text(encoding="utf-8") == _layout(pins)
@@ -363,6 +402,27 @@ def main(argv=None):
         PINS.write_text(_layout(actual), encoding="utf-8")
         return 0
     return 1 if changed else 0
+
+
+def test_script_names_a_changed_pin_and_rewrites_it(tmp_path, monkeypatch, capsys):
+    committed = PINS.read_text(encoding="utf-8")
+    pins = json.loads(committed)
+    call_id = "degree --genus 2 --r 3"
+    actual = pins[call_id][3]
+    pins[call_id] = [*pins[call_id][:3], "0" * 64]
+    copy = tmp_path / "pins.json"
+    copy.write_text(_layout(pins), encoding="utf-8")
+    monkeypatch.setitem(globals(), "PINS", copy)
+    assert main([]) == 1
+    assert capsys.readouterr().out == (
+        f"{call_id}\n  stdout sha256: {'0' * 64!r} -> {actual!r}\n"
+        f"1 of {len(CALLS)} pinned calls differ\n"
+    )
+    assert main(["--rewrite"]) == 0
+    assert copy.read_text(encoding="utf-8") == committed
+    capsys.readouterr()
+    assert main([]) == 0
+    assert capsys.readouterr().out == f"0 of {len(CALLS)} pinned calls differ\n"
 
 
 if __name__ == "__main__":
