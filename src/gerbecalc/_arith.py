@@ -1,9 +1,9 @@
 """What every command reads: the one factoriser and its totients and
-divisors, the one grammar for rationals, _band_order, the one check of the
-band order r, and _field, the one reader of configuration fields.  They
-live here so that a command loads neither exactnum nor graphs just to read
-them, and code that reads a private one, such as _prime_powers, imports it
-from here."""
+divisors, the one grammar for rationals, _band_order and _isotropy_order,
+the one checks of the band order r and of an isotropy order against it,
+and _field, the one reader of configuration fields.  They live here so
+that a command loads neither exactnum nor graphs just to read them, and
+code that reads a private one, such as _prime_powers, imports it from here."""
 
 import math
 import re
@@ -48,6 +48,13 @@ def _band_order(r: int) -> int:
     if r < 1:
         raise ValueError(f"band order must be positive, got {r}")
     return r
+
+
+def _isotropy_order(order: int, r: int) -> int:
+    """order, once it divides r >= 1: the order of a subgroup of mu_r."""
+    if _band_order(r) % order:
+        raise ValueError(f"isotropy order {order} does not divide r={r}")
+    return order
 
 
 def format_rational(value: int | Fraction) -> str:

@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from ._arith import _band_order, divisors, parse_rational
+from ._arith import _band_order, _isotropy_order, divisors, parse_rational
 from ._record import Record, setfield
 
 if TYPE_CHECKING:
@@ -70,9 +70,7 @@ class ContactType(Record):
 
     def residue(self, r: int) -> int:
         """Exponent a with zeta_r^a = this element; requires order | r."""
-        if r % self.order != 0:
-            raise ValueError(f"order {self.order} does not divide {r}")
-        return self.numerator * (r // self.order)
+        return self.numerator * (r // _isotropy_order(self.order, r))
 
     def inverse(self) -> "ContactType":
         """The complementary type <-m/b>, the opposite branch of a balanced node."""
@@ -185,8 +183,7 @@ class DegreeData(Record):
                 f"{_counted(len(graph.tails()), 'tail')}"
             )
         for t in self.tail_types:
-            if r % t.order != 0:
-                raise ValueError(f"tail order {t.order} does not divide r={r}")
+            _isotropy_order(t.order, r)
         reduced = tuple(x % r for x in self.vertex_residues)
         if reduced != self.vertex_residues:
             return DegreeData(reduced, self.tail_types)

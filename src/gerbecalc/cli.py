@@ -315,7 +315,7 @@ def _gw_common(args) -> tuple[gw.GerbeSpec, gw.BaseTheoryTable, dict]:
     truncation = gw.Truncation(
         _field(section, "n_max", int, "truncation"),
         _field(section, "j_max", int, "truncation"),
-        tuple(tuple(b) for b in betas),
+        betas,
     )
     _bound_theory_work(
         r, len(pairing), basis_size, genus, truncation, args.command == "decompose"

@@ -63,9 +63,7 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     (1, -1, 1)
     """
     if order < 1:
-        raise ValueError(f"order must be a positive integer, got {order}")
-    if order == 1:
-        return (-1, 1)
+        raise ValueError(f"order must be positive, got {order}")
     poly = [-1] + [0] * (order - 1) + [1]
     for d in divisors(order):
         if d != order:
@@ -205,9 +203,8 @@ class CyclotomicNumber(Record, eq=False):
 
     def __post_init__(self) -> None:
         # The checks of the public constructor, one method so that a
-        # tracer can count the numbers built through it (_canonical's are not).
-        if self.order < 1:
-            raise ValueError(f"order must be positive, got {self.order}")
+        # tracer can count the numbers built through it (_canonical's are not);
+        # power_basis_size rejects an order below 1.
         phi = power_basis_size(self.order)
         if len(self.numerators) != phi:
             raise ValueError(
@@ -410,8 +407,7 @@ def root_of_unity(numerator: int, order: int) -> CyclotomicNumber:
     >>> root_of_unity(1, 2)
     CyclotomicNumber(2; -1)
     """
-    if order < 1:
-        raise ValueError(f"order must be positive, got {order}")
+    power_basis_size(order)  # rejects an order below 1
     return _root_of_unity(numerator % order, order)
 
 

@@ -31,7 +31,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
-from ._arith import _band_order, _field
+from ._arith import _band_order, _field, _isotropy_order
 from ._record import Record, setfield
 
 
@@ -273,8 +273,7 @@ class GerbyGraph(Record):
         """This decoration, once r is positive and every order divides r."""
         _band_order(r)
         for gamma in self.tail_orders + self.edge_orders:
-            if r % gamma != 0:
-                raise ValueError(f"isotropy order {gamma} does not divide r={r}")
+            _isotropy_order(gamma, r)
         return self
 
     @classmethod

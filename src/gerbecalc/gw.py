@@ -76,6 +76,8 @@ class GerbeSpec(Record):
 
 
 def _check_curve_class(beta, rank: int) -> CurveClass:
+    """beta as a tuple; raises "curve class beta has rank n, expected rank"
+    or "curve class beta must have nonnegative integer entries"."""
     beta = tuple(beta)
     if len(beta) != rank:
         raise ValueError(f"curve class {beta} has rank {len(beta)}, expected {rank}")
@@ -91,7 +93,8 @@ def pairing_value(spec: GerbeSpec, beta) -> int:
 
 
 class Truncation(Record):
-    """Finite truncation bounds: insertion count, psi power, curve classes."""
+    """Finite truncation bounds: insertion count, psi power, and the curve
+    classes, sorted, each checked by _check_curve_class against the first."""
 
     _fields = ("n_max", "j_max", "betas")
     n_max: int
@@ -104,11 +107,8 @@ class Truncation(Record):
         betas = tuple(sorted({tuple(b) for b in betas}))
         if not betas:
             raise ValueError("truncation needs at least one curve class")
-        ranks = {len(b) for b in betas}
-        if len(ranks) != 1:
-            raise ValueError(f"curve classes of mixed rank: {sorted(ranks)}")
-        if any(x < 0 for b in betas for x in b):
-            raise ValueError("curve classes must be effective (componentwise >= 0)")
+        for beta in betas:
+            _check_curve_class(beta, len(betas[0]))
         setfield(self, "n_max", n_max)
         setfield(self, "j_max", j_max)
         setfield(self, "betas", betas)

@@ -217,6 +217,7 @@ def test_every_command_rejects_a_non_positive_band_order_alike(
 _LOOP = graph_of([1], [(0, 0)])
 _BAND_ORDER_ENTRY_POINTS = {
     "ContactType.from_residue": lambda r: admissibility.ContactType.from_residue(1, r),
+    "ContactType.residue": lambda r: admissibility.ContactType(1, 2).residue(r),
     "AdmissibleVector": lambda r: admissibility.AdmissibleVector((), r, 0),
     "is_admissible": lambda r: admissibility.is_admissible((), r, 0),
     "enumerate_admissible": lambda r: list(admissibility.enumerate_admissible(2, r, 0)),
@@ -234,6 +235,57 @@ _BAND_ORDER_ENTRY_POINTS = {
 def test_every_entry_point_rejects_a_non_positive_band_order_alike(call):
     with pytest.raises(ValueError, match="^band order must be positive, got 0$"):
         call(0)
+
+
+# A bridge with a tail of order 4 at vertex 0, and a loop of order 4: at
+# r = 6 each entry point meets the order 4 before it computes anything.
+_BRIDGE = graph_of([0, 0], [(0, 1)], [0])
+_TAIL4 = admissibility.DegreeData((0, 0), (admissibility.ContactType(1, 4),))
+_LOOP4 = graphs.GerbyGraph(_LOOP, (), (4,))
+_ISOTROPY_ENTRY_POINTS = {
+    "ContactType.residue": lambda: admissibility.ContactType(1, 4).residue(6),
+    "DegreeData.validated_for": lambda: _TAIL4.validated_for(_BRIDGE, 6),
+    "GerbyGraph.validated_for": lambda: _LOOP4.validated_for(6),
+    "count_lifts": lambda: counting.count_lifts(_LOOP4, 6),
+    "twisted_picard_torsion": lambda: counting.twisted_picard_torsion(_LOOP4, 6),
+    "fiber_point_count": lambda: counting.fiber_point_count(_BRIDGE, _TAIL4, 6),
+    "enumerate_compatible_gerby": lambda: list(
+        admissibility.enumerate_compatible_gerby(_BRIDGE, _TAIL4, 6)
+    ),
+    "separating_node_order": lambda: admissibility.separating_node_order(_BRIDGE, _TAIL4, 0, 6),
+}
+
+
+@pytest.mark.parametrize("call", _ISOTROPY_ENTRY_POINTS.values(), ids=_ISOTROPY_ENTRY_POINTS)
+def test_every_entry_point_rejects_an_order_not_dividing_r_alike(call):
+    with pytest.raises(ValueError, match="^isotropy order 4 does not divide r=6$"):
+        call()
+
+
+# Each entry point reads one curve class beside the valid class (0,) of rank 1.
+_RANK1 = gw.Truncation(1, 0, [(0,), (1,)])
+_CURVE_CLASS_ENTRY_POINTS = {
+    "Truncation": lambda beta: gw.Truncation(1, 0, [(0,), beta]),
+    "BaseTheoryTable.from_records": lambda beta: gw.BaseTheoryTable.from_records(
+        1, 0, _RANK1, [(0, beta, [], 1)]
+    ),
+    "lookup": lambda beta: gw.BaseTheoryTable.seeded(1, 0, _RANK1, 7).lookup(beta, []),
+    "pairing_value": lambda beta: gw.pairing_value(gw.GerbeSpec(2, (1,)), beta),
+}
+
+
+@pytest.mark.parametrize(
+    "beta, message",
+    [
+        ((-1,), "curve class (-1,) must have nonnegative integer entries"),
+        ((0, 1), "curve class (0, 1) has rank 2, expected 1"),
+    ],
+    ids=["entry -1", "rank 2"],
+)
+@pytest.mark.parametrize("call", _CURVE_CLASS_ENTRY_POINTS.values(), ids=_CURVE_CLASS_ENTRY_POINTS)
+def test_every_entry_point_rejects_a_bad_curve_class_alike(call, beta, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(beta)
 
 
 def test_picard_torsion_variants(capsys, tmp_path):
@@ -1612,3 +1664,107 @@ def test_one_mutated_field_exits_zero_or_two(tmp_path_factory, mutation):
         assert code in allowed, (argv, path, replacement, err.getvalue())
         if code == 2:
             assert out.getvalue() == "", (argv, path, replacement)
+
+
+# The commands that read each section of a configuration.  An input broken
+# in one section must get one exit code 2, an empty stdout and one stderr
+# line from every command that reads the section; no reader is excepted.
+# The seeded calls read the truncation of the document without its table.
+_READERS = {
+    "gerby": (
+        ["count-lifts"], ["count-lifts", "--mode", "all-edges"],
+        ["picard-torsion"], ["picard-torsion", "--quotient"],
+    ),
+    "degree_data": (["compatible-graphs"], ["fiber-count"]),
+    "truncation": (
+        ["verify"], ["decompose"], ["verify", "--seed", "7"], ["decompose", "--seed", "7"],
+    ),
+    "base_invariants": (["verify"], ["decompose"]),
+}
+
+
+def _owner_text(check, *args):
+    """The one stderr line of the ValueError that check(*args) raises."""
+    with pytest.raises(ValueError) as info:
+        check(*args)
+    return f"error: {info.value}\n"
+
+
+@st.composite
+def _broken_graph_inputs(draw):
+    """(document, section, line): a graph document from the benchmark's
+    generators with one tail or edge order, or one tail type, of an order
+    that does not divide r, and the line of _arith._isotropy_order for it."""
+    inputs = perfbench_inputs()
+    rng, r = st.just(Random(draw(st.integers(0, 2**32)))), draw(st.integers(2, 12))
+    document = draw(st.one_of(
+        st.builds(inputs.banana, rng, st.just(r), st.integers(1, 3)),
+        st.builds(inputs.necklace, rng, st.just(r), st.lists(st.integers(1, 2), min_size=2, max_size=3)),
+        st.builds(
+            inputs.tree_with_cycles, rng, st.just(r), st.integers(2, 8), st.integers(0, 2),
+            st.sampled_from([[], [2]]),
+        ),
+    ))
+    order = draw(st.sampled_from([o for o in range(2, 2 * r + 1) if r % o]))
+    slots = [
+        (section, field, i)
+        for section, field in (("gerby", "tail_orders"), ("gerby", "edge_orders"),
+                               ("degree_data", "tail_types"))
+        for i in range(len(document[section][field]))
+    ]
+    section, field, i = draw(st.sampled_from(slots))
+    document[section][field][i] = order if section == "gerby" else f"1/{order}"
+    return document, section, _owner_text(_arith._isotropy_order, order, r)
+
+
+@st.composite
+def _broken_theory_inputs(draw, rank):
+    """(document, section, line): a theory document from the benchmark's
+    generators with one curve class given an entry -1, or with rank one more
+    entry, in truncation.betas or in a base_invariants record, and the line
+    of gw._check_curve_class for it.  A longer class is made from the last
+    of at least two classes of the truncation, so that it stays last once
+    the classes are sorted and the first class keeps the rank: a lone class
+    sets the truncation's rank, and only the records and the pairing are
+    held against it."""
+    inputs = perfbench_inputs()
+    rng = Random(draw(st.integers(0, 2**32)))
+    r, classes = draw(st.integers(2, 6)), draw(st.integers(2 if rank else 1, 3))
+    document = inputs.gw_theory(rng, r, classes, Fraction(1, draw(st.integers(1, 4))))
+    betas = document["truncation"]["betas"]
+    section = draw(st.sampled_from(["truncation", "base_invariants"]))
+    k = len(betas) - 1 if rank else draw(st.integers(0, len(betas) - 1))
+    broken = list(betas[k])
+    if rank:
+        broken.append(draw(st.integers(0, 3)))
+    else:
+        broken[draw(st.integers(0, len(broken) - 1))] = -1
+    if section == "truncation":
+        betas[k] = broken
+    else:
+        draw(st.sampled_from(document["base_invariants"]))["beta"] = broken
+    return document, section, _owner_text(gw._check_curve_class, broken, inputs.BETA_RANK)
+
+
+_BROKEN_INPUTS = {
+    "isotropy order": _broken_graph_inputs(),
+    "class entry -1": _broken_theory_inputs(rank=False),
+    "class rank": _broken_theory_inputs(rank=True),
+}
+
+
+@pytest.mark.parametrize("rule", _BROKEN_INPUTS)
+@settings(max_examples=20)
+@given(data=st.data())
+def test_every_section_breaks_a_rule_with_its_owner_text(tmp_path_factory, rule, data):
+    document, section, line = data.draw(_BROKEN_INPUTS[rule])
+    path = tmp_path_factory.mktemp("broken") / "config.json"
+    for argv in _READERS[section]:
+        read = document
+        if "--seed" in argv:
+            read = {key: value for key, value in document.items() if key != "base_invariants"}
+        path.write_text(json.dumps(read), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([*argv, "--input", str(path)])
+        assert (code, out.getvalue(), err.getvalue()) == (2, "", line), argv

@@ -105,6 +105,22 @@ def test_cyclotomic_polynomial_rejects_nonpositive():
         cyclotomic_polynomial(0)
 
 
+# Each reads its order through cyclotomic_polynomial, the one check of it.
+_ORDER_ENTRY_POINTS = {
+    "CyclotomicNumber": (lambda: CyclotomicNumber(0, ()), 0),
+    "root_of_unity": (lambda: root_of_unity(1, 0), 0),
+    "CyclotomicNumber.from_rational": (lambda: CyclotomicNumber.from_rational(1, 0), 0),
+    "CyclotomicNumber.zero": (lambda: CyclotomicNumber.zero(-1), -1),
+    "cyclotomic_polynomial": (lambda: cyclotomic_polynomial(0), 0),
+}
+
+
+@pytest.mark.parametrize("call, order", _ORDER_ENTRY_POINTS.values(), ids=_ORDER_ENTRY_POINTS)
+def test_every_entry_point_rejects_an_order_below_one_alike(call, order):
+    with pytest.raises(ValueError, match=f"^order must be positive, got {order}$"):
+        call()
+
+
 @given(st.integers(1, 10**4) | prime_products(limit=10**5).map(lambda case: case[0]))
 def test_divisors_match_brute_force(n):
     assert divisors(n) == tuple(d for d in range(1, n + 1) if n % d == 0)

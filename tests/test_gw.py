@@ -74,11 +74,11 @@ def test_truncation_normalizes_betas():
     tr = Truncation(1, 0, [(1,), (0,), (1,)])
     assert tr.betas == ((0,), (1,))
     assert tr.rank == 1
-    with pytest.raises(ValueError, match="mixed rank"):
+    with pytest.raises(ValueError, match=r"^curve class \(0, 0\) has rank 2, expected 1$"):
         Truncation(1, 0, [(0,), (0, 0)])
     with pytest.raises(ValueError, match="at least one"):
         Truncation(1, 0, [])
-    with pytest.raises(ValueError, match="effective"):
+    with pytest.raises(ValueError, match=r"^curve class \(-1,\) must have nonnegative integer"):
         Truncation(1, 0, [(-1,)])
     with pytest.raises(ValueError, match="nonnegative"):
         Truncation(-1, 0, [(0,)])

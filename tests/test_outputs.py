@@ -8,7 +8,9 @@ a one-line diff.  A call that prints a document must print canonical JSON.
 
 Each call runs ``cli.main`` in-process from a directory that holds its
 input under a fixed name, so the echoed input path is part of the pinned
-bytes; a call that reads no input file names none.  A call may also name a
+bytes; a call that reads no input file names none.  An input is written by
+``json.dumps``, or as it stands when it is a str: text that is not JSON, or
+a number that ``json.dumps`` would not write.  A call may also name a
 patch of ``gw`` from ``_PATCHES``, in force while it runs: the identity
 that ``verify`` checks holds on every valid input, so only a patched call
 pins its exit-1 document.  Zero-fill warnings go to stderr through the
@@ -182,6 +184,25 @@ _FIBER = _graph(
     6, [0, 1], [[0, 1], [0, 1], [1, 1]], [0, 1], degree_data=_degree([1, 2], ["1/2", "0"])
 )
 
+def _nested(levels):
+    """A configuration nested this many levels deep, itself the first."""
+    value = []
+    for _ in range(levels - 2):
+        value = [value]
+    return {"r": 2, "note": value}
+
+
+_LOADER_INPUTS = {
+    "list.json": [],
+    "nested17.json": _nested(17),
+    "format2.json": {"format": 2},
+    "digits.json": '{"r": 1' + "0" * 100_000 + "}",
+    "float-past-range.json": '{"r": 2, "note": 1e400}',
+    "nan.json": '{"r": NaN}',
+    "no-graph.json": {"r": 2},
+    "bool-r.json": _graph(True, [0], []),
+}
+
 _SEEDED = (["verify", *_SEED], ["decompose", *_SEED])
 _THEORY_CALLS = (["verify"], ["decompose"])
 _PICARD = (["picard-torsion"],)
@@ -245,6 +266,13 @@ _ON_INPUTS = [
     ("order0.json", _graph(2, [0], [[0, 0]], gerby=_orders([], [0])), _GERBY_CALLS),
     ("tail-orders-short.json", _graph(2, [0], [[0, 0]], [0], gerby=_orders([], [1])), _GERBY_CALLS),
     ("edge-orders-short.json", _graph(2, [0], [[0, 0]], gerby=_orders([], [])), _GERBY_CALLS),
+    # The loader's guards, one input each, then _field's messages for a
+    # missing field and for a value of the wrong kind, with and without a
+    # hint.  json's own texts for a syntax error differ across Pythons and
+    # are not pinned.
+    *((name, config, _PICARD) for name, config in _LOADER_INPUTS.items()),
+    ("number-tail-type.json", _graph(2, [0], [], [0], degree_data=_degree([0], [1])),
+     (["fiber-count"],)),
     # r = 0 and r = -3 on two vertices joined by two edges: each command
     # rejects r as it reads it, before its work bounds
     *(
@@ -313,6 +341,9 @@ CALLS = [
             ["degree", "--genus", "2", "--r", "3"],
             ["degree", "--field-degree", "2", "--delta-source", "3", "--delta-target", "6"],
             ["degree", "--genus", "1", "--r", "2", "--field-degree", "6"],
+            # an unreadable input, and a write that fails
+            ["picard-torsion", "--input", "missing.json"],
+            ["degree", "--genus", "2", "--r", "3", "--output", "."],
         )
     ),
 ]
@@ -326,7 +357,8 @@ def _run(argv, name, config, patch):
     patched = mock.patch.object(gw, *_PATCHES[patch]) if patch else contextlib.nullcontext()
     with tempfile.TemporaryDirectory() as directory:
         if name is not None:
-            pathlib.Path(directory, name).write_text(json.dumps(config), encoding="utf-8")
+            text = config if isinstance(config, str) else json.dumps(config)
+            pathlib.Path(directory, name).write_text(text, encoding="utf-8")
         os.chdir(directory)
         logging.root.handlers.clear()
         try:
